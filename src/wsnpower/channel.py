@@ -239,24 +239,23 @@ def sinr_for_prr(target_prr: float, f_bytes: int) -> float:
     return float(x * x / (1.0 - x * x))
 
 
-def _check_interference_mode(mode: str):
-    if mode not in INTERFERENCE_MODES:
-        raise ValueError(f"interference mode must be one of {INTERFERENCE_MODES}, got {mode!r}")
+def _denominators(senders, powers_mw, gains: np.ndarray, n0_mw: float, interference: str):
+    """Interference plus noise at every receiver, leaving out the sender.
 
-
-def interference_at(j: int, exclude: int, powers_mw, gains: np.ndarray, mode: str) -> float:
-    """Interference power seen at receiver j, excluding the sender ``exclude``.
-
-    Mode "full" models every other node as a concurrent transmitter at its
-    current power; mode "none" models a clear channel (only the sender is on
-    the air, as under a listen-before-talk MAC).
+    ``senders`` is one node index (a length-M row) or ``slice(None)`` (an
+    M x M array, row t for sender t).  Mode "full" models every other node as
+    a concurrent transmitter at its current power; mode "none" models a clear
+    channel (only the sender is on the air, as under a listen-before-talk
+    MAC), where the result is the noise floor for every receiver.  The
+    receiver's own term drops out because diagonal gains are zero.
     """
-    _check_interference_mode(mode)
-    if mode == "none":
-        return 0.0
-    p = np.asarray(powers_mw, dtype=float)
-    total = float(gains[:, j] @ p)  # diagonal gain is zero, so t == j drops out
-    return max(total - float(gains[exclude, j] * p[exclude]), 0.0)
+    if interference not in INTERFERENCE_MODES:
+        raise ValueError(f"interference mode must be one of {INTERFERENCE_MODES}, "
+                         f"got {interference!r}")
+    if interference == "none":
+        return np.full(gains.shape[1], n0_mw)
+    received = gains * np.asarray(powers_mw, dtype=float)[:, None]  # [t, j] = H_tj p_t
+    return np.maximum(received.sum(axis=0) - received[senders], 0.0) + n0_mw
 
 
 def prr_matrix(powers_mw, gains: np.ndarray, n0_mw: float, f_bytes: int,
@@ -265,16 +264,8 @@ def prr_matrix(powers_mw, gains: np.ndarray, n0_mw: float, f_bytes: int,
 
     The diagonal is set to zero.
     """
-    _check_interference_mode(interference)
     p = np.asarray(powers_mw, dtype=float)
-    m = p.shape[0]
-    received = gains * p[:, None]  # [t, j] = H_tj p_t
-    if interference == "full":
-        col_total = received.sum(axis=0)
-        interf = np.maximum(col_total[None, :] - received, 0.0)
-    else:
-        interf = np.zeros((m, m))
-    s = received / (interf + n0_mw)
+    s = gains * p[:, None] / _denominators(slice(None), p, gains, n0_mw, interference)
     out = prr(ber(s), f_bytes)
     np.fill_diagonal(out, 0.0)
     return out

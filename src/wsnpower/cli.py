@@ -5,6 +5,7 @@ Exit codes: 0 success, 2 config/usage errors, 1 IO or unexpected failures.
 """
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -62,20 +63,8 @@ def _cmd_run(args) -> int:
         if "file" not in spec:
             spec["seed"] = args.seed_override
         config.topology_spec = spec
-        config.path_loss = type(config.path_loss)(
-            reference_distance_d0=config.path_loss.reference_distance_d0,
-            reference_gain_db=config.path_loss.reference_gain_db,
-            exponent=config.path_loss.exponent,
-            shadowing_sigma_db=config.path_loss.shadowing_sigma_db,
-            seed=args.seed_override,
-        )
-        config.traffic = type(config.traffic)(
-            message_period_s=config.traffic.message_period_s,
-            messages_per_node=config.traffic.messages_per_node,
-            payload_f_bytes=config.traffic.payload_f_bytes,
-            max_retries=config.traffic.max_retries,
-            seed=args.seed_override,
-        )
+        config.path_loss = dataclasses.replace(config.path_loss, seed=args.seed_override)
+        config.traffic = dataclasses.replace(config.traffic, seed=args.seed_override)
     report = experiment.run_scenario(config)
     created = experiment.emit(report, args.out)
     if not report.full_power_connected:
@@ -92,13 +81,16 @@ def _cmd_run(args) -> int:
 
 
 def _section_from_report(path, mode):
+    """The (digest, analytic avg PRR, avg PRR, relative energy) of one mode."""
     with open(path) as fh:
         data = json.load(fh)
     sections = data.get("modes", {})
     if mode not in sections:
         raise ValueError(f"report {path} has no mode {mode!r}; "
                          f"available: {sorted(sections)}")
-    return sections[mode]
+    sec = sections[mode]
+    return (sec["topology_digest"], sec["analytic_avg_prr"], sec["metrics"]["avg_prr"],
+            sec["metrics"]["relative_energy"])
 
 
 def _cmd_compare(args) -> int:
@@ -109,23 +101,11 @@ def _cmd_compare(args) -> int:
         return 2
     report_b = args.report_b or args.report
     try:
-        sec_a = _section_from_report(args.report, modes[0])
-        sec_b = _section_from_report(report_b, modes[1])
+        deltas = experiment._mode_deltas(_section_from_report(args.report, modes[0]),
+                                         _section_from_report(report_b, modes[1]))
     except (OSError, json.JSONDecodeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if sec_a["topology_digest"] != sec_b["topology_digest"]:
-        print("error: cannot compare mode sections from different topologies",
-              file=sys.stderr)
-        return 2
-    deltas = {
-        "delta_analytic_avg_prr_pp":
-            (sec_a["analytic_avg_prr"] - sec_b["analytic_avg_prr"]) * 100.0,
-        "delta_empirical_avg_prr_pp":
-            (sec_a["metrics"]["avg_prr"] - sec_b["metrics"]["avg_prr"]) * 100.0,
-        "delta_relative_energy":
-            sec_a["metrics"]["relative_energy"] - sec_b["metrics"]["relative_energy"],
-    }
     payload = json.dumps(deltas, indent=2, sort_keys=True)
     if args.out:
         with open(args.out, "w") as fh:

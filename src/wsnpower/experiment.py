@@ -6,6 +6,7 @@ baseline.  One scenario in, plot-ready JSON/CSV out, byte deterministic.
 """
 
 import csv
+import dataclasses
 import hashlib
 import json
 import os
@@ -25,10 +26,14 @@ RECEIVER_POLICIES = ("best-prr", "round-robin")
 class ScenarioConfig:
     """Everything needed to reproduce one scenario end to end."""
 
-    topology_spec: dict = field(default_factory=lambda: {"m": 80, "area": (100.0, 100.0), "seed": 0})
+    # ``json`` metadata names a field's key in the JSON form when it differs.
+    topology_spec: dict = field(default_factory=lambda: {"m": 80, "area": (100.0, 100.0), "seed": 0},
+                                metadata={"json": "topology"})
     path_loss: channel.PathLossModel = field(default_factory=channel.PathLossModel)
-    noise: channel.NoiseFloor = field(default_factory=channel.NoiseFloor)
-    game_params: game.GameParams = field(default_factory=game.GameParams)
+    noise: channel.NoiseFloor = field(default_factory=channel.NoiseFloor,
+                                      metadata={"json": "noise_floor"})
+    game_params: game.GameParams = field(default_factory=game.GameParams,
+                                         metadata={"json": "game"})
     levels: DiscreteLevelSet = field(default_factory=DiscreteLevelSet)
     registers: RegisterMap = field(default_factory=RegisterMap.eight_level_default)
     traffic: packetsim.TrafficConfig = field(default_factory=packetsim.TrafficConfig)
@@ -60,74 +65,46 @@ class ScenarioConfig:
                                         seed=int(spec["seed"]))
 
     def to_json_dict(self) -> dict:
-        spec = dict(self.topology_spec)
-        if "area" in spec:
-            spec["area"] = list(spec["area"])
-        gp = self.game_params
-        return {
-            "topology": spec,
-            "path_loss": {
-                "reference_distance_d0": self.path_loss.reference_distance_d0,
-                "reference_gain_db": self.path_loss.reference_gain_db,
-                "exponent": self.path_loss.exponent,
-                "shadowing_sigma_db": self.path_loss.shadowing_sigma_db,
-                "seed": self.path_loss.seed,
-            },
-            "noise_floor": {"n0_mw": self.noise.n0_mw},
-            "game": {
-                "ncr_scale": gp.ncr_scale,
-                "cost_denominator": gp.cost_denominator,
-                "log_base": gp.log_base,
-                "f_bytes": gp.f_bytes,
-                "epsilon_link": gp.epsilon_link,
-                "degree_target": gp.degree_target,
-                "degree_rule": gp.degree_rule,
-                "smallworld_delta": gp.smallworld_delta,
-                "n_iter_max": gp.n_iter_max,
-                "convergence_tol": gp.convergence_tol,
-                "br_tol": gp.br_tol,
-                "prescan_samples": gp.prescan_samples,
-                "ncr_denominator": gp.ncr_denominator,
-                "interference": gp.interference,
-            },
-            "levels": self.levels.to_json_dict(),
-            "registers": self.registers.to_json_dict(),
-            "traffic": {
-                "message_period_s": self.traffic.message_period_s,
-                "messages_per_node": self.traffic.messages_per_node,
-                "payload_f_bytes": self.traffic.payload_f_bytes,
-                "max_retries": self.traffic.max_retries,
-                "seed": self.traffic.seed,
-            },
-            "modes": list(self.modes),
-            "receiver_policy": self.receiver_policy,
-        }
+        return {f.metadata.get("json", f.name): _to_json(getattr(self, f.name))
+                for f in dataclasses.fields(self)}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ScenarioConfig":
         kwargs = {}
-        if "topology" in data:
-            spec = dict(data["topology"])
-            if "area" in spec:
-                spec["area"] = tuple(float(v) for v in spec["area"])
-            kwargs["topology_spec"] = spec
-        if "path_loss" in data:
-            kwargs["path_loss"] = channel.PathLossModel(**data["path_loss"])
-        if "noise_floor" in data:
-            kwargs["noise"] = channel.NoiseFloor(**data["noise_floor"])
-        if "game" in data:
-            kwargs["game_params"] = game.GameParams(**data["game"])
-        if "levels" in data:
-            kwargs["levels"] = DiscreteLevelSet.from_json_dict(data["levels"])
-        if "registers" in data:
-            kwargs["registers"] = RegisterMap.from_json_dict(data["registers"])
-        if "traffic" in data:
-            kwargs["traffic"] = packetsim.TrafficConfig(**data["traffic"])
-        if "modes" in data:
-            kwargs["modes"] = tuple(data["modes"])
-        if "receiver_policy" in data:
-            kwargs["receiver_policy"] = data["receiver_policy"]
+        for f in dataclasses.fields(cls):
+            key = f.metadata.get("json", f.name)
+            if key in data:
+                kwargs[f.name] = _from_json(f.type, data[key])
         return cls(**kwargs)
+
+
+def _to_json(value):
+    """JSON form of a config member: its own ``to_json_dict`` when it has one,
+    otherwise a dict of its dataclass fields; tuples become lists."""
+    if hasattr(value, "to_json_dict"):
+        return value.to_json_dict()
+    if dataclasses.is_dataclass(value):
+        return {f.name: _to_json(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    if isinstance(value, dict):
+        return {k: _to_json(v) for k, v in value.items()}
+    if isinstance(value, tuple):
+        return [_to_json(v) for v in value]
+    return value
+
+
+def _from_json(cls, data):
+    """Inverse of ``_to_json`` for a member declared as ``cls``; the member's
+    own constructor checks the values."""
+    if hasattr(cls, "from_json_dict"):
+        return cls.from_json_dict(data)
+    if dataclasses.is_dataclass(cls):
+        return cls(**data)
+    if cls is dict:  # topology spec
+        spec = dict(data)
+        if "area" in spec:
+            spec["area"] = tuple(float(v) for v in spec["area"])
+        return spec
+    return data
 
 
 def simulation_default() -> ScenarioConfig:
@@ -226,52 +203,36 @@ def _analytic_summary(profile, gains, n0_mw, params):
     return avg, mat
 
 
-def _feasibility(profile, gains, n0_mw, params):
-    k = params.required_degree(profile.n)
-    return [
-        topology.min_power_for_degree(i, profile, gains, n0_mw, params.f_bytes,
-                                      params.epsilon_link, k, params.interference)
-        != topology.INFEASIBLE
-        for i in range(profile.n)
-    ]
-
-
 def _run_mode(mode, config, gains, digest, continuous_result=None):
     params = config.game_params
     n0 = config.noise.n0_mw
-    m = gains.shape[0]
+    full = game.StrategyProfile.full_power(gains.shape[0])
     if mode == "continuous":
-        diag = continuous_result
-        profile = diag.profile
-        potential_trace = list(diag.potential_trace)
-        profile_trace = [np.array(p) for p in diag.profile_trace]
-        converged, sweeps, flags = diag.converged, diag.sweeps_used, diag.nonunimodal_events
-        feasible = diag.per_node_feasible
+        result = continuous_result
     elif mode == "discretized-posthoc":
         # The continuous run plus a final rounding step; the trace shows both.
-        diag = continuous_result
-        profile = discretize_profile(diag.profile, config.levels)
-        potential_trace = list(diag.potential_trace)
-        potential_trace.append(game.potential(profile, gains, n0, params))
-        profile_trace = [np.array(p) for p in diag.profile_trace]
-        profile_trace.append(np.array(profile.s))
-        converged, sweeps, flags = diag.converged, diag.sweeps_used, diag.nonunimodal_events
-        feasible = _feasibility(profile, gains, n0, params)
+        profile = discretize_profile(continuous_result.profile, config.levels)
+        result = dataclasses.replace(
+            continuous_result,
+            profile=profile,
+            potential_trace=continuous_result.potential_trace
+            + [game.potential(profile, gains, n0, params)],
+            profile_trace=continuous_result.profile_trace + [np.array(profile.s)],
+            per_node_feasible=game._per_node_feasible(profile, gains, n0, params),
+        )
     elif mode == "discretized-game":
-        diag = solve_discrete(game.StrategyProfile.full_power(m), gains, n0,
-                                       params, config.levels)
-        profile = diag.profile
-        potential_trace = list(diag.potential_trace)
-        profile_trace = [np.array(p) for p in diag.profile_trace]
-        converged, sweeps, flags = diag.converged, diag.sweeps_used, diag.nonunimodal_events
-        feasible = diag.per_node_feasible
+        result = solve_discrete(full, gains, n0, params, config.levels)
     else:
-        profile = game.StrategyProfile.full_power(m)
-        potential_trace = [game.potential(profile, gains, n0, params)]
-        profile_trace = [np.array(profile.s)]
-        converged, sweeps, flags = True, 0, 0
-        feasible = _feasibility(profile, gains, n0, params)
+        result = game.EquilibriumResult(
+            profile=full,
+            sweeps_used=0,
+            potential_trace=[game.potential(full, gains, n0, params)],
+            converged=True,
+            per_node_feasible=game._per_node_feasible(full, gains, n0, params),
+            profile_trace=[np.array(full.s)],
+        )
 
+    profile = result.profile
     avg, analytic_mat = _analytic_summary(profile, gains, n0, params)
     if config.receiver_policy == "round-robin":
         links = packetsim.round_robin_receivers(profile, gains, n0, params.f_bytes,
@@ -292,12 +253,12 @@ def _run_mode(mode, config, gains, digest, continuous_result=None):
         topology_digest=digest,
         profile=profile,
         register_ids=register_ids,
-        converged=converged,
-        sweeps_used=sweeps,
-        potential_trace=list(potential_trace),
-        profile_trace=[np.array(p) for p in profile_trace],
-        per_node_feasible=list(feasible),
-        nonunimodal_events=flags,
+        converged=result.converged,
+        sweeps_used=result.sweeps_used,
+        potential_trace=list(result.potential_trace),
+        profile_trace=[np.array(p) for p in result.profile_trace],
+        per_node_feasible=list(result.per_node_feasible),
+        nonunimodal_events=result.nonunimodal_events,
         analytic_avg_prr=avg,
         analytic_link_prr=chosen,
         metrics=metrics,
@@ -336,9 +297,9 @@ def run_scenario(config: ScenarioConfig) -> SimulationReport:
         for mode in config.modes:
             if mode == "full-power":
                 continue
-            deltas[f"{mode}-vs-full-power"] = _delta(sections[mode], base)
+            deltas[f"{mode}-vs-full-power"] = compare(sections[mode], base)
     if {"discretized-posthoc", "continuous"} <= set(sections):
-        deltas["discretized-posthoc-vs-continuous"] = _delta(
+        deltas["discretized-posthoc-vs-continuous"] = compare(
             sections["discretized-posthoc"], sections["continuous"])
 
     return SimulationReport(
@@ -351,19 +312,26 @@ def run_scenario(config: ScenarioConfig) -> SimulationReport:
     )
 
 
-def _delta(section_a: ModeSection, section_b: ModeSection) -> dict:
-    if section_a.topology_digest != section_b.topology_digest:
+def _mode_deltas(a, b) -> dict:
+    """Deltas between two sides, each (topology digest, analytic avg PRR,
+    empirical avg PRR, relative energy): PRR in percentage points, energy as
+    a fraction."""
+    if a[0] != b[0]:
         raise ValueError("cannot compare mode sections from different topologies")
     return {
-        "delta_analytic_avg_prr_pp": (section_a.analytic_avg_prr - section_b.analytic_avg_prr) * 100.0,
-        "delta_empirical_avg_prr_pp": (section_a.metrics.avg_prr - section_b.metrics.avg_prr) * 100.0,
-        "delta_relative_energy": section_a.metrics.relative_energy - section_b.metrics.relative_energy,
+        "delta_analytic_avg_prr_pp": (a[1] - b[1]) * 100.0,
+        "delta_empirical_avg_prr_pp": (a[2] - b[2]) * 100.0,
+        "delta_relative_energy": a[3] - b[3],
     }
 
 
 def compare(section_a: ModeSection, section_b: ModeSection) -> dict:
     """Pairwise mode deltas: PRR in percentage points, energy as a fraction."""
-    return _delta(section_a, section_b)
+    def side(sec):
+        return (sec.topology_digest, sec.analytic_avg_prr, sec.metrics.avg_prr,
+                sec.metrics.relative_energy)
+
+    return _mode_deltas(side(section_a), side(section_b))
 
 
 def _write_csv(path, header, rows):

@@ -22,12 +22,13 @@ import numpy as np
 from .channel import (
     INTERFERENCE_MODES,
     STRATEGY_MAX,
+    _denominators,
     ber,
     prr,
     sinr_for_prr,
     strategy_to_mw,
 )
-from .topology import INFEASIBLE, min_power_for_degree, smallworld_threshold
+from .topology import INFEASIBLE, _reach, min_power_for_degree, smallworld_threshold
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -186,18 +187,10 @@ class _NodeEnvironment:
         self.profile = profile
         self.gains = gains
         self.n0_mw = n0_mw
-        m = profile.n
-        self.m = m
-        p = profile.mw
-        if params.interference == "full":
-            received = gains * p[:, None]
-            col_total = received.sum(axis=0)
-            denom = np.maximum(col_total - received[i, :], 0.0) + n0_mw
-        else:
-            denom = np.full(m, n0_mw)
-        self.denominators = denom
+        self.m = profile.n
+        self.denominators = _denominators(i, profile.mw, gains, n0_mw, params.interference)
         self.h_row = gains[i, :]
-        self.required_k = params.required_degree(m)
+        self.required_k = params.required_degree(self.m)
 
     def prr_row(self, s_value: float) -> np.ndarray:
         s = self.h_row * float(strategy_to_mw(s_value)) / self.denominators
@@ -221,12 +214,10 @@ class _NodeEnvironment:
             union = set()
             powers = self.profile.mw.copy()
             powers[self.i] = strategy_to_mw(s_value)
-            from .topology import _own_link_prr_row
-
             for j in np.flatnonzero(member_mask):
-                other_row = _own_link_prr_row(int(j), powers[int(j)], powers, self.gains,
-                                              self.n0_mw, params.f_bytes, params.interference)
-                union.update(int(t) for t in np.flatnonzero(other_row >= params.epsilon_link))
+                reached = _reach(int(j), powers[j], powers, self.gains, self.n0_mw,
+                                 params.f_bytes, params.epsilon_link, params.interference)
+                union.update(int(t) for t in np.flatnonzero(reached))
             if not union:
                 return 0.0, degree
             value = min(1.0, float(row[member_mask].sum()) / len(union))
@@ -381,22 +372,63 @@ def best_response(i: int, profile: StrategyProfile, gains: np.ndarray, n0_mw: fl
     return s_star
 
 
-def _sweep_detail(profile, gains, n0_mw, params):
+def _per_node_feasible(profile, gains, n0_mw, params):
+    """Whether each node can reach its degree floor at some power in range."""
+    k = params.required_degree(profile.n)
+    return [
+        min_power_for_degree(i, profile, gains, n0_mw, params.f_bytes,
+                             params.epsilon_link, k, params.interference) != INFEASIBLE
+        for i in range(profile.n)
+    ]
+
+
+def _sweep(profile, gains, n0_mw, params, respond):
+    """One pass of ``respond(i, profile, gains, n0_mw, params) -> (s_i, flagged)``
+    over the nodes in update order; returns the new profile and the flag count."""
     order = params.update_order if params.update_order is not None else range(profile.n)
-    current = profile
     flags = 0
     for i in order:
-        s_star, flagged = _best_response_detail(i, current, gains, n0_mw, params)
+        s_star, flagged = respond(i, profile, gains, n0_mw, params)
         flags += int(flagged)
-        current = current.with_power(i, s_star)
-    return current, flags
+        profile = profile.with_power(i, s_star)
+    return profile, flags
+
+
+def _iterate(profile0, gains, n0_mw, params, respond) -> EquilibriumResult:
+    """Sweep until no node moves by convergence_tol or n_iter_max sweeps ran.
+
+    The driver of both the continuous and the discrete game: the exact
+    potential makes sequential best responses ascend on either strategy set.
+    """
+    current = profile0
+    trace = [potential(current, gains, n0_mw, params)]
+    profiles = [np.array(current.s)]
+    flags = 0
+    converged = False
+    sweeps = 0
+    while sweeps < params.n_iter_max and not converged:
+        new_profile, sweep_flags = _sweep(current, gains, n0_mw, params, respond)
+        sweeps += 1
+        flags += sweep_flags
+        trace.append(potential(new_profile, gains, n0_mw, params))
+        profiles.append(np.array(new_profile.s))
+        converged = float(np.max(np.abs(new_profile.s - current.s))) < params.convergence_tol
+        current = new_profile
+    return EquilibriumResult(
+        profile=current,
+        sweeps_used=sweeps,
+        potential_trace=trace,
+        converged=converged,
+        per_node_feasible=_per_node_feasible(current, gains, n0_mw, params),
+        nonunimodal_events=flags,
+        profile_trace=profiles,
+    )
 
 
 def gauss_seidel_sweep(profile: StrategyProfile, gains: np.ndarray, n0_mw: float,
                        params: GameParams) -> StrategyProfile:
-    """One pass of sequential best responses in ascending node order."""
-    new_profile, _ = _sweep_detail(profile, gains, n0_mw, params)
-    return new_profile
+    """One pass of sequential best responses in update order (ascending by default)."""
+    return _sweep(profile, gains, n0_mw, params, _best_response_detail)[0]
 
 
 def solve(profile0: StrategyProfile, gains: np.ndarray, n0_mw: float,
@@ -406,38 +438,7 @@ def solve(profile0: StrategyProfile, gains: np.ndarray, n0_mw: float,
     Non-convergence within n_iter_max sweeps is reported via the flag, not
     raised.
     """
-    current = profile0
-    trace = [potential(current, gains, n0_mw, params)]
-    profiles = [np.array(current.s)]
-    flags = 0
-    converged = False
-    sweeps = 0
-    for _ in range(params.n_iter_max):
-        new_profile, sweep_flags = _sweep_detail(current, gains, n0_mw, params)
-        sweeps += 1
-        flags += sweep_flags
-        trace.append(potential(new_profile, gains, n0_mw, params))
-        profiles.append(np.array(new_profile.s))
-        delta = float(np.max(np.abs(new_profile.s - current.s)))
-        current = new_profile
-        if delta < params.convergence_tol:
-            converged = True
-            break
-    k = params.required_degree(current.n)
-    feasible = [
-        min_power_for_degree(i, current, gains, n0_mw, params.f_bytes,
-                             params.epsilon_link, k, params.interference) != INFEASIBLE
-        for i in range(current.n)
-    ]
-    return EquilibriumResult(
-        profile=current,
-        sweeps_used=sweeps,
-        potential_trace=trace,
-        converged=converged,
-        per_node_feasible=feasible,
-        nonunimodal_events=flags,
-        profile_trace=profiles,
-    )
+    return _iterate(profile0, gains, n0_mw, params, _best_response_detail)
 
 
 def verify_equilibrium(profile: StrategyProfile, gains: np.ndarray, n0_mw: float,

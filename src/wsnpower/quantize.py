@@ -11,9 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import DBM_OFFSET
-from .game import StrategyProfile, _NodeEnvironment, potential
-from .game import EquilibriumResult, GameParams
-from .topology import INFEASIBLE, min_power_for_degree
+from .game import EquilibriumResult, GameParams, StrategyProfile, _iterate, _NodeEnvironment
 
 DBM_FLOOR = -25.0
 DBM_CEIL = 0.0
@@ -107,40 +105,11 @@ def solve_discrete(profile0: StrategyProfile, gains: np.ndarray, n0_mw: float,
     A finite strategy space plus the exact potential makes this terminate;
     non-termination within n_iter_max sweeps is reported, not raised.
     """
-    current = discretize_profile(profile0, levels)
-    trace = [potential(current, gains, n0_mw, params)]
-    profiles = [np.array(current.s)]
-    converged = False
-    sweeps = 0
-    order = params.update_order if params.update_order is not None else range(current.n)
-    for _ in range(params.n_iter_max):
-        new_profile = current
-        for i in order:
-            dbm_star = discrete_best_response(i, new_profile, gains, n0_mw, params, levels)
-            new_profile = new_profile.with_power(i, dbm_star + DBM_OFFSET)
-        sweeps += 1
-        trace.append(potential(new_profile, gains, n0_mw, params))
-        profiles.append(np.array(new_profile.s))
-        delta = float(np.max(np.abs(new_profile.s - current.s)))
-        current = new_profile
-        if delta < params.convergence_tol:
-            converged = True
-            break
-    k = params.required_degree(current.n)
-    feasible = [
-        min_power_for_degree(i, current, gains, n0_mw, params.f_bytes,
-                             params.epsilon_link, k, params.interference) != INFEASIBLE
-        for i in range(current.n)
-    ]
-    return EquilibriumResult(
-        profile=current,
-        sweeps_used=sweeps,
-        potential_trace=trace,
-        converged=converged,
-        per_node_feasible=feasible,
-        nonunimodal_events=0,
-        profile_trace=profiles,
-    )
+    def respond(i, profile, gains, n0_mw, params):
+        dbm = discrete_best_response(i, profile, gains, n0_mw, params, levels)
+        return dbm + DBM_OFFSET, False
+
+    return _iterate(discretize_profile(profile0, levels), gains, n0_mw, params, respond)
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import prr, ber, prr_matrix, strategy_to_mw, _check_interference_mode
+from .channel import _denominators, ber, prr, prr_matrix, strategy_to_mw
 
 #: Sentinel returned by min_power_for_degree when no power in range reaches k.
 INFEASIBLE = math.inf
@@ -103,44 +103,32 @@ class NeighborSet:
             raise ValueError("a node is not its own neighbor")
 
 
-def _own_link_prr_row(i, own_mw, others_mw, gains, n0_mw, f_bytes, interference):
-    """PRR from node i to every other node, as a function of i's own power.
+def _reach(i, own_mw, powers_mw, gains, n0_mw, f_bytes, epsilon_link, interference):
+    """Receivers that node i reaches at ``own_mw`` with the others at ``powers_mw``.
 
-    The returned row has the i-th entry fixed at 0.  Interference at each
-    receiver never includes the sender itself, so it is independent of
-    ``own_mw`` and can be evaluated once per (i, profile) pair.
+    Boolean row with entry i False.  The interference at each receiver never
+    includes the sender, so it does not depend on ``own_mw``.
     """
-    _check_interference_mode(interference)
-    p = np.asarray(others_mw, dtype=float)
-    m = p.shape[0]
-    if interference == "full":
-        received = gains * p[:, None]
-        col_total = received.sum(axis=0)
-        # subtracting row i removes the sender; the receiver's own term is
-        # already absent because diagonal gains are zero
-        interf = np.maximum(col_total - received[i, :], 0.0)
-    else:
-        interf = np.zeros(m)
-    s = gains[i, :] * float(own_mw) / (interf + n0_mw)
-    row = prr(ber(s), f_bytes)
+    denom = _denominators(i, powers_mw, gains, n0_mw, interference)
+    row = prr(ber(gains[i, :] * float(own_mw) / denom), f_bytes)
     row[i] = 0.0
-    return row
+    return row >= epsilon_link
 
 
 def neighbor_set(i: int, profile, gains: np.ndarray, n0_mw: float, f_bytes: int,
                  epsilon_link: float, interference: str = "none") -> NeighborSet:
     """Neighbors of node i at the profile's powers: link PRR >= epsilon_link."""
-    row = _own_link_prr_row(i, profile.mw[i], profile.mw, gains, n0_mw, f_bytes, interference)
-    members = frozenset(int(j) for j in np.flatnonzero(row >= epsilon_link) if j != i)
-    return NeighborSet(owner=i, members=members, epsilon_link=epsilon_link)
+    mask = _reach(i, profile.mw[i], profile.mw, gains, n0_mw, f_bytes, epsilon_link,
+                  interference)
+    return NeighborSet(owner=i, members=frozenset(int(j) for j in np.flatnonzero(mask)),
+                       epsilon_link=epsilon_link)
 
 
 def degree_at_power(i: int, s_value: float, profile, gains, n0_mw, f_bytes,
                     epsilon_link, interference: str = "none") -> int:
     """Degree of node i if it transmitted at ``s_value`` with others unchanged."""
-    row = _own_link_prr_row(i, strategy_to_mw(s_value), profile.mw, gains,
-                            n0_mw, f_bytes, interference)
-    return int(np.count_nonzero(row >= epsilon_link))
+    return int(np.count_nonzero(_reach(i, strategy_to_mw(s_value), profile.mw, gains,
+                                       n0_mw, f_bytes, epsilon_link, interference)))
 
 
 def rgg_degree_threshold(n: int, log_base: float = math.e) -> float:

@@ -244,10 +244,14 @@ def test_prr_matrix_modes(desk0):
 
 
 def test_interference_at_modes():
+    # Interference at receiver 1 with node 0 sending: the kernel's
+    # denominator minus the noise floor.
     gains = np.array([[0.0, 1e-6, 2e-6],
                       [1e-6, 0.0, 4e-6],
                       [2e-6, 4e-6, 0.0]])
     p = np.array([1.0, 0.5, 0.25])
-    assert channel.interference_at(1, 0, p, gains, "none") == 0.0
+    n0 = 1e-10
+    assert channel._denominators(0, p, gains, n0, "none")[1] - n0 == 0.0
     expect = gains[2, 1] * p[2]  # only node 2 interferes at receiver 1
-    assert channel.interference_at(1, 0, p, gains, "full") == pytest.approx(expect, rel=1e-15)
+    full = channel._denominators(0, p, gains, n0, "full")[1] - n0
+    assert full == pytest.approx(expect, rel=1e-15)

@@ -5,9 +5,10 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wsnpower import channel, cli, experiment, game, packetsim, topology
-from wsnpower.quantize import discretize_profile
+from wsnpower.quantize import DiscreteLevelSet, RegisterMap, discretize_profile
 from conftest import DESK_AREA, DESK_M
 
 
@@ -42,6 +43,42 @@ class TestScenarioConfig:
         cfg = desk_config(modes=("continuous", "full-power"), receiver_policy="round-robin")
         back = experiment.ScenarioConfig.from_json_dict(cfg.to_json_dict())
         assert back == cfg
+
+    @settings(deadline=None)
+    @given(st.data())
+    def test_json_round_trip_property(self, data):
+        # Every field survives a trip through JSON text, update_order included.
+        draw = data.draw
+        m = draw(st.integers(2, 12))
+        seeds = st.integers(0, 2**31 - 1)
+        levels = DiscreteLevelSet(tuple(float(v) for v in sorted(draw(
+            st.lists(st.integers(-25, 0), min_size=1, max_size=26, unique=True)))))
+        cfg = experiment.ScenarioConfig(
+            topology_spec={"m": m, "area": (draw(st.floats(1.0, 1e3)), draw(st.floats(1.0, 1e3))),
+                           "seed": draw(seeds)},
+            path_loss=channel.PathLossModel(exponent=draw(st.floats(1.5, 5.0)),
+                                            shadowing_sigma_db=draw(st.floats(0.0, 8.0)),
+                                            seed=draw(seeds)),
+            noise=channel.NoiseFloor(draw(st.floats(1e-14, 1e-6))),
+            game_params=game.GameParams(
+                epsilon_link=draw(st.floats(1e-6, 1.0)),
+                degree_target=draw(st.integers(0, 8)),
+                degree_rule=draw(st.sampled_from(game.DEGREE_RULES)),
+                convergence_tol=draw(st.floats(1e-9, 1e-2)),
+                ncr_denominator=draw(st.sampled_from(game.NCR_DENOMINATORS)),
+                interference=draw(st.sampled_from(channel.INTERFERENCE_MODES)),
+                update_order=draw(st.none() | st.permutations(range(m))),
+            ),
+            levels=levels,
+            registers=RegisterMap.linear(levels, id_start=draw(st.integers(0, 10))),
+            traffic=packetsim.TrafficConfig(messages_per_node=draw(st.integers(1, 500)),
+                                            max_retries=draw(st.integers(0, 30)),
+                                            seed=draw(seeds)),
+            modes=draw(st.lists(st.sampled_from(experiment.MODES), min_size=1, unique=True)),
+            receiver_policy=draw(st.sampled_from(experiment.RECEIVER_POLICIES)),
+        )
+        text = json.dumps(cfg.to_json_dict())
+        assert experiment.ScenarioConfig.from_json_dict(json.loads(text)) == cfg
 
     def test_presets(self):
         sim = experiment.simulation_default()

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from wsnpower import channel, game, topology
-from conftest import N0, build_desk
+from conftest import N0, build_desk, random_profile
 
 
 def test_random_topology_basic():
@@ -195,3 +195,35 @@ def test_connectivity_edge_cases():
     assert not topology.is_connected_bfs(disconnected)
     assert topology.is_connected_spectral(_path_graph(6))
     assert topology.is_connected_bfs(_path_graph(6))
+
+@pytest.mark.parametrize("interference", ["none", "full"])
+def test_prr_rows_share_one_kernel(interference):
+    # prr_matrix, the rows behind neighbor_set/degree_at_power and the game's
+    # per-node PRR row all divide by the same denominators, so they agree
+    # bitwise for the same own power.  Membership is checked at every row
+    # value and the next float above it, which flips if any entry differs in
+    # its last bit.
+    topo = topology.random_topology(40, area=(60.0, 60.0), seed=5)
+    gains = channel.build_gain_matrix(topo.positions, channel.PathLossModel())
+    profile = random_profile(np.random.default_rng(3), m=40)
+    params = game.GameParams(interference=interference)
+    mat = channel.prr_matrix(profile.mw, gains, N0, 25, interference)
+    # degree_at_power and the game convert s to mW one scalar at a time, the
+    # profile (and so prr_matrix) as an array; the two can differ in the last
+    # bit, and then so do the rows.
+    same_mw = np.array([float(channel.strategy_to_mw(s)) for s in profile.s]) == profile.mw
+    assert np.count_nonzero(same_mw) >= 30
+    for i in range(40):
+        row = game._NodeEnvironment(i, profile, gains, N0, params).prr_row(profile.s[i])
+        if same_mw[i]:
+            assert row.tobytes() == mat[i].tobytes()
+        else:
+            np.testing.assert_allclose(row, mat[i], rtol=1e-13, atol=0.0)
+        thresholds = np.concatenate([mat[i], np.nextafter(mat[i], np.inf)])
+        for eps in thresholds[(thresholds > 0.0) & (thresholds <= 1.0)]:
+            reached = set(np.flatnonzero(mat[i] >= eps).tolist())
+            ns = topology.neighbor_set(i, profile, gains, N0, 25, eps, interference)
+            assert ns.members == reached
+            if same_mw[i]:
+                assert topology.degree_at_power(i, profile.s[i], profile, gains, N0, 25, eps,
+                                                interference) == len(reached)
