@@ -28,7 +28,14 @@ from .channel import (
     sinr_for_prr,
     strategy_to_mw,
 )
-from .topology import INFEASIBLE, _reach, min_power_for_degree, smallworld_threshold
+from .topology import (
+    INFEASIBLE,
+    _membership_breakpoints,
+    _reach,
+    degree_at_power,
+    min_power_for_degree,
+    smallworld_threshold,
+)
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -179,6 +186,15 @@ class _NodeEnvironment:
 
     Interference at each candidate receiver excludes the sender, so the
     denominators are fixed once the rest of the profile is frozen.
+
+    The kernel is batched: ``utilities`` builds one (K x M) PRR table for K
+    candidate powers with a single ``ber``/``prr`` pass, then reduces each row
+    to (NCR, degree) and a utility.  Two choices keep every value bitwise equal
+    to evaluating the candidates one at a time.  Each candidate goes to mW
+    through the 0-d ``strategy_to_mw``, because numpy's array power differs
+    from it in the last bit for a few percent of inputs.  Each row's member
+    PRRs are summed on their own (``np.add.reduce(row[mask])``, as ``.mean()``
+    does), because a masked two-dimensional sum pairs the terms differently.
     """
 
     def __init__(self, i, profile, gains, n0_mw, params):
@@ -192,63 +208,70 @@ class _NodeEnvironment:
         self.h_row = gains[i, :]
         self.required_k = params.required_degree(self.m)
 
-    def prr_row(self, s_value: float) -> np.ndarray:
-        s = self.h_row * float(strategy_to_mw(s_value)) / self.denominators
-        row = prr(ber(s), self.params.f_bytes)
-        row[self.i] = 0.0
-        return row
+    def _prr_table(self, s_values):
+        """(own mW per candidate, K x M PRR table with column i zeroed)."""
+        mw = np.array([float(strategy_to_mw(float(x))) for x in s_values])
+        table = prr(ber(self.h_row * mw[:, None] / self.denominators), self.params.f_bytes)
+        table[:, self.i] = 0.0
+        return mw, table
 
-    def ncr_and_degree(self, s_value: float):
+    def _ncr_and_degree_of_row(self, row, own_mw):
         params = self.params
-        row = self.prr_row(s_value)
         member_mask = row >= params.epsilon_link
-        member_mask[self.i] = False
         degree = int(np.count_nonzero(member_mask))
         if degree == 0:
             return 0.0, 0
+        total = np.add.reduce(row[member_mask])
         if params.ncr_denominator == "members":
-            value = float(row[member_mask].mean())
-        else:
-            # Printed-formula variant: normalize by the union of the members'
-            # own neighbor sets.  Couples nodes together, kept off by default.
-            union = set()
-            powers = self.profile.mw.copy()
-            powers[self.i] = strategy_to_mw(s_value)
-            for j in np.flatnonzero(member_mask):
-                reached = _reach(int(j), powers[j], powers, self.gains, self.n0_mw,
-                                 params.f_bytes, params.epsilon_link, params.interference)
-                union.update(int(t) for t in np.flatnonzero(reached))
-            if not union:
-                return 0.0, degree
-            value = min(1.0, float(row[member_mask].sum()) / len(union))
-        return value, degree
+            return float(total / degree), degree
+        # Printed-formula variant: normalize by the union of the members' own
+        # neighbor sets.  Couples nodes together, kept off by default.
+        union = set()
+        powers = self.profile.mw.copy()
+        powers[self.i] = own_mw
+        for j in np.flatnonzero(member_mask):
+            reached = _reach(int(j), powers[j], powers, self.gains, self.n0_mw,
+                             params.f_bytes, params.epsilon_link, params.interference)
+            union.update(int(t) for t in np.flatnonzero(reached))
+        if not union:
+            return 0.0, degree
+        return min(1.0, float(total) / len(union)), degree
+
+    def prr_row(self, s_value: float) -> np.ndarray:
+        return self._prr_table([s_value])[1][0]
+
+    def ncr_and_degree(self, s_value: float):
+        mw, table = self._prr_table([s_value])
+        return self._ncr_and_degree_of_row(table[0], mw[0])
+
+    def utilities(self, s_values) -> list:
+        """Node i's utility at each candidate strategy value, in order."""
+        params = self.params
+        xs = [float(x) for x in s_values]
+        mw, table = self._prr_table(xs)
+        out = []
+        for x, own_mw, row in zip(xs, mw, table):
+            ncr_value, degree = self._ncr_and_degree_of_row(row, own_mw)
+            cost = (x / params.cost_denominator) ** 2
+            if degree >= self.required_k:
+                arg = 1.0 + params.ncr_scale * ncr_value
+                if params.log_base == 10.0:
+                    benefit = math.log10(arg)
+                else:
+                    benefit = math.log(arg) / math.log(params.log_base)
+                out.append(benefit - cost)
+            else:
+                out.append(-cost)
+        return out
 
     def utility(self, s_value: float) -> float:
-        params = self.params
-        ncr_value, degree = self.ncr_and_degree(s_value)
-        cost = (float(s_value) / params.cost_denominator) ** 2
-        if degree >= self.required_k:
-            arg = 1.0 + params.ncr_scale * ncr_value
-            if params.log_base == 10.0:
-                benefit = math.log10(arg)
-            else:
-                benefit = math.log(arg) / math.log(params.log_base)
-            return benefit - cost
-        return -cost
+        return self.utilities([s_value])[0]
 
     def membership_breakpoints(self):
         """Strategy values at which each potential receiver enters the
         neighbor set; exact because PRR is monotone in own power."""
         s_eps = sinr_for_prr(self.params.epsilon_link, self.params.f_bytes)
-        points = []
-        for j in range(self.m):
-            if j == self.i or self.h_row[j] <= 0.0:
-                continue
-            if s_eps == 0.0:
-                continue
-            mw_needed = s_eps * self.denominators[j] / self.h_row[j]
-            points.append(25.0 + 10.0 * math.log10(mw_needed))
-        return points
+        return _membership_breakpoints(self.i, s_eps, self.denominators, self.h_row)
 
 
 def ncr(i: int, profile: StrategyProfile, gains: np.ndarray, n0_mw: float,
@@ -338,7 +361,7 @@ def _best_response_detail(i, profile, gains, n0_mw, params):
     # Coarse uniform pre-scan, membership breakpoints, and the incumbent value
     # as explicit candidates; golden-section refinement around the best one.
     scan_points = list(np.linspace(lo, hi, params.prescan_samples))
-    scan_values = [env.utility(x) for x in scan_points]
+    scan_values = env.utilities(scan_points)
     nonunimodal = _scan_nonunimodal(scan_values)
 
     candidates = list(scan_points)
@@ -352,7 +375,9 @@ def _best_response_detail(i, profile, gains, n0_mw, params):
         candidates.append(incumbent)
     candidates = sorted(set(candidates))
     cache = dict(zip(scan_points, scan_values))
-    values = [cache[x] if x in cache else env.utility(x) for x in candidates]
+    rest = [x for x in candidates if x not in cache]
+    cache.update(zip(rest, env.utilities(rest)))
+    values = [cache[x] for x in candidates]
     best_idx = int(np.argmax(values))
     best_x, best_val = candidates[best_idx], values[best_idx]
 
@@ -373,11 +398,13 @@ def best_response(i: int, profile: StrategyProfile, gains: np.ndarray, n0_mw: fl
 
 
 def _per_node_feasible(profile, gains, n0_mw, params):
-    """Whether each node can reach its degree floor at some power in range."""
+    """Whether each node can reach its degree floor at some power in range,
+    i.e. whether min_power_for_degree would not return INFEASIBLE: its degree
+    at the maximum power meets the floor."""
     k = params.required_degree(profile.n)
     return [
-        min_power_for_degree(i, profile, gains, n0_mw, params.f_bytes,
-                             params.epsilon_link, k, params.interference) != INFEASIBLE
+        k == 0 or degree_at_power(i, profile.s_max, profile, gains, n0_mw, params.f_bytes,
+                                  params.epsilon_link, params.interference) >= k
         for i in range(profile.n)
     ]
 
@@ -446,8 +473,9 @@ def verify_equilibrium(profile: StrategyProfile, gains: np.ndarray, n0_mw: float
                        grid_step: float = 0.05):
     """Grid-scan every node's unilateral deviations.
 
-    Returns (passed, worst_improvement): passed is True when no deviation on
-    the grid improves any node's utility by more than epsilon.
+    Each node's current value and whole grid go through one batched kernel
+    pass.  Returns (passed, worst_improvement): passed is True when no
+    deviation on the grid improves any node's utility by more than epsilon.
     """
     if grid_step <= 0:
         raise ValueError("grid step must be positive")
@@ -457,7 +485,7 @@ def verify_equilibrium(profile: StrategyProfile, gains: np.ndarray, n0_mw: float
         grid = np.append(grid, profile.s_max)
     for i in range(profile.n):
         env = _NodeEnvironment(i, profile, gains, n0_mw, params)
-        base = env.utility(profile.s[i])
-        for s_prime in grid:
-            worst = max(worst, env.utility(float(s_prime)) - base)
+        base, *values = env.utilities([profile.s[i], *grid])
+        # Rounding is monotone, so max(v) - base is bitwise max(v - base).
+        worst = max(worst, max(values) - base)
     return worst <= epsilon, float(worst)

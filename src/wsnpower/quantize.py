@@ -5,7 +5,6 @@ to the grid after the fact, or play the game natively on the grid with an
 exhaustive per-node argmax.  Both are provided; they need not agree.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,14 +87,9 @@ def discrete_best_response(i: int, profile: StrategyProfile, gains: np.ndarray,
                            levels: DiscreteLevelSet) -> float:
     """Exhaustive utility argmax over the level set; ties pick the lower level."""
     env = _NodeEnvironment(i, profile, gains, n0_mw, params)
-    best_dbm = None
-    best_val = -math.inf
-    for level in _usable_levels(levels, profile.s_min, profile.s_max):
-        value = env.utility(level + DBM_OFFSET)
-        if value > best_val:
-            best_val = value
-            best_dbm = level
-    return float(best_dbm)
+    usable = _usable_levels(levels, profile.s_min, profile.s_max)
+    values = env.utilities([level + DBM_OFFSET for level in usable])
+    return float(usable[int(np.argmax(values))])  # argmax keeps the first maximum
 
 
 def solve_discrete(profile0: StrategyProfile, gains: np.ndarray, n0_mw: float,

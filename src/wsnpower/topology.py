@@ -7,10 +7,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import _denominators, ber, prr, prr_matrix, strategy_to_mw
+from .channel import _denominators, ber, prr, prr_matrix, sinr_for_prr, strategy_to_mw
 
 #: Sentinel returned by min_power_for_degree when no power in range reaches k.
 INFEASIBLE = math.inf
+
+# Within this distance of the k-th breakpoint, min_power_for_degree asks
+# degree_at_power instead of trusting the breakpoint's last bits.
+_BREAKPOINT_SLACK = 1e-7
 
 
 @dataclass(frozen=True)
@@ -131,6 +135,23 @@ def degree_at_power(i: int, s_value: float, profile, gains, n0_mw, f_bytes,
                                        n0_mw, f_bytes, epsilon_link, interference)))
 
 
+def _membership_breakpoints(i, s_eps, denominators, h_row):
+    """Strategy values at which each receiver j != i with a positive gain
+    enters node i's neighbor set: 25 + 10 log10(s_eps * denom_j / h_ij), where
+    s_eps is the SINR at which the PRR equals epsilon_link.
+
+    Empty when s_eps is 0 (every receiver is a member at any power).  Each
+    value goes through ``math.log10``; ``np.log10`` differs from it in the
+    last bit for a few percent of inputs.
+    """
+    if s_eps == 0.0:
+        return []
+    reachable = h_row > 0.0
+    reachable[i] = False
+    needed = s_eps * denominators[reachable] / h_row[reachable]
+    return [25.0 + 10.0 * math.log10(v) for v in needed.tolist()]
+
+
 def rgg_degree_threshold(n: int, log_base: float = math.e) -> float:
     """Average degree 5.1774 * log(N) above which a random geometric graph
     is asymptotically almost surely connected.  Natural log by default."""
@@ -174,27 +195,37 @@ def min_power_for_degree(i: int, profile, gains: np.ndarray, n0_mw: float, f_byt
                          tol: float = 1e-6) -> float:
     """Smallest strategy value giving node i at least k neighbors.
 
-    Bisection over the monotone degree-versus-power map.  Returns the
-    profile's lower power bound when k == 0 and INFEASIBLE when even the
-    maximum power leaves the degree short.
+    Bisection over the monotone degree-versus-power map.  Each step tests
+    "degree >= k" as s >= b_(k), the k-th smallest membership breakpoint, and
+    falls back to ``degree_at_power`` within 1e-7 of it (or when every SINR
+    meets epsilon_link), so the result equals a bisection that calls
+    ``degree_at_power`` at every step.  Returns the profile's lower power
+    bound when k == 0 and INFEASIBLE when even the maximum power leaves the
+    degree short.
     """
     if k < 0:
         raise ValueError("required degree must be >= 0")
     lo, hi = profile.s_min, profile.s_max
     if k == 0:
         return lo
+    s_eps = sinr_for_prr(epsilon_link, f_bytes)
+    denom = _denominators(i, profile.mw, gains, n0_mw, interference)
+    points = sorted(_membership_breakpoints(i, s_eps, denom, gains[i, :]))
+    b_k = points[k - 1] if k <= len(points) else math.inf
 
-    def deg(s):
-        return degree_at_power(i, s, profile, gains, n0_mw, f_bytes,
-                               epsilon_link, interference)
+    def reaches(s):
+        if s_eps == 0.0 or abs(s - b_k) <= _BREAKPOINT_SLACK:
+            return degree_at_power(i, s, profile, gains, n0_mw, f_bytes,
+                                   epsilon_link, interference) >= k
+        return s >= b_k
 
-    if deg(hi) < k:
+    if not reaches(hi):
         return INFEASIBLE
-    if deg(lo) >= k:
+    if reaches(lo):
         return lo
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if deg(mid) >= k:
+        if reaches(mid):
             hi = mid
         else:
             lo = mid

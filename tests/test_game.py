@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wsnpower import channel, game, topology
 from conftest import DESK_SEEDS, N0, build_desk, random_profile
@@ -178,6 +179,69 @@ class TestPotential:
                 assert res <= 1e-9
 
 
+def _reference_row_and_utility(i, profile, gains, params, x):
+    """Node i's PRR row and utility at x, one candidate at a time: scalar mW
+    conversion, a 1-D PRR row, ``.mean()`` over the members, and the union
+    denominator from the members' own reach rows."""
+    own_mw = channel.strategy_to_mw(x)
+    denom = channel._denominators(i, profile.mw, gains, N0, params.interference)
+    row = channel.prr(channel.ber(gains[i, :] * float(own_mw) / denom), params.f_bytes)
+    row[i] = 0.0
+    members = row >= params.epsilon_link
+    degree = int(np.count_nonzero(members))
+    cost = (float(x) / params.cost_denominator) ** 2
+    if degree < params.required_degree(profile.n):
+        return row, -cost
+    if degree == 0:
+        ncr_value = 0.0
+    elif params.ncr_denominator == "members":
+        ncr_value = float(row[members].mean())
+    else:
+        powers = profile.mw.copy()
+        powers[i] = own_mw
+        union = set()
+        for j in np.flatnonzero(members):
+            union.update(np.flatnonzero(topology._reach(
+                int(j), powers[j], powers, gains, N0, params.f_bytes, params.epsilon_link,
+                params.interference)).tolist())
+        ncr_value = min(1.0, float(row[members].sum()) / len(union)) if union else 0.0
+    return row, math.log10(1.0 + params.ncr_scale * ncr_value) - cost
+
+
+class TestKernel:
+    @settings(deadline=None)
+    @given(st.data())
+    def test_utilities_bitwise_equal_one_at_a_time(self, data):
+        # Sizes reach past numpy's 8-term pairwise-summation block, and the
+        # candidates include uniform draws: the scalar and array mW
+        # conversions differ in the last bit only for some such values.
+        draw = data.draw
+        m = draw(st.integers(2, 30))
+        side = draw(st.floats(2.0, 80.0))
+        rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+        topo = topology.random_topology(m, area=(side, side), seed=int(rng.integers(2**31)))
+        model = channel.PathLossModel(shadowing_sigma_db=draw(st.sampled_from([0.0, 4.0])))
+        gains = channel.build_gain_matrix(topo.positions, model)
+        profile = game.StrategyProfile(rng.uniform(0.5, 25.0, size=m))
+        # degree targets up to m: at m no node can ever meet its floor
+        params = game.GameParams(interference=draw(st.sampled_from(["none", "full"])),
+                                 ncr_denominator=draw(st.sampled_from(["members", "union"])),
+                                 degree_target=draw(st.integers(0, m)))
+        i = draw(st.integers(0, m - 1))
+        xs = draw(st.lists(st.floats(0.5, 25.0), max_size=8))
+        xs += rng.uniform(0.5, 25.0, size=draw(st.integers(1, 24))).tolist()
+        env = game._NodeEnvironment(i, profile, gains, N0, params)
+        rows, want = zip(*(_reference_row_and_utility(i, profile, gains, params, x)
+                           for x in xs))
+        assert env._prr_table(xs)[1].tobytes() == np.array(rows).tobytes()
+        assert np.array(env.utilities(xs)).tobytes() == np.array(want).tobytes()
+        s_eps = channel.sinr_for_prr(params.epsilon_link, params.f_bytes)
+        denom = channel._denominators(i, profile.mw, gains, N0, params.interference)
+        assert env.membership_breakpoints() == [
+            25.0 + 10.0 * math.log10(s_eps * denom[j] / gains[i, j])
+            for j in range(m) if j != i and gains[i, j] > 0.0]
+
+
 class TestBestResponse:
     def test_infeasible_floor_falls_to_minimum(self):
         gains = np.zeros((3, 3))
@@ -196,7 +260,9 @@ class TestBestResponse:
         br = game.best_response(0, prof, gains, N0, params)
 
         grid = np.arange(0.5, 25.0 + 1e-9, 1e-4)
-        utils = [game.utility(0, prof.with_power(0, x), gains, N0, params) for x in grid]
+        # Under the clear channel node 0's environment does not depend on its
+        # own entry in the profile, so one batched pass covers the whole grid.
+        utils = game._NodeEnvironment(0, prof, gains, N0, params).utilities(grid)
         best_grid = grid[int(np.argmax(utils))]
         assert abs(br - best_grid) <= 1e-3
         u_br = game.utility(0, prof.with_power(0, br), gains, N0, params)

@@ -227,3 +227,75 @@ def test_prr_rows_share_one_kernel(interference):
             if same_mw[i]:
                 assert topology.degree_at_power(i, profile.s[i], profile, gains, N0, 25, eps,
                                                 interference) == len(reached)
+
+
+def _bisect_floor(i, profile, gains, eps, k, interference, tol=1e-6):
+    """Bisection that asks degree_at_power at every step."""
+    lo, hi = profile.s_min, profile.s_max
+    if k == 0:
+        return lo
+
+    def deg(s):
+        return topology.degree_at_power(i, s, profile, gains, N0, 25, eps, interference)
+
+    if deg(hi) < k:
+        return topology.INFEASIBLE
+    if deg(lo) >= k:
+        return lo
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if deg(mid) >= k:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def _floor_case(name):
+    """(gains, epsilon_link) for one floor edge case."""
+    if name == "isolated":
+        # the last node sits out of everyone's range at any power
+        pos = np.vstack([topology.random_topology(8, area=(30.0, 30.0), seed=2).positions,
+                         [[900.0, 900.0]]])
+        return channel.build_gain_matrix(pos, channel.PathLossModel()), 0.01
+    if name == "midpoint":
+        # node 0 reaches node 1 with PRR exactly epsilon at s = 12.75, the
+        # first bisection midpoint, so the floor search lands on a breakpoint
+        gains = build_desk(1, m=6)[1]
+        g = channel.sinr_for_prr(0.01, 25) * N0 / channel.strategy_to_mw(12.75)
+        gains[0, 1] = gains[1, 0] = g
+        gains[0, 2:] = gains[2:, 0] = g * 1e-3
+        return gains, 0.01
+    m, side, sigma, eps = {
+        "spread": (12, 50.0, 0.0, 0.01),
+        "eps-1e-62": (8, 50.0, 0.0, 1e-62),   # sinr_for_prr returns 0: every link counts
+        "shadowed": (12, 50.0, 4.0, 0.01),
+        "two-nodes": (2, 20.0, 0.0, 0.01),
+    }[name]
+    topo = topology.random_topology(m, area=(side, side), seed=7)
+    model = channel.PathLossModel(shadowing_sigma_db=sigma, seed=7)
+    return channel.build_gain_matrix(topo.positions, model), eps
+
+
+@pytest.mark.parametrize("interference", ["none", "full"])
+@pytest.mark.parametrize("case", ["spread", "eps-1e-62", "isolated", "shadowed", "two-nodes",
+                                  "midpoint"])
+def test_floor_equals_plain_bisection(case, interference):
+    gains, eps = _floor_case(case)
+    m = gains.shape[0]
+    profiles = [game.StrategyProfile.full_power(m),
+                random_profile(np.random.default_rng(13), m=m)]
+    for profile in profiles:
+        for i in range(m):
+            for k in range(m + 1):
+                got = topology.min_power_for_degree(i, profile, gains, N0, 25, eps, k,
+                                                    interference)
+                want = _bisect_floor(i, profile, gains, eps, k, interference)
+                assert got == want
+        for target in (0, min(3, m - 1), m):
+            params = game.GameParams(epsilon_link=eps, interference=interference,
+                                     degree_target=target)
+            assert game._per_node_feasible(profile, gains, N0, params) == [
+                topology.min_power_for_degree(i, profile, gains, N0, 25, eps, target,
+                                              interference) != topology.INFEASIBLE
+                for i in range(m)]
