@@ -65,7 +65,11 @@ def _cmd_run(args) -> int:
         config.topology_spec = spec
         config.path_loss = dataclasses.replace(config.path_loss, seed=args.seed_override)
         config.traffic = dataclasses.replace(config.traffic, seed=args.seed_override)
-    report = experiment.run_scenario(config)
+    try:
+        report = experiment.run_scenario(config)
+    except ValueError as exc:  # e.g. an update_order that misfits a topology file
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     created = experiment.emit(report, args.out)
     if not report.full_power_connected:
         print("WARNING: full-power adjacency is disconnected; "

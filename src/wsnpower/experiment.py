@@ -55,6 +55,10 @@ class ScenarioConfig:
         if "file" not in spec:
             if not {"m", "area", "seed"} <= set(spec):
                 raise ValueError("topology spec needs m/area/seed or a file path")
+            m = int(spec["m"])
+            order = self.game_params.update_order
+            if order is not None and sorted(order) != list(range(m)):
+                raise ValueError(f"update_order must be a permutation of 0..{m - 1}")
 
     def build_topology(self) -> topology.Topology:
         spec = self.topology_spec

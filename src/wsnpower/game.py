@@ -12,6 +12,17 @@ unilateral deviations, and sequential best responses ascend it to the unique
 maximizer.  Under the optional worst-case concurrent-interference model the
 utilities are coupled and the potential trace is reported rather than
 guaranteed monotone.
+
+The game decouples when ``interference == "none"`` and ``ncr_denominator ==
+"members"``: a node's utility then depends on its own power alone.  A sweep
+visits each node once (the update order is a permutation), so every node's
+best response is the same against the sweep's starting profile as against
+the partly updated one.  Such sweeps run all nodes' searches in lockstep,
+one chunked PRR table per search step, with results identical to sequential
+Gauss-Seidel; the union denominator and concurrent interference keep the
+one-node-at-a-time order.  The potential, the feasibility flags and the
+equilibrium check evaluate every node against its fixed profile as one
+chunked table in either mode.
 """
 
 import math
@@ -20,20 +31,19 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import (
+    DBM_OFFSET,
     INTERFERENCE_MODES,
     STRATEGY_MAX,
     _denominators,
     ber,
     prr,
+    prr_matrix,
     sinr_for_prr,
-    strategy_to_mw,
 )
 from .topology import (
     INFEASIBLE,
+    _degree_floor,
     _membership_breakpoints,
-    _reach,
-    degree_at_power,
-    min_power_for_degree,
     smallworld_threshold,
 )
 
@@ -181,119 +191,210 @@ class EquilibriumResult:
         }
 
 
-class _NodeEnvironment:
-    """Everything needed to evaluate node i's utility as its power varies.
+# Cells (rows x M) in one kernel table, which bounds its memory at any M.
+_CHUNK_CELLS = 1 << 15
 
-    Interference at each candidate receiver excludes the sender, so the
-    denominators are fixed once the rest of the profile is frozen.
 
-    The kernel is batched: ``utilities`` builds one (K x M) PRR table for K
-    candidate powers with a single ``ber``/``prr`` pass, then reduces each row
-    to (NCR, degree) and a utility.  Two choices keep every value bitwise equal
-    to evaluating the candidates one at a time.  Each candidate goes to mW
-    through the 0-d ``strategy_to_mw``, because numpy's array power differs
-    from it in the last bit for a few percent of inputs.  Each row's member
-    PRRs are summed on their own (``np.add.reduce(row[mask])``, as ``.mean()``
-    does), because a masked two-dimensional sum pairs the terms differently.
+def _decouples(params) -> bool:
+    """Whether each node's utility depends on its own power alone."""
+    return params.interference == "none" and params.ncr_denominator == "members"
+
+
+def _row_sums(members, counts):
+    """Per-row sums of ``members``, the rows' member values concatenated in
+    row order (row r has counts[r] of them).
+
+    Each sum is bitwise ``np.add.reduce`` over that row's values alone: the
+    rows with equal counts form one contiguous (rows x count) array, whose
+    last-axis reduction pairs the terms as the 1-D one does.  A masked
+    two-dimensional sum would pair them differently.
+    """
+    distinct = set(counts.tolist())
+    if len(distinct) == 1:
+        return np.add.reduce(members.reshape(counts.size, distinct.pop()), axis=1)
+    sums = np.zeros(counts.size)
+    starts = np.cumsum(counts) - counts
+    for count in distinct:
+        rows = np.flatnonzero(counts == count)
+        sums[rows] = np.add.reduce(members[starts[rows, None] + np.arange(count)], axis=1)
+    return sums
+
+
+class _Environment:
+    """What stays fixed while nodes answer one profile, and the utility kernel.
+
+    ``senders`` picks the interference-plus-noise rows to build once: one
+    node index (that node's row, shared by the kernel and the degree floor of
+    a coupled best response) or ``slice(None)`` (an M x M array for every
+    node, row t bitwise the single-sender row).  Under the clear channel both
+    are the one noise row.
+
+    The kernel works on rows, each a pair (node, candidate strategy value).
+    Per chunk of rows it builds one (rows x M) PRR table with a single
+    ``ber``/``prr`` pass and reduces it to degrees and member sums without a
+    per-row loop.  Three choices keep every value bitwise equal to evaluating
+    the rows one at a time: each candidate goes to mW as the Python float
+    ``10 ** ((x - 25) / 10)``, which equals the 0-d ``strategy_to_mw`` while
+    numpy's array power differs from it in the last bit for a few percent of
+    inputs; the member PRRs of a row are summed by ``_row_sums``, as
+    ``.mean()`` sums them; and the benefit goes through ``math.log10`` row by
+    row.
     """
 
-    def __init__(self, i, profile, gains, n0_mw, params):
-        self.i = i
-        self.params = params
+    def __init__(self, profile, gains, n0_mw, params, senders=slice(None)):
         self.profile = profile
         self.gains = gains
         self.n0_mw = n0_mw
-        self.m = profile.n
-        self.denominators = _denominators(i, profile.mw, gains, n0_mw, params.interference)
-        self.h_row = gains[i, :]
-        self.required_k = params.required_degree(self.m)
+        self.params = params
+        self.denominators = _denominators(senders, profile.mw, gains, n0_mw,
+                                          params.interference)
+        self.required_k = params.required_degree(profile.n)
 
-    def _prr_table(self, s_values):
-        """(own mW per candidate, K x M PRR table with column i zeroed)."""
-        mw = np.array([float(strategy_to_mw(float(x))) for x in s_values])
-        table = prr(ber(self.h_row * mw[:, None] / self.denominators), self.params.f_bytes)
-        table[:, self.i] = 0.0
+    def denominator_row(self, i):
+        d = self.denominators
+        return d if d.ndim == 1 else d[i]
+
+    def prr_table(self, nodes, xs):
+        """(own mW per row, rows x M PRR table with each row's own column zeroed)."""
+        nodes = np.asarray(nodes, dtype=np.intp)
+        mw = np.array([10.0 ** ((x - DBM_OFFSET) / 10.0)
+                       for x in np.asarray(xs, dtype=float).tolist()])
+        denom = self.denominators if self.denominators.ndim == 1 else self.denominators[nodes]
+        table = prr(ber(self.gains[nodes] * mw[:, None] / denom), self.params.f_bytes)
+        table[np.arange(nodes.size), nodes] = 0.0
         return mw, table
 
-    def _ncr_and_degree_of_row(self, row, own_mw):
+    def _tables(self, nodes, xs):
+        """(nodes, xs, own mW, PRR table) per chunk of the rows."""
+        nodes = np.asarray(nodes, dtype=np.intp)
+        xs = np.asarray(xs, dtype=float)
+        step = max(1, _CHUNK_CELLS // self.profile.n)
+        for a in range(0, xs.size, step):
+            part_nodes, part_xs = nodes[a:a + step], xs[a:a + step]
+            yield (part_nodes, part_xs, *self.prr_table(part_nodes, part_xs))
+
+    def ncr_and_degree(self, nodes, mw, table):
+        """Per row of a PRR table: NCR and degree."""
         params = self.params
-        member_mask = row >= params.epsilon_link
-        degree = int(np.count_nonzero(member_mask))
-        if degree == 0:
-            return 0.0, 0
-        total = np.add.reduce(row[member_mask])
+        member = table >= params.epsilon_link
+        degree = np.count_nonzero(member, axis=1)
+        totals = _row_sums(table[member], degree)
         if params.ncr_denominator == "members":
-            return float(total / degree), degree
-        # Printed-formula variant: normalize by the union of the members' own
-        # neighbor sets.  Couples nodes together, kept off by default.
-        union = set()
-        powers = self.profile.mw.copy()
-        powers[self.i] = own_mw
-        for j in np.flatnonzero(member_mask):
-            reached = _reach(int(j), powers[j], powers, self.gains, self.n0_mw,
-                             params.f_bytes, params.epsilon_link, params.interference)
-            union.update(int(t) for t in np.flatnonzero(reached))
-        if not union:
-            return 0.0, degree
-        return min(1.0, float(total) / len(union)), degree
+            size = degree
+        else:
+            size = self._union_sizes(nodes, mw, member)
+        ncr_values = np.divide(totals, size, out=np.zeros(degree.size),
+                               where=(degree > 0) & (size > 0))
+        if params.ncr_denominator == "union":
+            np.minimum(ncr_values, 1.0, out=ncr_values)
+        return ncr_values, degree
 
-    def prr_row(self, s_value: float) -> np.ndarray:
-        return self._prr_table([s_value])[1][0]
-
-    def ncr_and_degree(self, s_value: float):
-        mw, table = self._prr_table([s_value])
-        return self._ncr_and_degree_of_row(table[0], mw[0])
-
-    def utilities(self, s_values) -> list:
-        """Node i's utility at each candidate strategy value, in order."""
+    def _union_sizes(self, nodes, mw, member):
+        """Per row, how many nodes its members reach between them: the
+        printed formula's NCR denominator, which couples the nodes and is off
+        by default."""
         params = self.params
-        xs = [float(x) for x in s_values]
-        mw, table = self._prr_table(xs)
-        out = []
-        for x, own_mw, row in zip(xs, mw, table):
-            ncr_value, degree = self._ncr_and_degree_of_row(row, own_mw)
-            cost = (x / params.cost_denominator) ** 2
-            if degree >= self.required_k:
-                arg = 1.0 + params.ncr_scale * ncr_value
-                if params.log_base == 10.0:
-                    benefit = math.log10(arg)
+        sizes = np.zeros(member.shape[0], dtype=np.intp)
+        for r, (i, own_mw) in enumerate(zip(nodes.tolist(), mw.tolist())):
+            if member[r].any():
+                powers = self.profile.mw.copy()
+                powers[i] = own_mw
+                reach = prr_matrix(powers, self.gains, self.n0_mw, params.f_bytes,
+                                   params.interference) >= params.epsilon_link
+                sizes[r] = np.count_nonzero(reach[member[r]].any(axis=0))
+        return sizes
+
+    def utilities(self, nodes, xs) -> np.ndarray:
+        """Utility of node nodes[r] at strategy value xs[r], for every row r."""
+        params = self.params
+        parts = [np.zeros(0)]
+        for part_nodes, part_xs, mw, table in self._tables(nodes, xs):
+            ncr_values, degree = self.ncr_and_degree(part_nodes, mw, table)
+            out = []
+            for x, value, meets in zip(part_xs.tolist(), ncr_values.tolist(),
+                                       (degree >= self.required_k).tolist()):
+                cost = (x / params.cost_denominator) ** 2
+                if meets:
+                    arg = 1.0 + params.ncr_scale * value
+                    if params.log_base == 10.0:
+                        benefit = math.log10(arg)
+                    else:
+                        benefit = math.log(arg) / math.log(params.log_base)
+                    out.append(benefit - cost)
                 else:
-                    benefit = math.log(arg) / math.log(params.log_base)
-                out.append(benefit - cost)
-            else:
-                out.append(-cost)
-        return out
+                    out.append(-cost)
+            parts.append(np.array(out))
+        return np.concatenate(parts)
 
-    def utility(self, s_value: float) -> float:
-        return self.utilities([s_value])[0]
+    def degrees(self, nodes, xs) -> np.ndarray:
+        """Degree of node nodes[r] at strategy value xs[r], for every row r."""
+        eps = self.params.epsilon_link
+        return np.concatenate([np.count_nonzero(table >= eps, axis=1)
+                               for *_, table in self._tables(nodes, xs)])
 
-    def membership_breakpoints(self):
-        """Strategy values at which each potential receiver enters the
+    def membership_breakpoints(self, i):
+        """Strategy values at which each potential receiver enters node i's
         neighbor set; exact because PRR is monotone in own power."""
         s_eps = sinr_for_prr(self.params.epsilon_link, self.params.f_bytes)
-        return _membership_breakpoints(self.i, s_eps, self.denominators, self.h_row)
+        return _membership_breakpoints(i, s_eps, self.denominator_row(i), self.gains[i, :])
+
+    def degree_floor(self, i):
+        params = self.params
+        return _degree_floor(i, self.profile, self.gains, params.f_bytes, params.epsilon_link,
+                             self.required_k, self.denominator_row(i))
+
+
+def _respond(env, nodes, steps):
+    """Run the coroutine ``steps(i, env)`` of every node in lockstep; returns
+    their results in node order.
+
+    A coroutine yields a list of strategy values, is sent their utilities in
+    the same order, and finally returns its result.  Each round evaluates
+    every node's pending request in one kernel call, so the nodes of a group
+    share their tables while each one's search runs as it would alone.
+    """
+    results, pending = {}, {}
+
+    def advance(i, coroutine, values):
+        try:
+            pending[i] = (coroutine, coroutine.send(values))
+        except StopIteration as stop:
+            results[i] = stop.value
+
+    for i in nodes:
+        advance(i, steps(i, env), None)
+    while pending:
+        batch, pending = pending, {}
+        rows = [i for i, (_, xs) in batch.items() for _ in xs]
+        values = env.utilities(rows, [x for _, xs in batch.values() for x in xs]).tolist()
+        pos = 0
+        for i, (coroutine, xs) in batch.items():
+            advance(i, coroutine, values[pos:pos + len(xs)])
+            pos += len(xs)
+    return [results[i] for i in nodes]
 
 
 def ncr(i: int, profile: StrategyProfile, gains: np.ndarray, n0_mw: float,
         params: GameParams) -> float:
     """Neighborhood communication reliability: mean link PRR over i's neighbors,
     zero when the neighbor set is empty."""
-    env = _NodeEnvironment(i, profile, gains, n0_mw, params)
-    value, _ = env.ncr_and_degree(profile.s[i])
-    return value
+    env = _Environment(profile, gains, n0_mw, params, i)
+    mw, table = env.prr_table([i], [profile.s[i]])
+    return float(env.ncr_and_degree(np.array([i]), mw, table)[0][0])
 
 
 def utility(i: int, profile: StrategyProfile, gains: np.ndarray, n0_mw: float,
             params: GameParams) -> float:
     """Reliability benefit minus normalized energy cost for node i."""
-    env = _NodeEnvironment(i, profile, gains, n0_mw, params)
-    return env.utility(profile.s[i])
+    env = _Environment(profile, gains, n0_mw, params, i)
+    return float(env.utilities([i], [profile.s[i]])[0])
 
 
 def potential(profile: StrategyProfile, gains: np.ndarray, n0_mw: float,
               params: GameParams) -> float:
     """Sum of the per-node utilities, evaluated branch-by-branch."""
-    return float(sum(utility(i, profile, gains, n0_mw, params) for i in range(profile.n)))
+    env = _Environment(profile, gains, n0_mw, params)
+    return float(sum(env.utilities(np.arange(profile.n), profile.s).tolist()))
 
 
 def exact_potential_residual(profile: StrategyProfile, i: int, s_prime: float,
@@ -309,21 +410,22 @@ def exact_potential_residual(profile: StrategyProfile, i: int, s_prime: float,
     return float(abs(du - dv))
 
 
-def _golden_section_max(fn, lo: float, hi: float, tol: float):
-    """Golden-section search for a maximum on [lo, hi]; returns (x, fn(x))."""
+def _golden_section_max(lo: float, hi: float, tol: float):
+    """Golden-section search for a maximum on [lo, hi], as a coroutine for
+    ``_respond`` (``yield from`` it); returns (x, f(x))."""
     a, b = lo, hi
     c = b - _INV_GOLDEN * (b - a)
     d = a + _INV_GOLDEN * (b - a)
-    fc, fd = fn(c), fn(d)
+    fc, fd = yield [c, d]
     while b - a > tol:
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - _INV_GOLDEN * (b - a)
-            fc = fn(c)
+            (fc,) = yield [c]
         else:
             a, c, fc = c, d, fd
             d = a + _INV_GOLDEN * (b - a)
-            fd = fn(d)
+            (fd,) = yield [d]
     x = c if fc >= fd else d
     return (x, fc) if fc >= fd else (x, fd)
 
@@ -339,17 +441,16 @@ def _scan_nonunimodal(values, atol: float = 1e-12) -> bool:
     return False
 
 
-def _best_response_detail(i, profile, gains, n0_mw, params):
-    """Maximize node i's utility over its feasible power range.
+def _best_response_steps(i, env):
+    """Maximize node i's utility over its feasible power range, as a
+    coroutine for ``_respond``.
 
     Returns (s_star, nonunimodal) where the flag records that the uniform
     pre-scan saw the objective rise again after falling, i.e. the sampled
     profile was not unimodal on the search interval.
     """
-    env = _NodeEnvironment(i, profile, gains, n0_mw, params)
-    floor = min_power_for_degree(i, profile, gains, n0_mw, params.f_bytes,
-                                 params.epsilon_link, env.required_k,
-                                 params.interference)
+    profile, params = env.profile, env.params
+    floor = env.degree_floor(i)
     if floor == INFEASIBLE:
         # Cost-only branch everywhere: spend as little as allowed.
         return profile.s_min, False
@@ -361,11 +462,11 @@ def _best_response_detail(i, profile, gains, n0_mw, params):
     # Coarse uniform pre-scan, membership breakpoints, and the incumbent value
     # as explicit candidates; golden-section refinement around the best one.
     scan_points = list(np.linspace(lo, hi, params.prescan_samples))
-    scan_values = env.utilities(scan_points)
+    scan_values = yield scan_points
     nonunimodal = _scan_nonunimodal(scan_values)
 
     candidates = list(scan_points)
-    for b in env.membership_breakpoints():
+    for b in env.membership_breakpoints(i):
         if lo < b < hi:
             candidates.append(b)
             if b - 1e-9 > lo:
@@ -376,7 +477,7 @@ def _best_response_detail(i, profile, gains, n0_mw, params):
     candidates = sorted(set(candidates))
     cache = dict(zip(scan_points, scan_values))
     rest = [x for x in candidates if x not in cache]
-    cache.update(zip(rest, env.utilities(rest)))
+    cache.update(zip(rest, (yield rest)))
     values = [cache[x] for x in candidates]
     best_idx = int(np.argmax(values))
     best_x, best_val = candidates[best_idx], values[best_idx]
@@ -384,7 +485,7 @@ def _best_response_detail(i, profile, gains, n0_mw, params):
     bracket_lo = candidates[best_idx - 1] if best_idx > 0 else lo
     bracket_hi = candidates[best_idx + 1] if best_idx + 1 < len(candidates) else hi
     if bracket_hi - bracket_lo > params.br_tol:
-        x_ref, v_ref = _golden_section_max(env.utility, bracket_lo, bracket_hi, params.br_tol)
+        x_ref, v_ref = yield from _golden_section_max(bracket_lo, bracket_hi, params.br_tol)
         if v_ref > best_val:
             best_x, best_val = x_ref, v_ref
     return float(best_x), nonunimodal
@@ -393,8 +494,8 @@ def _best_response_detail(i, profile, gains, n0_mw, params):
 def best_response(i: int, profile: StrategyProfile, gains: np.ndarray, n0_mw: float,
                   params: GameParams) -> float:
     """Utility-maximizing power for node i against the rest of the profile."""
-    s_star, _ = _best_response_detail(i, profile, gains, n0_mw, params)
-    return s_star
+    env = _Environment(profile, gains, n0_mw, params, i)
+    return _respond(env, [i], _best_response_steps)[0][0]
 
 
 def _per_node_feasible(profile, gains, n0_mw, params):
@@ -402,26 +503,45 @@ def _per_node_feasible(profile, gains, n0_mw, params):
     i.e. whether min_power_for_degree would not return INFEASIBLE: its degree
     at the maximum power meets the floor."""
     k = params.required_degree(profile.n)
-    return [
-        k == 0 or degree_at_power(i, profile.s_max, profile, gains, n0_mw, params.f_bytes,
-                                  params.epsilon_link, params.interference) >= k
-        for i in range(profile.n)
-    ]
+    if k == 0:
+        return [True] * profile.n
+    env = _Environment(profile, gains, n0_mw, params)
+    degree = env.degrees(np.arange(profile.n), np.full(profile.n, profile.s_max))
+    return [d >= k for d in degree.tolist()]
 
 
-def _sweep(profile, gains, n0_mw, params, respond):
-    """One pass of ``respond(i, profile, gains, n0_mw, params) -> (s_i, flagged)``
-    over the nodes in update order; returns the new profile and the flag count."""
-    order = params.update_order if params.update_order is not None else range(profile.n)
+def _update_order(params, m):
+    """The sweep's node order; it must visit each of the m nodes once."""
+    if params.update_order is None:
+        return list(range(m))
+    if sorted(params.update_order) != list(range(m)):
+        raise ValueError(f"update_order must be a permutation of 0..{m - 1}")
+    return list(params.update_order)
+
+
+def _sweep(profile, gains, n0_mw, params, steps):
+    """One pass of best responses in update order; ``steps(i, env)`` is a
+    node's response as a ``_respond`` coroutine returning (s_i, flagged).
+    Returns the new profile and the flag count.
+
+    When the game decouples, a node's response depends on the rest of the
+    profile only through its own incumbent, which no earlier node of the
+    sweep changes.  All nodes then answer the sweep's starting profile in
+    lockstep, with the same result as answering in turn; otherwise each node
+    answers the profile its predecessors left.
+    """
+    order = _update_order(params, profile.n)
+    groups = [(slice(None), order)] if _decouples(params) else [(i, [i]) for i in order]
     flags = 0
-    for i in order:
-        s_star, flagged = respond(i, profile, gains, n0_mw, params)
-        flags += int(flagged)
-        profile = profile.with_power(i, s_star)
+    for senders, nodes in groups:
+        env = _Environment(profile, gains, n0_mw, params, senders)
+        for i, (s_star, flagged) in zip(nodes, _respond(env, nodes, steps)):
+            flags += int(flagged)
+            profile = profile.with_power(i, s_star)
     return profile, flags
 
 
-def _iterate(profile0, gains, n0_mw, params, respond) -> EquilibriumResult:
+def _iterate(profile0, gains, n0_mw, params, steps) -> EquilibriumResult:
     """Sweep until no node moves by convergence_tol or n_iter_max sweeps ran.
 
     The driver of both the continuous and the discrete game: the exact
@@ -434,7 +554,7 @@ def _iterate(profile0, gains, n0_mw, params, respond) -> EquilibriumResult:
     converged = False
     sweeps = 0
     while sweeps < params.n_iter_max and not converged:
-        new_profile, sweep_flags = _sweep(current, gains, n0_mw, params, respond)
+        new_profile, sweep_flags = _sweep(current, gains, n0_mw, params, steps)
         sweeps += 1
         flags += sweep_flags
         trace.append(potential(new_profile, gains, n0_mw, params))
@@ -455,7 +575,7 @@ def _iterate(profile0, gains, n0_mw, params, respond) -> EquilibriumResult:
 def gauss_seidel_sweep(profile: StrategyProfile, gains: np.ndarray, n0_mw: float,
                        params: GameParams) -> StrategyProfile:
     """One pass of sequential best responses in update order (ascending by default)."""
-    return _sweep(profile, gains, n0_mw, params, _best_response_detail)[0]
+    return _sweep(profile, gains, n0_mw, params, _best_response_steps)[0]
 
 
 def solve(profile0: StrategyProfile, gains: np.ndarray, n0_mw: float,
@@ -465,7 +585,7 @@ def solve(profile0: StrategyProfile, gains: np.ndarray, n0_mw: float,
     Non-convergence within n_iter_max sweeps is reported via the flag, not
     raised.
     """
-    return _iterate(profile0, gains, n0_mw, params, _best_response_detail)
+    return _iterate(profile0, gains, n0_mw, params, _best_response_steps)
 
 
 def verify_equilibrium(profile: StrategyProfile, gains: np.ndarray, n0_mw: float,
@@ -473,19 +593,21 @@ def verify_equilibrium(profile: StrategyProfile, gains: np.ndarray, n0_mw: float
                        grid_step: float = 0.05):
     """Grid-scan every node's unilateral deviations.
 
-    Each node's current value and whole grid go through one batched kernel
-    pass.  Returns (passed, worst_improvement): passed is True when no
+    Every node's current value and whole grid go through one chunked kernel
+    table.  Returns (passed, worst_improvement): passed is True when no
     deviation on the grid improves any node's utility by more than epsilon.
     """
     if grid_step <= 0:
         raise ValueError("grid step must be positive")
-    worst = -math.inf
     grid = np.arange(profile.s_min, profile.s_max, grid_step)
     if grid.size == 0 or grid[-1] < profile.s_max:
         grid = np.append(grid, profile.s_max)
-    for i in range(profile.n):
-        env = _NodeEnvironment(i, profile, gains, n0_mw, params)
-        base, *values = env.utilities([profile.s[i], *grid])
-        # Rounding is monotone, so max(v) - base is bitwise max(v - base).
-        worst = max(worst, max(values) - base)
-    return worst <= epsilon, float(worst)
+    n, cols = profile.n, grid.size + 1
+    xs = np.empty((n, cols))
+    xs[:, 0] = profile.s
+    xs[:, 1:] = grid
+    env = _Environment(profile, gains, n0_mw, params)
+    values = env.utilities(np.repeat(np.arange(n), cols), xs.ravel()).reshape(n, cols)
+    # Rounding is monotone, so max(v) - base is bitwise max(v - base).
+    worst = float(np.max(values[:, 1:].max(axis=1) - values[:, 0]))
+    return worst <= epsilon, worst

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import DBM_OFFSET
-from .game import EquilibriumResult, GameParams, StrategyProfile, _iterate, _NodeEnvironment
+from .game import EquilibriumResult, GameParams, StrategyProfile, _Environment, _iterate, _respond
 
 DBM_FLOOR = -25.0
 DBM_CEIL = 0.0
@@ -82,14 +82,29 @@ def discretize_profile(profile: StrategyProfile, levels: DiscreteLevelSet) -> St
     return StrategyProfile(np.asarray(q) + DBM_OFFSET, s_min=profile.s_min, s_max=profile.s_max)
 
 
+def _best_level(usable):
+    """The usable level with the highest utility, ties to the lower one; a
+    coroutine for ``game._respond``."""
+    values = yield [level + DBM_OFFSET for level in usable]
+    return float(usable[int(np.argmax(values))])  # argmax keeps the first maximum
+
+
+def _level_steps(usable):
+    """A node's response in the discrete game's sweeps: (s of its best
+    usable level, no non-unimodal flag)."""
+    def steps(i, env):
+        dbm = yield from _best_level(usable)
+        return dbm + DBM_OFFSET, False
+    return steps
+
+
 def discrete_best_response(i: int, profile: StrategyProfile, gains: np.ndarray,
                            n0_mw: float, params: GameParams,
                            levels: DiscreteLevelSet) -> float:
     """Exhaustive utility argmax over the level set; ties pick the lower level."""
-    env = _NodeEnvironment(i, profile, gains, n0_mw, params)
+    env = _Environment(profile, gains, n0_mw, params, i)
     usable = _usable_levels(levels, profile.s_min, profile.s_max)
-    values = env.utilities([level + DBM_OFFSET for level in usable])
-    return float(usable[int(np.argmax(values))])  # argmax keeps the first maximum
+    return _respond(env, [i], lambda i, env: _best_level(usable))[0]
 
 
 def solve_discrete(profile0: StrategyProfile, gains: np.ndarray, n0_mw: float,
@@ -97,13 +112,13 @@ def solve_discrete(profile0: StrategyProfile, gains: np.ndarray, n0_mw: float,
     """Sequential discrete best responses until no node changes level.
 
     A finite strategy space plus the exact potential makes this terminate;
-    non-termination within n_iter_max sweeps is reported, not raised.
+    non-termination within n_iter_max sweeps is reported, not raised.  The
+    sweeps group the nodes as ``game.solve`` does, so a decoupled game scores
+    every node's levels in one chunked table.
     """
-    def respond(i, profile, gains, n0_mw, params):
-        dbm = discrete_best_response(i, profile, gains, n0_mw, params, levels)
-        return dbm + DBM_OFFSET, False
-
-    return _iterate(discretize_profile(profile0, levels), gains, n0_mw, params, respond)
+    start = discretize_profile(profile0, levels)
+    usable = _usable_levels(levels, start.s_min, start.s_max)
+    return _iterate(start, gains, n0_mw, params, _level_steps(usable))
 
 
 @dataclass(frozen=True)

@@ -113,7 +113,12 @@ def _reach(i, own_mw, powers_mw, gains, n0_mw, f_bytes, epsilon_link, interferen
     Boolean row with entry i False.  The interference at each receiver never
     includes the sender, so it does not depend on ``own_mw``.
     """
-    denom = _denominators(i, powers_mw, gains, n0_mw, interference)
+    return _reach_over(i, own_mw, _denominators(i, powers_mw, gains, n0_mw, interference),
+                       gains, f_bytes, epsilon_link)
+
+
+def _reach_over(i, own_mw, denom, gains, f_bytes, epsilon_link):
+    """``_reach`` given node i's interference-plus-noise row ``denom``."""
     row = prr(ber(gains[i, :] * float(own_mw) / denom), f_bytes)
     row[i] = 0.0
     return row >= epsilon_link
@@ -197,26 +202,32 @@ def min_power_for_degree(i: int, profile, gains: np.ndarray, n0_mw: float, f_byt
 
     Bisection over the monotone degree-versus-power map.  Each step tests
     "degree >= k" as s >= b_(k), the k-th smallest membership breakpoint, and
-    falls back to ``degree_at_power`` within 1e-7 of it (or when every SINR
-    meets epsilon_link), so the result equals a bisection that calls
-    ``degree_at_power`` at every step.  Returns the profile's lower power
-    bound when k == 0 and INFEASIBLE when even the maximum power leaves the
-    degree short.
+    counts the reach row as ``degree_at_power`` does within 1e-7 of it (or
+    when every SINR meets epsilon_link), so the result equals a bisection
+    that calls ``degree_at_power`` at every step.  Returns the profile's
+    lower power bound when k == 0 and INFEASIBLE when even the maximum power
+    leaves the degree short.
     """
+    denom = _denominators(i, profile.mw, gains, n0_mw, interference)
+    return _degree_floor(i, profile, gains, f_bytes, epsilon_link, k, denom, tol)
+
+
+def _degree_floor(i, profile, gains, f_bytes, epsilon_link, k, denom, tol=1e-6):
+    """``min_power_for_degree`` given node i's interference-plus-noise row
+    ``denom``, for callers that already built it."""
     if k < 0:
         raise ValueError("required degree must be >= 0")
     lo, hi = profile.s_min, profile.s_max
     if k == 0:
         return lo
     s_eps = sinr_for_prr(epsilon_link, f_bytes)
-    denom = _denominators(i, profile.mw, gains, n0_mw, interference)
     points = sorted(_membership_breakpoints(i, s_eps, denom, gains[i, :]))
     b_k = points[k - 1] if k <= len(points) else math.inf
 
     def reaches(s):
         if s_eps == 0.0 or abs(s - b_k) <= _BREAKPOINT_SLACK:
-            return degree_at_power(i, s, profile, gains, n0_mw, f_bytes,
-                                   epsilon_link, interference) >= k
+            reached = _reach_over(i, strategy_to_mw(s), denom, gains, f_bytes, epsilon_link)
+            return np.count_nonzero(reached) >= k
         return s >= b_k
 
     if not reaches(hi):

@@ -361,3 +361,33 @@ class TestCli:
 
     def test_missing_config_file(self, capsys):
         assert cli.main(["validate", "--config", "/nonexistent/config.json"]) == 2
+    @pytest.mark.parametrize("order", [
+        [0, 0, *range(2, DESK_M)],        # duplicate: node 1 would never move
+        list(range(DESK_M - 1)),          # short: the last node would never move
+        [*range(DESK_M - 1), 99],         # an index past the last node
+    ], ids=["duplicate", "short", "out-of-range"])
+    def test_update_order_must_be_a_permutation(self, tmp_path, capsys, order):
+        data = desk_config().to_json_dict()
+        data["game"]["update_order"] = order
+        path = tmp_path / "config.json"
+        with open(path, "w") as fh:
+            json.dump(data, fh)
+        assert cli.main(["validate", "--config", str(path)]) == 2
+        assert "update_order must be a permutation" in capsys.readouterr().out
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 2
+        assert "update_order must be a permutation" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_update_order_checked_against_topology_file(self, tmp_path, capsys):
+        layout = tmp_path / "layout.json"
+        topology.save_topology(topology.random_topology(DESK_M, area=DESK_AREA, seed=0), layout)
+        data = desk_config(topology_spec={"file": str(layout)}).to_json_dict()
+        data["game"]["update_order"] = list(range(DESK_M - 1))
+        path = tmp_path / "config.json"
+        with open(path, "w") as fh:
+            json.dump(data, fh)
+        assert cli.main(["validate", "--config", str(path)]) == 0
+        capsys.readouterr()
+        assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert "update_order must be a permutation" in capsys.readouterr().err

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wsnpower import channel, game, topology
+from wsnpower.quantize import DiscreteLevelSet, _level_steps, solve_discrete
 from conftest import DESK_SEEDS, N0, build_desk, random_profile
 
 # log10(1 + 9 * 0.5) - (12.5 / 25)^2, high-precision reference
@@ -230,16 +231,103 @@ class TestKernel:
         i = draw(st.integers(0, m - 1))
         xs = draw(st.lists(st.floats(0.5, 25.0), max_size=8))
         xs += rng.uniform(0.5, 25.0, size=draw(st.integers(1, 24))).tolist()
-        env = game._NodeEnvironment(i, profile, gains, N0, params)
+        env = game._Environment(profile, gains, N0, params)
+        nodes = [i] * len(xs)
         rows, want = zip(*(_reference_row_and_utility(i, profile, gains, params, x)
                            for x in xs))
-        assert env._prr_table(xs)[1].tobytes() == np.array(rows).tobytes()
-        assert np.array(env.utilities(xs)).tobytes() == np.array(want).tobytes()
+        assert env.prr_table(nodes, xs)[1].tobytes() == np.array(rows).tobytes()
+        assert np.array(env.utilities(nodes, xs)).tobytes() == np.array(want).tobytes()
         s_eps = channel.sinr_for_prr(params.epsilon_link, params.f_bytes)
         denom = channel._denominators(i, profile.mw, gains, N0, params.interference)
-        assert env.membership_breakpoints() == [
+        assert env.membership_breakpoints(i) == [
             25.0 + 10.0 * math.log10(s_eps * denom[j] / gains[i, j])
             for j in range(m) if j != i and gains[i, j] > 0.0]
+
+    def test_rows_with_more_than_128_members(self):
+        # Past 128 terms numpy's pairwise sum splits a row in halves; rows of
+        # equal degree are still summed as the row alone would be.
+        topo = topology.random_topology(150, area=(30.0, 30.0), seed=11)
+        gains = channel.build_gain_matrix(topo.positions, channel.PathLossModel())
+        profile = random_profile(np.random.default_rng(12), m=150)
+        params = game.GameParams()
+        env = game._Environment(profile, gains, N0, params)
+        nodes = [0, 0, 0, 1, 77, 77, 149, 149]
+        xs = [25.0, 24.0, 20.0, 25.0, 25.0, 23.5, 25.0, 12.0]
+        assert max(env.degrees(nodes, xs)) > 128
+        want = [_reference_row_and_utility(i, profile, gains, params, x)[1]
+                for i, x in zip(nodes, xs)]
+        assert env.utilities(nodes, xs).tobytes() == np.array(want).tobytes()
+
+
+def _random_game(draw, max_m, **params):
+    """(gains, profile, params) drawn for the property tests."""
+    m = draw(st.integers(2, max_m))
+    side = draw(st.floats(2.0, 80.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    topo = topology.random_topology(m, area=(side, side), seed=int(rng.integers(2**31)))
+    model = channel.PathLossModel(shadowing_sigma_db=draw(st.sampled_from([0.0, 4.0])))
+    gains = channel.build_gain_matrix(topo.positions, model)
+    s_min = draw(st.floats(0.1, 24.0))
+    # a range at most br_tol wide sends every feasible node to s_max
+    s_max = draw(st.floats(s_min, 25.0, exclude_min=True) | st.just(s_min + 5e-7))
+    profile = game.StrategyProfile(rng.uniform(s_min, s_max, size=m), s_min=s_min, s_max=s_max)
+    # degree targets up to m: at m no node can ever meet its floor
+    params = game.GameParams(degree_target=draw(st.integers(0, m)),
+                             update_order=draw(st.none() | st.permutations(range(m))), **params)
+    return gains, profile, params
+
+
+def _one_node_sweep(profile, gains, params, steps):
+    """A sweep in which every node answers on its own, in update order."""
+    order = params.update_order if params.update_order is not None else range(profile.n)
+    flags = 0
+    for i in order:
+        env = game._Environment(profile, gains, N0, params, i)
+        [(s_star, flagged)] = game._respond(env, [i], steps)
+        flags += int(flagged)
+        profile = profile.with_power(i, s_star)
+    return profile, flags
+
+
+class TestLockstep:
+    @settings(deadline=None, max_examples=30)
+    @given(st.data())
+    def test_decoupled_sweep_equals_one_node_groups(self, data):
+        gains, profile, params = _random_game(data.draw, 30)
+        assert game._decouples(params)
+        usable = [v for v in DiscreteLevelSet().levels_dbm
+                  if profile.s_min <= v + 25.0 <= profile.s_max]
+        games = [game._best_response_steps]
+        if usable:
+            games.append(_level_steps(usable))
+        for steps in games:
+            lockstep, lockstep_flags = game._sweep(profile, gains, N0, params, steps)
+            alone, alone_flags = _one_node_sweep(profile, gains, params, steps)
+            assert lockstep.s.tobytes() == alone.s.tobytes()
+            assert lockstep_flags == alone_flags
+
+    @settings(deadline=None, max_examples=30)
+    @given(st.data())
+    def test_batched_checks_equal_per_node_reference(self, data):
+        gains, profile, params = _random_game(
+            data.draw, 12, interference=data.draw(st.sampled_from(["none", "full"])),
+            ncr_denominator=data.draw(st.sampled_from(["members", "union"])))
+        m, k = profile.n, params.required_degree(profile.n)
+        utils = [_reference_row_and_utility(i, profile, gains, params, profile.s[i])[1]
+                 for i in range(m)]
+        assert game.potential(profile, gains, N0, params) == float(sum(utils))
+        assert game._per_node_feasible(profile, gains, N0, params) == [
+            k == 0 or topology.degree_at_power(i, profile.s_max, profile, gains, N0,
+                                               params.f_bytes, params.epsilon_link,
+                                               params.interference) >= k
+            for i in range(m)]
+        grid = np.arange(profile.s_min, profile.s_max, 1.0)
+        if grid[-1] < profile.s_max:
+            grid = np.append(grid, profile.s_max)
+        worst = max(max(_reference_row_and_utility(i, profile, gains, params, x)[1]
+                        for x in grid) - utils[i] for i in range(m))
+        assert game.verify_equilibrium(profile, gains, N0, params, grid_step=1.0) == (
+            worst <= 1e-4, worst)
 
 
 class TestBestResponse:
@@ -262,7 +350,7 @@ class TestBestResponse:
         grid = np.arange(0.5, 25.0 + 1e-9, 1e-4)
         # Under the clear channel node 0's environment does not depend on its
         # own entry in the profile, so one batched pass covers the whole grid.
-        utils = game._NodeEnvironment(0, prof, gains, N0, params).utilities(grid)
+        utils = game._Environment(prof, gains, N0, params).utilities([0] * grid.size, grid)
         best_grid = grid[int(np.argmax(utils))]
         assert abs(br - best_grid) <= 1e-3
         u_br = game.utility(0, prof.with_power(0, br), gains, N0, params)
@@ -310,6 +398,18 @@ class TestDynamics:
         for i in order:
             manual = manual.with_power(i, game.best_response(i, manual, gains, N0, params))
         assert np.array_equal(swept.s, manual.s)
+
+    @pytest.mark.parametrize("order", [(0, 0, *range(2, 10)), tuple(range(9)),
+                                       (*range(9), 99)],
+                             ids=["duplicate", "short", "out-of-range"])
+    def test_update_order_must_be_a_permutation(self, order):
+        _, gains = build_desk(0)
+        prof = game.StrategyProfile.full_power(10)
+        params = game.GameParams(update_order=order)
+        with pytest.raises(ValueError, match="permutation"):
+            game.solve(prof, gains, N0, params)
+        with pytest.raises(ValueError, match="permutation"):
+            solve_discrete(prof, gains, N0, params, DiscreteLevelSet())
 
     def test_solve_converges_on_desk(self, desk0_solution):
         result, gains, params = desk0_solution

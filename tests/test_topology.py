@@ -214,7 +214,7 @@ def test_prr_rows_share_one_kernel(interference):
     same_mw = np.array([float(channel.strategy_to_mw(s)) for s in profile.s]) == profile.mw
     assert np.count_nonzero(same_mw) >= 30
     for i in range(40):
-        row = game._NodeEnvironment(i, profile, gains, N0, params).prr_row(profile.s[i])
+        row = game._Environment(profile, gains, N0, params).prr_table([i], [profile.s[i]])[1][0]
         if same_mw[i]:
             assert row.tobytes() == mat[i].tobytes()
         else:
