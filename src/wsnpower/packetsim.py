@@ -1,17 +1,17 @@
 """Seeded Bernoulli packet simulation over analytic link reception rates.
 
 Each message is a run of independent attempts against the sender-receiver
-link PRR, capped at one transmission plus max_retries.  Link quality is
-measured on first attempts only; delivery ratio (which credits retries) is
-reported separately.
+link PRR, capped at one transmission plus max_retries.  The log keeps the
+messages as parallel arrays (`records` rebuilds them as rows).  Link quality
+counts first attempts only; the delivery ratio credits retries.
 """
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .channel import strategy_to_mw, prr_matrix
+from .channel import prr_matrix
 
 
 @dataclass(frozen=True)
@@ -48,17 +48,29 @@ class Transmission:
     send_time_s: float
 
 
-@dataclass
+@dataclass(eq=False)  # array fields have no single truth value: compare records
 class TransmissionLog:
-    records: list
+    """One entry per message in each `Transmission` field, sender-major order."""
+    sender: np.ndarray
+    receiver: np.ndarray
+    tx_dbm: np.ndarray
+    attempts_used: np.ndarray
+    delivered: np.ndarray
+    send_time_s: np.ndarray
     max_retries: int
     empty_senders: tuple = ()
 
     def __post_init__(self):
         cap = self.max_retries + 1
-        for rec in self.records:
-            if not (1 <= rec.attempts_used <= cap):
-                raise ValueError(f"attempts_used {rec.attempts_used} outside [1, {cap}]")
+        bad = (self.attempts_used < 1) | (self.attempts_used > cap)
+        if bad.any():
+            raise ValueError(f"attempts_used {self.attempts_used[bad][0]} outside [1, {cap}]")
+
+    @property
+    def records(self) -> list:
+        """One `Transmission` per message, built afresh on each access."""
+        columns = (getattr(self, f.name).tolist() for f in fields(Transmission))
+        return [Transmission(*row) for row in zip(*columns)]
 
 
 def best_prr_receivers(profile, gains: np.ndarray, n0_mw: float, f_bytes: int,
@@ -93,76 +105,63 @@ def simulate(profile, gains: np.ndarray, n0_mw: float, traffic: TrafficConfig,
     (m, messages_per_node); receiver -1 marks a sender with no usable link,
     whose messages exhaust the full attempt budget undelivered.
     """
-    m = gains.shape[0]
-    links = np.asarray(links, dtype=int)
+    m, n = gains.shape[0], traffic.messages_per_node
+    links = np.array(links, dtype=int)  # a copy: the log keeps it as its receivers
     if links.shape == (m,):
-        links = np.repeat(links[:, None], traffic.messages_per_node, axis=1)
-    if links.shape != (m, traffic.messages_per_node):
+        links = np.repeat(links[:, None], n, axis=1)
+    if links.shape != (m, n):
         raise ValueError("links must be (m,) or (m, messages_per_node)")
     mat = prr_matrix(profile.mw, gains, n0_mw, traffic.payload_f_bytes, interference)
+    p_link = np.where(links >= 0, np.take_along_axis(mat, np.clip(links, 0, m - 1), axis=1), 0.0)
     rng = np.random.default_rng(traffic.seed)
     cap = traffic.max_retries + 1
-    records = []
-    empty = []
-    dbm = profile.dbm
-    for i in range(m):
-        receivers = links[i]
-        if np.all(receivers < 0):
-            empty.append(i)
-        p_link = np.where(receivers >= 0, mat[i, np.clip(receivers, 0, m - 1)], 0.0)
-        draws = rng.random((traffic.messages_per_node, cap))
-        success = draws < p_link[:, None]
-        any_success = success.any(axis=1)
-        first = np.argmax(success, axis=1)
-        attempts = np.where(any_success, first + 1, cap)
-        for k in range(traffic.messages_per_node):
-            records.append(Transmission(
-                sender=i,
-                receiver=int(receivers[k]),
-                tx_dbm=float(dbm[i]),
-                attempts_used=int(attempts[k]),
-                delivered=bool(any_success[k]),
-                send_time_s=float(k * traffic.message_period_s),
-            ))
-    return TransmissionLog(records=records, max_retries=traffic.max_retries,
-                           empty_senders=tuple(empty))
+    attempts, delivered = np.empty((m, n), dtype=int), np.empty((m, n), dtype=bool)
+    for i in range(m):  # one draw block per sender, in sender order: the seeded stream
+        success = rng.random((n, cap)) < p_link[i, :, None]
+        delivered[i] = success.any(axis=1)
+        attempts[i] = np.where(delivered[i], np.argmax(success, axis=1) + 1, cap)
+    return TransmissionLog(
+        sender=np.repeat(np.arange(m), n), receiver=links.ravel(),
+        tx_dbm=np.repeat(profile.dbm, n), attempts_used=attempts.ravel(),
+        delivered=delivered.ravel(), max_retries=traffic.max_retries,
+        send_time_s=np.tile(np.arange(n, dtype=float) * traffic.message_period_s, m),
+        empty_senders=tuple(np.flatnonzero((links < 0).all(axis=1)).tolist()))
 
 
 def empirical_prr(log: TransmissionLog) -> dict:
     """Per-link first-attempt success ratio and its unweighted network mean."""
-    if not log.records:
+    if log.sender.size == 0:
         raise ValueError("empty transmission log")
-    counts = {}
-    hits = {}
-    for rec in log.records:
-        if rec.receiver < 0:
-            continue
-        key = (rec.sender, rec.receiver)
-        counts[key] = counts.get(key, 0) + 1
-        if rec.attempts_used == 1 and rec.delivered:
-            hits[key] = hits.get(key, 0) + 1
-    per_link = {key: hits.get(key, 0) / counts[key] for key in sorted(counts)}
-    avg = float(np.mean(list(per_link.values()))) if per_link else 0.0
+    linked = log.receiver >= 0
+    m = int(max(log.sender.max(), log.receiver.max())) + 1
+    keys = log.sender[linked] * m + log.receiver[linked]  # sorts as (sender, receiver)
+    counts = np.bincount(keys)
+    hits = np.bincount(keys, weights=log.delivered[linked] & (log.attempts_used[linked] == 1))
+    seen = np.flatnonzero(counts)
+    rates = hits[seen] / counts[seen]
+    per_link = dict(zip(zip((seen // m).tolist(), (seen % m).tolist()), rates.tolist()))
+    avg = float(np.mean(rates)) if rates.size else 0.0
     return {"per_link_prr": per_link, "avg_prr": avg}
 
 
 def delivery_ratio(log: TransmissionLog) -> float:
     """Fraction of messages delivered within the attempt budget (retries count)."""
-    if not log.records:
+    if log.sender.size == 0:
         raise ValueError("empty transmission log")
-    return float(np.mean([rec.delivered for rec in log.records]))
+    return float(np.mean(log.delivered))
 
 
 def relative_energy(log: TransmissionLog) -> float:
-    """Mean linear transmit power per attempt, normalized to the 0 dBm anchor."""
-    if not log.records:
+    """Mean linear transmit power per attempt, normalized to the 0 dBm anchor.
+
+    Bitwise the per-message loop: Python's float power per distinct tx_dbm
+    (numpy's array power can differ in the last bit), summed in log order.
+    """
+    if log.sender.size == 0:
         raise ValueError("empty transmission log")
-    total_mw = 0.0
-    total_attempts = 0
-    for rec in log.records:
-        total_mw += rec.attempts_used * 10.0 ** (rec.tx_dbm / 10.0)
-        total_attempts += rec.attempts_used
-    return total_mw / total_attempts
+    dbm, inverse = np.unique(log.tx_dbm, return_inverse=True)
+    mw = np.array([10.0 ** (d / 10.0) for d in dbm.tolist()])[inverse]
+    return float(np.add.accumulate(log.attempts_used * mw)[-1]) / int(log.attempts_used.sum())
 
 
 GOOD_PRR = 0.8
@@ -230,6 +229,6 @@ def write_log_csv(log: TransmissionLog, path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["sender", "receiver", "tx_dbm", "attempts", "delivered"])
-        for rec in log.records:
-            writer.writerow([rec.sender, rec.receiver, repr(rec.tx_dbm),
-                             rec.attempts_used, int(rec.delivered)])
+        writer.writerows(zip(log.sender.tolist(), log.receiver.tolist(),
+                             map(repr, log.tx_dbm.tolist()), log.attempts_used.tolist(),
+                             log.delivered.astype(int).tolist()))

@@ -59,8 +59,9 @@ def quantize(dbm, levels: DiscreteLevelSet):
         out = np.full_like(arr, grid[0])
     else:
         # searchsorted against midpoints; side="left" sends exact midpoints
-        # to the lower cell.
-        mids = (grid[:-1] + grid[1:]) / 2.0
+        # to the lower cell.  A midpoint that rounds onto the upper level
+        # (levels an ulp apart) is pulled below it, so each level keeps itself.
+        mids = np.minimum((grid[:-1] + grid[1:]) / 2.0, np.nextafter(grid[1:], -np.inf))
         idx = np.searchsorted(mids, arr, side="left")
         out = grid[idx]
     if np.ndim(dbm) == 0:

@@ -3,6 +3,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wsnpower import channel
 
@@ -226,6 +227,40 @@ def test_link_prr_monotonicity_random_pairs():
         p_interf[t] *= bump
         worse = channel.prr_matrix(p_interf, gains, 1e-10, 25, interference="full")
         assert worse[i, j] <= mat[i, j]
+
+
+def _prr_rounding(f_bytes):
+    """Relative slack for PRR monotonicity: (1 - BER) ** (8 f) scales the
+    rounding of 1 - BER by the exponent, so SINRs an ulp apart can give PRRs
+    that decrease by up to about 0.7 * 8 f ulps (seen in dense ulp scans)."""
+    return 2 * 8 * f_bytes * np.finfo(float).eps
+
+
+@settings(deadline=None)
+@given(st.lists(st.floats(0.0, 1e12), min_size=1, max_size=30), st.integers(1, 128))
+def test_prr_non_decreasing_in_sinr_property(sinrs, f_bytes):
+    s = np.sort(np.concatenate([sinrs, np.nextafter(sinrs, np.inf)]))  # with ulp neighbours
+    p = channel.prr(channel.ber(s), f_bytes)
+    assert np.all(p[1:] >= p[:-1] * (1.0 - _prr_rounding(f_bytes)))
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_prr_matrix_row_non_decreasing_in_own_power_property(data):
+    # clear channel: raising node i's power can only raise row i, and no other row moves
+    draw = data.draw
+    m = draw(st.integers(2, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    gains = channel.build_gain_matrix(rng.uniform(0.0, 30.0, size=(m, 2)), channel.PathLossModel())
+    p = np.array(draw(st.lists(st.floats(10 ** -2.5, 1.0), min_size=m, max_size=m)))
+    i = draw(st.integers(0, m - 1))
+    up = p.copy()
+    up[i] = draw(st.one_of(st.just(np.nextafter(p[i], np.inf)), st.floats(p[i], 1.0)))
+    before = channel.prr_matrix(p, gains, 1e-10, 25, interference="none")
+    after = channel.prr_matrix(up, gains, 1e-10, 25, interference="none")
+    assert np.all(after[i] >= before[i] * (1.0 - _prr_rounding(25)))
+    others = np.arange(m) != i
+    assert np.array_equal(after[others], before[others])
 
 
 def test_prr_matrix_modes(desk0):

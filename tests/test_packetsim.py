@@ -1,8 +1,11 @@
 import csv
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wsnpower import channel, game, packetsim
 from conftest import N0
@@ -153,13 +156,14 @@ class TestSimulate:
 
 
 def synth_log(rows, max_retries=5, empty=()):
-    records = [
-        packetsim.Transmission(sender=s, receiver=r, tx_dbm=d, attempts_used=a,
-                               delivered=ok, send_time_s=0.0)
-        for s, r, d, a, ok in rows
-    ]
-    return packetsim.TransmissionLog(records=records, max_retries=max_retries,
-                                     empty_senders=empty)
+    """A log from (sender, receiver, tx_dbm, attempts, delivered) rows, all sent at 0 s."""
+    columns = list(zip(*rows)) or [()] * 5
+    sender, receiver, dbm, attempts, delivered = (
+        np.array(col, dtype=dtype) for col, dtype in zip(columns, (int, int, float, int, bool)))
+    return packetsim.TransmissionLog(sender=sender, receiver=receiver, tx_dbm=dbm,
+                                     attempts_used=attempts, delivered=delivered,
+                                     send_time_s=np.zeros(len(rows)),
+                                     max_retries=max_retries, empty_senders=empty)
 
 
 class TestMetrics:
@@ -183,7 +187,7 @@ class TestMetrics:
         assert rates["avg_prr"] == pytest.approx((0.75 + 1.0) / 2.0, abs=1e-15)
 
     def test_empty_log_raises(self):
-        log = packetsim.TransmissionLog(records=[], max_retries=0)
+        log = synth_log([], max_retries=0)
         with pytest.raises(ValueError):
             packetsim.empirical_prr(log)
         with pytest.raises(ValueError):
@@ -205,6 +209,16 @@ class TestMetrics:
         total = math.fsum(a * 10.0 ** (d / 10.0) for _, _, d, a, _ in rows)
         attempts = sum(a for _, _, _, a, _ in rows)
         assert packetsim.relative_energy(log) == pytest.approx(total / attempts, rel=1e-15)
+
+    def test_relative_energy_is_the_sequential_python_sum(self):
+        # dBm values where numpy's SIMD array power can miss Python's float power
+        # by an ulp; the sum runs in log order, not pairwise
+        rows = [(0, 1, -23.7, 2, True), (1, 0, -13.1, 1, True), (2, 1, -9.4, 3, False),
+                (3, 1, -0.6, 1, True)] * 3
+        total = 0.0
+        for _, _, d, a, _ in rows:
+            total += a * 10.0 ** (d / 10.0)
+        assert packetsim.relative_energy(synth_log(rows)) == total / sum(r[3] for r in rows)
 
     def test_link_cdf_classes(self):
         out = packetsim.link_cdf({(0, 1): 0.9, (1, 2): 0.5, (2, 0): 0.1})
@@ -247,3 +261,86 @@ def test_write_log_csv(tmp_path):
     assert rows[0] == ["sender", "receiver", "tx_dbm", "attempts", "delivered"]
     assert rows[1] == ["0", "1", "-2.0", "1", "1"]
     assert rows[2] == ["1", "0", "0.0", "3", "0"]
+
+
+def reference_packet_stage(profile, gains, traffic, links, interference):
+    """simulate and the metrics one message at a time: the per-record reference."""
+    m = gains.shape[0]
+    if links.shape == (m,):
+        links = np.repeat(links[:, None], traffic.messages_per_node, axis=1)
+    mat = channel.prr_matrix(profile.mw, gains, N0, traffic.payload_f_bytes, interference)
+    rng = np.random.default_rng(traffic.seed)
+    cap = traffic.max_retries + 1
+    records, empty = [], []
+    for i in range(m):
+        if np.all(links[i] < 0):
+            empty.append(i)
+        p_link = np.where(links[i] >= 0, mat[i, np.clip(links[i], 0, m - 1)], 0.0)
+        success = rng.random((traffic.messages_per_node, cap)) < p_link[:, None]
+        for k in range(traffic.messages_per_node):
+            hit = np.flatnonzero(success[k])
+            records.append(packetsim.Transmission(
+                sender=i, receiver=int(links[i, k]), tx_dbm=float(profile.dbm[i]),
+                attempts_used=int(hit[0]) + 1 if hit.size else cap, delivered=bool(hit.size),
+                send_time_s=float(k * traffic.message_period_s)))
+    counts, hits = {}, {}
+    total_mw, total_attempts = 0.0, 0
+    for rec in records:
+        total_mw += rec.attempts_used * 10.0 ** (rec.tx_dbm / 10.0)
+        total_attempts += rec.attempts_used
+        if rec.receiver >= 0:
+            key = (rec.sender, rec.receiver)
+            counts[key] = counts.get(key, 0) + 1
+            hits[key] = hits.get(key, 0) + int(rec.attempts_used == 1 and rec.delivered)
+    per_link = {key: hits[key] / counts[key] for key in sorted(counts)}
+    metrics = {
+        "per_link_prr": per_link,
+        "avg_prr": float(np.mean(list(per_link.values()))) if per_link else 0.0,
+        "delivery_ratio": float(np.mean([rec.delivered for rec in records])),
+        "relative_energy": total_mw / total_attempts,
+    }
+    return records, tuple(empty), metrics
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.data())
+def test_array_log_matches_per_record_reference(data):
+    # repr comparisons: bitwise floats, Python scalar types and key order
+    draw = data.draw
+    m, n = draw(st.integers(2, 12)), draw(st.integers(1, 50))
+    interference = draw(st.sampled_from(["none", "full"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    gains = channel.build_gain_matrix(rng.uniform(0.0, 40.0, size=(m, 2)),
+                                      channel.PathLossModel())
+    # full-mantissa powers (where numpy's array power can miss Python's by an
+    # ulp), some shared between nodes
+    shared = np.array(draw(st.lists(st.booleans(), min_size=m, max_size=m)))
+    profile = game.StrategyProfile(np.where(shared, rng.choice([0.5, 12.5, 25.0], size=m),
+                                            rng.uniform(0.5, 25.0, size=m)))
+    traffic = packetsim.TrafficConfig(messages_per_node=n, max_retries=draw(st.integers(0, 5)),
+                                      message_period_s=draw(st.floats(0.01, 10.0)),
+                                      seed=draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        links = packetsim.round_robin_receivers(profile, gains, N0, 25, 0.01, n, interference)
+    else:
+        links = packetsim.best_prr_receivers(profile, gains, N0, 25, 0.01, interference)
+    links[np.array(draw(st.lists(st.booleans(), min_size=m, max_size=m)))] = -1
+    log = packetsim.simulate(profile, gains, N0, traffic, links, interference)
+    records, empty, expect = reference_packet_stage(profile, gains, traffic, links, interference)
+    assert repr(log.records) == repr(records)
+    assert log.empty_senders == empty
+    metrics = packetsim.build_metrics(log)
+    assert metrics.empty_neighborhood_senders == empty
+    for name, value in expect.items():
+        assert repr(getattr(metrics, name)) == repr(value), name
+    with tempfile.TemporaryDirectory() as tmp:
+        packetsim.write_log_csv(log, os.path.join(tmp, "log.csv"))
+        with open(os.path.join(tmp, "ref.csv"), "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["sender", "receiver", "tx_dbm", "attempts", "delivered"])
+            for rec in records:
+                writer.writerow([rec.sender, rec.receiver, repr(rec.tx_dbm),
+                                 rec.attempts_used, int(rec.delivered)])
+        with open(os.path.join(tmp, "log.csv"), "rb") as a, \
+                open(os.path.join(tmp, "ref.csv"), "rb") as b:
+            assert a.read() == b.read()

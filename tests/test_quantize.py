@@ -1,5 +1,8 @@
+import types
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wsnpower import game, quantize as quantize_mod
 from wsnpower.quantize import (
@@ -232,8 +235,21 @@ class TestToRegister:
 
 
 def test_module_accessible_despite_function_reexport():
-    # the package exports the quantize *function* at top level; the module
-    # remains importable under its own name
+    # the package namespace holds the quantize module, not its function
     import wsnpower.quantize as qmod
+    assert isinstance(quantize_mod, types.ModuleType)
     assert qmod is quantize_mod
-    assert callable(quantize)
+    assert callable(quantize_mod.solve_discrete)
+
+@settings(deadline=None)
+@given(st.lists(st.floats(-25.0, 0.0), min_size=1, max_size=26, unique=True),
+       st.lists(st.floats(-40.0, 10.0), min_size=1, max_size=30))
+def test_quantize_idempotent_and_monotone_property(levels_dbm, values):
+    # any level set, including levels an ulp apart, whose midpoint rounds onto a level
+    levels = DiscreteLevelSet(tuple(sorted(levels_dbm)))
+    grid = np.array(levels.levels_dbm)
+    assert np.array_equal(quantize(grid, levels), grid)
+    q = quantize(np.sort(values), levels)
+    assert set(q.tolist()) <= set(levels.levels_dbm)
+    assert np.array_equal(quantize(q, levels), q)
+    assert np.all(np.diff(q) >= 0.0)
