@@ -203,21 +203,21 @@ def ber(sinr_value):
     form loses all significant digits to cancellation.
     """
     s = np.asarray(sinr_value, dtype=float)
-    if np.any(s < 0.0):
+    if (s < 0.0).any():
         raise ValueError("SINR must be non-negative")
     out = 0.5 * (1.0 / (1.0 + s)) / (1.0 + np.sqrt(s / (1.0 + s)))
-    return float(out) if np.isscalar(sinr_value) or np.ndim(sinr_value) == 0 else out
+    return float(out) if s.ndim == 0 else out
 
 
 def prr(ber_value, f_bytes: int):
     """Packet reception ratio (1 - ber) ** (8 * f_bytes) for an f-byte payload."""
     b = np.asarray(ber_value, dtype=float)
-    if np.any(b < 0.0) or np.any(b > 1.0):
+    if ((b < 0.0) | (b > 1.0)).any():
         raise ValueError("BER must lie in [0, 1]")
     if int(f_bytes) != f_bytes or f_bytes < 1:
         raise ValueError("payload size must be a positive integer byte count")
     out = (1.0 - b) ** (8 * int(f_bytes))
-    return float(out) if np.ndim(ber_value) == 0 else out
+    return float(out) if b.ndim == 0 else out
 
 
 def link_prr(i: int, j: int, powers_mw, gains: np.ndarray, n0_mw: float, f_bytes: int) -> float:

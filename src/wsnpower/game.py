@@ -23,6 +23,19 @@ Gauss-Seidel; the union denominator and concurrent interference keep the
 one-node-at-a-time order.  The potential, the feasibility flags and the
 equilibrium check evaluate every node against its fixed profile as one
 chunked table in either mode.
+
+A best response asks for its pre-scan, membership-breakpoint and incumbent
+candidates in one request, then refines around the best of them by
+golden-section search.  Where a sweep group is a single node (the coupled
+game and the public ``best_response``) each golden-section request is
+speculative: a step's new point depends only on the bracket and one
+comparison, so the points the next few steps could ask for form a small
+binary tree that is known before any of them is evaluated.  One kernel table
+then covers four steps instead of one, and the search replays its steps from
+the returned values, so it visits the same points, makes the same
+comparisons and returns the same result.  Lockstep groups keep one step per
+request, since all their nodes already share each table, and so does the
+``union`` denominator, whose every row builds a whole M x M PRR matrix.
 """
 
 import math
@@ -193,6 +206,9 @@ class EquilibriumResult:
 
 # Cells (rows x M) in one kernel table, which bounds its memory at any M.
 _CHUNK_CELLS = 1 << 15
+# Golden-section steps a one-node best response evaluates ahead of need:
+# each of its requests then holds 2^(L+1) - 1 points (15) instead of one.
+_LOOKAHEAD = 3
 
 
 def _decouples(params) -> bool:
@@ -239,6 +255,14 @@ class _Environment:
     inputs; the member PRRs of a row are summed by ``_row_sums``, as
     ``.mean()`` sums them; and the benefit goes through ``math.log10`` row by
     row.
+
+    ``lookahead`` is how many golden-section steps the best responses it
+    serves evaluate ahead of need (see ``_golden_section_max``).  It is
+    ``_LOOKAHEAD`` for one node under the ``members`` denominator, where a
+    small table costs mostly its per-call overhead.  It is 0 for a lockstep
+    group, whose nodes already share one table per step, and under
+    ``union``, where every row builds an M x M PRR matrix and speculative
+    rows would cost more than the calls they save.
     """
 
     def __init__(self, profile, gains, n0_mw, params, senders=slice(None)):
@@ -249,6 +273,8 @@ class _Environment:
         self.denominators = _denominators(senders, profile.mw, gains, n0_mw,
                                           params.interference)
         self.required_k = params.required_degree(profile.n)
+        one_node = not isinstance(senders, slice)
+        self.lookahead = _LOOKAHEAD if one_node and params.ncr_denominator == "members" else 0
 
     def denominator_row(self, i):
         d = self.denominators
@@ -410,24 +436,66 @@ def exact_potential_residual(profile: StrategyProfile, i: int, s_prime: float,
     return float(abs(du - dv))
 
 
-def _golden_section_max(lo: float, hi: float, tol: float):
-    """Golden-section search for a maximum on [lo, hi], as a coroutine for
-    ``_respond`` (``yield from`` it); returns (x, f(x))."""
-    a, b = lo, hi
-    c = b - _INV_GOLDEN * (b - a)
+def _golden_step(a, b, c, d, left):
+    """One golden-section step from the bracket [a, b] with interior points
+    c < d: keep [a, d] when ``left`` (f(c) >= f(d)), else [c, b].  Returns
+    the new (a, b, c, d) and its one new point."""
+    if left:
+        b, d = d, c
+        c = b - _INV_GOLDEN * (b - a)
+        return (a, b, c, d), c
+    a, c = c, d
     d = a + _INV_GOLDEN * (b - a)
-    fc, fd = yield [c, d]
-    while b - a > tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_GOLDEN * (b - a)
-            (fc,) = yield [c]
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INV_GOLDEN * (b - a)
-            (fd,) = yield [d]
-    x = c if fc >= fd else d
-    return (x, fc) if fc >= fd else (x, fd)
+    return (a, b, c, d), d
+
+
+def _speculate(state, tol, depth):
+    """{node: point} for every point the next ``depth`` steps from ``state``
+    can ask for, in breadth-first order.
+
+    A step's new point depends only on the bracket and one comparison, so
+    these points form a binary tree: ``state`` is node 1, and node n's step
+    leads to node 2n when f(c) >= f(d) and to node 2n + 1 otherwise.  It holds
+    at most 2^(depth+1) - 2 points, pruned where the bracket is within ``tol``
+    and the search stops.
+    """
+    tree, level = {}, [(1, state)]
+    for _ in range(depth):
+        below = []
+        for node, (a, b, c, d) in level:
+            if b - a > tol:
+                for left in (True, False):
+                    child = 2 * node + (not left)
+                    after, tree[child] = _golden_step(a, b, c, d, left)
+                    below.append((child, after))
+        level = below
+    return tree
+
+
+def _golden_section_max(lo: float, hi: float, tol: float, lookahead: int):
+    """Golden-section search for a maximum on [lo, hi], as a coroutine for
+    ``_respond`` (``yield from`` it); returns (x, f(x)).
+
+    With ``lookahead`` L > 0 each request also holds every point the next L
+    steps could ask for (``_speculate``), so one kernel table covers L + 1
+    steps.  The search replays its steps from the returned values: it makes
+    the same comparisons on the same points as with L = 0, and only the
+    number of requests changes.
+    """
+    state = (lo, hi, hi - _INV_GOLDEN * (hi - lo), lo + _INV_GOLDEN * (hi - lo))
+    tree = _speculate(state, tol, lookahead)
+    fc, fd, *values = yield [state[2], state[3], *tree.values()]
+    known, node = dict(zip(tree, values)), 1
+    while state[1] - state[0] > tol:
+        left = fc >= fd
+        state, x = _golden_step(*state, left)
+        node = 2 * node + (not left)
+        if node not in known:
+            tree = _speculate(state, tol, lookahead)
+            fx, *values = yield [x, *tree.values()]
+            known, node = {1: fx, **dict(zip(tree, values))}, 1
+        fc, fd = (known[node], fc) if left else (fd, known[node])
+    return (state[2], fc) if fc >= fd else (state[3], fd)
 
 
 def _scan_nonunimodal(values, atol: float = 1e-12) -> bool:
@@ -448,6 +516,10 @@ def _best_response_steps(i, env):
     Returns (s_star, nonunimodal) where the flag records that the uniform
     pre-scan saw the objective rise again after falling, i.e. the sampled
     profile was not unimodal on the search interval.
+
+    The pre-scan, the membership breakpoints and the incumbent go out as one
+    request, since no candidate depends on another's value.  The
+    golden-section refinement looks ``env.lookahead`` steps ahead.
     """
     profile, params = env.profile, env.params
     floor = env.degree_floor(i)
@@ -460,11 +532,9 @@ def _best_response_steps(i, env):
         return hi, False
 
     # Coarse uniform pre-scan, membership breakpoints, and the incumbent value
-    # as explicit candidates; golden-section refinement around the best one.
+    # as explicit candidates, all in one request; golden-section refinement
+    # around the best one.
     scan_points = list(np.linspace(lo, hi, params.prescan_samples))
-    scan_values = yield scan_points
-    nonunimodal = _scan_nonunimodal(scan_values)
-
     candidates = list(scan_points)
     for b in env.membership_breakpoints(i):
         if lo < b < hi:
@@ -475,17 +545,17 @@ def _best_response_steps(i, env):
     if lo <= incumbent <= hi:
         candidates.append(incumbent)
     candidates = sorted(set(candidates))
-    cache = dict(zip(scan_points, scan_values))
-    rest = [x for x in candidates if x not in cache]
-    cache.update(zip(rest, (yield rest)))
-    values = [cache[x] for x in candidates]
+    values = yield candidates
+    cache = dict(zip(candidates, values))
+    nonunimodal = _scan_nonunimodal([cache[x] for x in scan_points])
     best_idx = int(np.argmax(values))
     best_x, best_val = candidates[best_idx], values[best_idx]
 
     bracket_lo = candidates[best_idx - 1] if best_idx > 0 else lo
     bracket_hi = candidates[best_idx + 1] if best_idx + 1 < len(candidates) else hi
     if bracket_hi - bracket_lo > params.br_tol:
-        x_ref, v_ref = yield from _golden_section_max(bracket_lo, bracket_hi, params.br_tol)
+        x_ref, v_ref = yield from _golden_section_max(bracket_lo, bracket_hi, params.br_tol,
+                                                      env.lookahead)
         if v_ref > best_val:
             best_x, best_val = x_ref, v_ref
     return float(best_x), nonunimodal

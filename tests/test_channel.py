@@ -181,6 +181,50 @@ def test_prr_validation():
         channel.prr(1.5, 25)
 
 
+_SCALAR_INPUTS = {
+    "python-float": lambda v: float(v),
+    "numpy-scalar": lambda v: np.float64(v),
+    "0-d-array": lambda v: np.array(v),
+}
+
+
+@pytest.mark.parametrize("kind", [*_SCALAR_INPUTS, "array"])
+def test_ber_prr_input_kinds(kind):
+    # Scalars of every kind give a Python float, arrays give an array; one
+    # bad element anywhere in a large array raises; NaN passes through.
+    good, bad_sinr, bad_bers = 0.3, -1e-300, (-1e-300, 1.0 + 2.2e-16, 2.0)
+    if kind == "array":
+        def make(v, size=5000, at=3777):
+            arr = np.full(size, good)
+            arr[at] = v
+            return arr
+        for value, want in ((channel.ber(make(good)), channel.ber(good)),
+                            (channel.prr(make(good), 25), channel.prr(good, 25))):
+            assert type(value) is np.ndarray and value.shape == (5000,)
+            assert np.all(value == want)
+        with pytest.raises(ValueError, match="SINR must be non-negative"):
+            channel.ber(make(bad_sinr))
+        for bad in bad_bers:
+            with pytest.raises(ValueError, match=r"BER must lie in \[0, 1\]"):
+                channel.prr(make(bad), 25)
+        assert np.isnan(channel.ber(make(np.nan))[3777])
+        assert np.isnan(channel.prr(make(np.nan), 25)[3777])
+        return
+    make = _SCALAR_INPUTS[kind]
+    assert type(channel.ber(make(good))) is float
+    assert type(channel.prr(make(good), 25)) is float
+    assert channel.ber(make(good)) == channel.ber(np.array([good]))[0]
+    assert channel.prr(make(good), 25) == channel.prr(np.array([good]), 25)[0]
+    with pytest.raises(ValueError, match="SINR must be non-negative"):
+        channel.ber(make(bad_sinr))
+    for bad in bad_bers:
+        with pytest.raises(ValueError, match=r"BER must lie in \[0, 1\]"):
+            channel.prr(make(bad), 25)
+    assert math.isnan(channel.ber(make(np.nan)))
+    assert math.isnan(channel.prr(make(np.nan), 25))
+    assert channel.prr(make(-0.0), 25) == 1.0
+
+
 def test_prr_high_precision_sweep():
     rng = np.random.default_rng(3)
     for b in rng.uniform(0.0, 0.5, size=200):

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -293,6 +295,8 @@ class TestLockstep:
     @settings(deadline=None, max_examples=30)
     @given(st.data())
     def test_decoupled_sweep_equals_one_node_groups(self, data):
+        # Lockstep groups search with lookahead 0 and one-node groups with
+        # game._LOOKAHEAD > 0, so this also checks the speculative search.
         gains, profile, params = _random_game(data.draw, 30)
         assert game._decouples(params)
         usable = [v for v in DiscreteLevelSet().levels_dbm
@@ -328,6 +332,73 @@ class TestLockstep:
                         for x in grid) - utils[i] for i in range(m))
         assert game.verify_equilibrium(profile, gains, N0, params, grid_step=1.0) == (
             worst <= 1e-4, worst)
+
+
+class _Probe(float):
+    """An objective value that logs the points of every comparison it is in."""
+
+    def __new__(cls, value, x, log):
+        probe = super().__new__(cls, value)
+        probe.x, probe.log = x, log
+        return probe
+
+    def __ge__(self, other):
+        self.log.append((self.x.hex(), other.x.hex()))
+        return float(self) >= float(other)
+
+
+def _drive(search, f):
+    """Run a ``_golden_section_max`` coroutine on the objective f; returns
+    (result, requests, the compared points in order)."""
+    requests, log = [], []
+    try:
+        xs = search.send(None)
+        while True:
+            requests.append(xs)
+            xs = search.send([_Probe(f(x), x, log) for x in xs])
+    except StopIteration as stop:
+        return stop.value, requests, log
+
+
+@st.composite
+def _objectives(draw):
+    """Pure-Python objectives: smooth, monotone or flat, optionally rounded
+    onto a grid coarse enough to make plateaus and ties."""
+    peak = draw(st.floats(-120.0, 120.0))
+    freq = draw(st.floats(0.01, 30.0))
+    base = draw(st.sampled_from([
+        lambda x: -(x - peak) ** 2,
+        lambda x: math.sin(freq * x + peak),
+        lambda x: x,
+        lambda x: -x,
+        lambda x: math.floor(freq * x),
+        lambda x: 1.0,
+    ]))
+    grid = draw(st.sampled_from([0.0, 1e-9, 1e-3, 0.25, 4.0]))
+    return (lambda x: round(base(x) / grid) * grid) if grid else base
+
+
+class TestGoldenSection:
+    @settings(deadline=None, max_examples=200)
+    @given(st.data())
+    def test_lookahead_replays_the_plain_search(self, data):
+        f = data.draw(_objectives())
+        lo = data.draw(st.floats(-100.0, 100.0))
+        tol = data.draw(st.sampled_from([1e-9, 1e-6, 1e-2, 1.0]))
+        # widths near tol, some narrower, where the search stops early or at once
+        hi = lo + data.draw(st.floats(0.0, 2.0 * tol) | st.floats(0.0, 200.0))
+        plain, plain_requests, plain_log = _drive(game._golden_section_max(lo, hi, tol, 0), f)
+        steps = len(plain_requests) - 1
+        for lookahead in range(5):
+            result, requests, log = _drive(game._golden_section_max(lo, hi, tol, lookahead), f)
+            assert log == plain_log
+            assert (result[0].hex(), float(result[1]).hex()) == (
+                plain[0].hex(), float(plain[1]).hex())
+            assert len(requests[0]) <= 2 ** (lookahead + 1) + 1
+            assert all(len(xs) <= 2 ** (lookahead + 1) for xs in requests[1:])
+            # the first request covers `lookahead` steps, every later one
+            # `lookahead` + 1
+            assert len(requests) == 1 + -(-max(0, steps - lookahead) // (lookahead + 1))
 
 
 class TestBestResponse:
@@ -448,6 +519,26 @@ class TestDynamics:
         for i in range(final.n):
             br = game.best_response(i, final, gains, N0, params)
             assert abs(br - final.s[i]) <= 1e-3
+
+
+    @settings(deadline=None, max_examples=30)
+    @given(st.data())
+    def test_coupled_solve_equals_lookahead_zero(self, data):
+        gains, profile, params = _random_game(data.draw, 8, interference="full",
+                                              n_iter_max=8)
+        # the whole strategy range and low degree floors, so that most nodes
+        # run a long search rather than give up
+        profile = game.StrategyProfile.full_power(profile.n)
+        params = dataclasses.replace(params, degree_target=data.draw(st.integers(0, 2)))
+        assert not game._decouples(params)
+        speculative = game.solve(profile, gains, N0, params)
+        with mock.patch.object(game, "_LOOKAHEAD", 0):
+            plain = game.solve(profile, gains, N0, params)
+        assert speculative.profile.s.tobytes() == plain.profile.s.tobytes()
+        assert speculative.nonunimodal_events == plain.nonunimodal_events
+        assert (np.array(speculative.potential_trace).tobytes()
+                == np.array(plain.potential_trace).tobytes())
+        assert speculative.sweeps_used == plain.sweeps_used
 
 
 class TestVerification:
