@@ -38,7 +38,7 @@ print(f"feasible nodes: {len(finite)}/80, "
 print("\n== connectivity at uniform power levels ==")
 for s in (5.0, 7.0, 9.0, 25.0):
     prof = game.StrategyProfile.constant(80, s)
-    adj = topology.adjacency(prof, gains, n0, 25, 0.01)
+    adj = topology.adjacency(channel.prr_matrix(prof.mw, gains, n0, 25), 0.01)
     bfs = topology.is_connected_bfs(adj)
     lam2 = topology.algebraic_connectivity(adj)
     print(f"s={s:5.1f}: connected(BFS)={bfs!s:5}  lambda_2={lam2:.4f}")

@@ -13,11 +13,13 @@ params = game.GameParams()
 
 profile = game.solve(game.StrategyProfile.full_power(10), gains, n0, params).profile
 
+# One analytic PRR matrix at the profile's powers feeds every packet stage.
+mat = channel.prr_matrix(profile.mw, gains, n0, params.f_bytes)
 traffic = packetsim.TrafficConfig(messages_per_node=200, max_retries=30, seed=0)
-links = packetsim.best_prr_receivers(profile, gains, n0, traffic.payload_f_bytes, 0.01)
+links = packetsim.best_prr_receivers(mat, params.epsilon_link)
 print("fixed receiver per sender:", links)
 
-log = packetsim.simulate(profile, gains, n0, traffic, links)
+log = packetsim.simulate(profile, mat, traffic, links)
 metrics = packetsim.build_metrics(log)
 
 print(f"\nmessages: {len(log.records)}, empty senders: {metrics.empty_neighborhood_senders}")
@@ -32,21 +34,19 @@ for (i, j), v in sorted(metrics.per_link_prr.items()):
     print(f"  {i} -> {j}: {v:.3f}")
 
 print("\n== retries only help the delivery ratio, never the measured PRR ==")
-mat = channel.prr_matrix(profile.mw, gains, n0, 25)
 weak_target = min(metrics.per_link_prr.items(), key=lambda kv: kv[1])
 print(f"weakest simulated link {weak_target[0]}: "
       f"analytic {mat[weak_target[0]]:.3f}, empirical {weak_target[1]:.3f}")
 
 short = packetsim.TrafficConfig.testbed(messages_per_node=200, seed=0)
-log_short = packetsim.simulate(profile, gains, n0, short, links)
+log_short = packetsim.simulate(profile, mat, short, links)
 m_short = packetsim.build_metrics(log_short)
 print(f"\nhardware-style budget (3 retries): "
       f"avg PRR {m_short.avg_prr:.4f}, delivery {m_short.delivery_ratio:.4f}")
 
 print("\n== round-robin receivers exercise every neighbor ==")
-rr = packetsim.round_robin_receivers(profile, gains, n0, 25, 0.01,
-                                     traffic.messages_per_node)
-log_rr = packetsim.simulate(profile, gains, n0, traffic, rr)
+rr = packetsim.round_robin_receivers(mat, params.epsilon_link, traffic.messages_per_node)
+log_rr = packetsim.simulate(profile, mat, traffic, rr)
 m_rr = packetsim.build_metrics(log_rr)
 print(f"links observed: best-prr {len(metrics.per_link_prr)}, "
       f"round-robin {len(m_rr.per_link_prr)}")

@@ -29,7 +29,8 @@ print(f"\n{'mode':>20}  {'avg PRR':>8}  {'energy':>7}  {'sweeps':>6}  {'converge
 for mode in config.modes:
     sec = report.sections[mode]
     print(f"{mode:>20}  {sec.metrics.avg_prr:8.4f}  "
-          f"{sec.metrics.relative_energy:7.4f}  {sec.sweeps_used:6d}  {sec.converged}")
+          f"{sec.metrics.relative_energy:7.4f}  {sec.result.sweeps_used:6d}  "
+          f"{sec.result.converged}")
 
 print("\nmode deltas (PRR in percentage points, energy as a fraction):")
 for name, entry in sorted(report.deltas.items()):

@@ -258,6 +258,23 @@ def _denominators(senders, powers_mw, gains: np.ndarray, n0_mw: float, interfere
     return np.maximum(received.sum(axis=0) - received[senders], 0.0) + n0_mw
 
 
+def _prr_rows(senders, own_mw, gains: np.ndarray, denominators, f_bytes: int) -> np.ndarray:
+    """Analytic PRR from each sender to every receiver, one row per sender.
+
+    Row r is for sender ``senders[r]`` transmitting at ``own_mw[r]``, with
+    that sender's own column set to zero.  ``senders`` is an index array or
+    ``slice(None)`` (every node, without copying ``gains``), and
+    ``denominators`` is the ``_denominators`` output to divide by: one row
+    shared by all senders (the clear channel, or one sender's row), or the
+    M x M array, whose rows are picked by ``senders``.
+    """
+    if denominators.ndim == 2:
+        denominators = denominators[senders]
+    table = prr(ber(gains[senders] * own_mw[:, None] / denominators), f_bytes)
+    table[np.arange(table.shape[0]), np.arange(gains.shape[0])[senders]] = 0.0
+    return table
+
+
 def prr_matrix(powers_mw, gains: np.ndarray, n0_mw: float, f_bytes: int,
                interference: str = "none") -> np.ndarray:
     """All-pairs analytic PRR; entry [i, j] is for the directed link i -> j.
@@ -265,7 +282,5 @@ def prr_matrix(powers_mw, gains: np.ndarray, n0_mw: float, f_bytes: int,
     The diagonal is set to zero.
     """
     p = np.asarray(powers_mw, dtype=float)
-    s = gains * p[:, None] / _denominators(slice(None), p, gains, n0_mw, interference)
-    out = prr(ber(s), f_bytes)
-    np.fill_diagonal(out, 0.0)
-    return out
+    return _prr_rows(slice(None), p, gains,
+                     _denominators(slice(None), p, gains, n0_mw, interference), f_bytes)

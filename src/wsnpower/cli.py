@@ -78,7 +78,7 @@ def _cmd_run(args) -> int:
         sec = report.sections[mode]
         print(f"{mode}: avg_prr={sec.metrics.avg_prr:.4f} "
               f"relative_energy={sec.metrics.relative_energy:.4f} "
-              f"converged={sec.converged} sweeps={sec.sweeps_used}")
+              f"converged={sec.result.converged} sweeps={sec.result.sweeps_used}")
     for path in created:
         print(f"wrote {path}")
     return 0

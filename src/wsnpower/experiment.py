@@ -55,10 +55,7 @@ class ScenarioConfig:
         if "file" not in spec:
             if not {"m", "area", "seed"} <= set(spec):
                 raise ValueError("topology spec needs m/area/seed or a file path")
-            m = int(spec["m"])
-            order = self.game_params.update_order
-            if order is not None and sorted(order) != list(range(m)):
-                raise ValueError(f"update_order must be a permutation of 0..{m - 1}")
+            game._update_order(self.game_params, int(spec["m"]))  # raises unless a permutation
 
     def build_topology(self) -> topology.Topology:
         spec = self.topology_spec
@@ -141,14 +138,8 @@ def _topology_digest(topo: topology.Topology) -> str:
 class ModeSection:
     mode: str
     topology_digest: str
-    profile: game.StrategyProfile
+    result: game.EquilibriumResult
     register_ids: list
-    converged: bool
-    sweeps_used: int
-    potential_trace: list
-    profile_trace: list
-    per_node_feasible: list
-    nonunimodal_events: int
     analytic_avg_prr: float
     analytic_link_prr: dict
     metrics: packetsim.Metrics
@@ -156,19 +147,15 @@ class ModeSection:
     connected_spectral: bool
 
     def to_json_dict(self) -> dict:
+        data = self.result.to_json_dict()
+        powers = data.pop("nodes")
+        for row, register_id in zip(powers, self.register_ids):
+            row["register_id"] = register_id
         return {
+            **data,
             "mode": self.mode,
             "topology_digest": self.topology_digest,
-            "powers": [
-                {"id": i, "s": float(self.profile.s[i]), "dbm": float(self.profile.dbm[i]),
-                 "mw": float(self.profile.mw[i]), "register_id": self.register_ids[i],
-                 "feasible": bool(self.per_node_feasible[i])}
-                for i in range(self.profile.n)
-            ],
-            "converged": self.converged,
-            "sweeps_used": self.sweeps_used,
-            "potential_trace": [float(v) for v in self.potential_trace],
-            "nonunimodal_events": self.nonunimodal_events,
+            "powers": powers,
             "analytic_avg_prr": self.analytic_avg_prr,
             "analytic_link_prr": {f"{i}->{j}": v for (i, j), v in sorted(self.analytic_link_prr.items())},
             "metrics": self.metrics.to_json_dict(),
@@ -194,17 +181,6 @@ class SimulationReport:
             "modes": {name: sec.to_json_dict() for name, sec in sorted(self.sections.items())},
             "deltas": self.deltas,
         }
-
-
-def _analytic_summary(profile, gains, n0_mw, params):
-    """Per-sender best-link analytic PRR; isolated senders count as 0.
-
-    Returns the network average and the full analytic PRR matrix.
-    """
-    mat = channel.prr_matrix(profile.mw, gains, n0_mw, params.f_bytes, params.interference)
-    best = mat.max(axis=1)
-    avg = float(np.where(best >= params.epsilon_link, best, 0.0).mean())
-    return avg, mat
 
 
 def _run_mode(mode, config, gains, digest, continuous_result=None):
@@ -236,33 +212,26 @@ def _run_mode(mode, config, gains, digest, continuous_result=None):
             profile_trace=[np.array(full.s)],
         )
 
+    # The mode's one analytic PRR matrix, shared by every stage below.
     profile = result.profile
-    avg, analytic_mat = _analytic_summary(profile, gains, n0, params)
+    mat = channel.prr_matrix(profile.mw, gains, n0, params.f_bytes, params.interference)
+    best = mat.max(axis=1)  # each sender's best link; isolated senders count as 0
+    avg = float(np.where(best >= params.epsilon_link, best, 0.0).mean())
     if config.receiver_policy == "round-robin":
-        links = packetsim.round_robin_receivers(profile, gains, n0, params.f_bytes,
-                                                params.epsilon_link,
-                                                config.traffic.messages_per_node,
-                                                params.interference)
+        links = packetsim.round_robin_receivers(mat, params.epsilon_link,
+                                                config.traffic.messages_per_node)
     else:
-        links = packetsim.best_prr_receivers(profile, gains, n0, params.f_bytes,
-                                             params.epsilon_link, params.interference)
-    log = packetsim.simulate(profile, gains, n0, config.traffic, links, params.interference)
+        links = packetsim.best_prr_receivers(mat, params.epsilon_link)
+    log = packetsim.simulate(profile, mat, config.traffic, links)
     metrics = packetsim.build_metrics(log)
-    chosen = {key: float(analytic_mat[key]) for key in sorted(metrics.per_link_prr)}
-    adj = topology.adjacency(profile, gains, n0, params.f_bytes, params.epsilon_link,
-                             params.interference)
+    chosen = {key: float(mat[key]) for key in sorted(metrics.per_link_prr)}
+    adj = topology.adjacency(mat, params.epsilon_link)
     register_ids = [to_register(float(d), config.registers) for d in profile.dbm]
     return ModeSection(
         mode=mode,
         topology_digest=digest,
-        profile=profile,
+        result=result,
         register_ids=register_ids,
-        converged=result.converged,
-        sweeps_used=result.sweeps_used,
-        potential_trace=list(result.potential_trace),
-        profile_trace=[np.array(p) for p in result.profile_trace],
-        per_node_feasible=list(result.per_node_feasible),
-        nonunimodal_events=result.nonunimodal_events,
         analytic_avg_prr=avg,
         analytic_link_prr=chosen,
         metrics=metrics,
@@ -281,8 +250,9 @@ def run_scenario(config: ScenarioConfig) -> SimulationReport:
     m = topo.node_count
 
     full = game.StrategyProfile.full_power(m)
-    adj_full = topology.adjacency(full, gains, n0, params.f_bytes, params.epsilon_link,
-                                  params.interference)
+    adj_full = topology.adjacency(
+        channel.prr_matrix(full.mw, gains, n0, params.f_bytes, params.interference),
+        params.epsilon_link)
     full_connected = topology.is_connected_spectral(adj_full)
 
     needs_continuous = {"continuous", "discretized-posthoc"} & set(config.modes)
@@ -363,9 +333,10 @@ def emit(report: SimulationReport, out_dir) -> list:
     rows = []
     for mode in report.config.modes:
         sec = report.sections[mode]
-        for i in range(sec.profile.n):
-            rows.append([i, mode, _fmt(sec.profile.s[i]), _fmt(sec.profile.dbm[i]),
-                         _fmt(sec.profile.mw[i]), sec.register_ids[i]])
+        profile = sec.result.profile
+        for i in range(profile.n):
+            rows.append([i, mode, _fmt(profile.s[i]), _fmt(profile.dbm[i]),
+                         _fmt(profile.mw[i]), sec.register_ids[i]])
     path = os.path.join(out_dir, "powers.csv")
     _write_csv(path, ["node", "mode", "s", "dbm", "mw", "register_id"], rows)
     created.append(path)
@@ -400,7 +371,7 @@ def emit(report: SimulationReport, out_dir) -> list:
         created.append(path)
 
         rows = []
-        for sweep, snapshot in enumerate(sec.profile_trace):
+        for sweep, snapshot in enumerate(sec.result.profile_trace):
             for i, s in enumerate(snapshot):
                 rows.append([sweep, i, _fmt(s)])
         path = os.path.join(mode_dir, "trace.csv")

@@ -48,8 +48,8 @@ from .channel import (
     INTERFERENCE_MODES,
     STRATEGY_MAX,
     _denominators,
-    ber,
-    prr,
+    _prr_rows,
+    prr,  # noqa: F401  not called here; bench/run.py looks up ``game.prr`` by name
     prr_matrix,
     sinr_for_prr,
 )
@@ -247,8 +247,8 @@ class _Environment:
 
     The kernel works on rows, each a pair (node, candidate strategy value).
     Per chunk of rows it builds one (rows x M) PRR table with a single
-    ``ber``/``prr`` pass and reduces it to degrees and member sums without a
-    per-row loop.  Three choices keep every value bitwise equal to evaluating
+    ``channel._prr_rows`` call and reduces it to degrees and member sums
+    without a per-row loop.  Three choices keep every value bitwise equal to evaluating
     the rows one at a time: each candidate goes to mW as the Python float
     ``10 ** ((x - 25) / 10)``, which equals the 0-d ``strategy_to_mw`` while
     numpy's array power differs from it in the last bit for a few percent of
@@ -288,10 +288,7 @@ class _Environment:
         nodes = np.asarray(nodes, dtype=np.intp)
         mw = np.array([10.0 ** ((x - DBM_OFFSET) / 10.0)
                        for x in np.asarray(xs, dtype=float).tolist()])
-        denom = self.denominators if self.denominators.ndim == 1 else self.denominators[nodes]
-        table = prr(ber(self.gains[nodes] * mw[:, None] / denom), self.params.f_bytes)
-        table[np.arange(nodes.size), nodes] = 0.0
-        return mw, table
+        return mw, _prr_rows(nodes, mw, self.gains, self.denominators, self.params.f_bytes)
 
     def _tables(self, nodes, xs):
         """(nodes, xs, own mW, PRR table) per chunk of the rows."""
@@ -367,10 +364,12 @@ class _Environment:
         s_eps = sinr_for_prr(self.params.epsilon_link, self.params.f_bytes)
         return _membership_breakpoints(i, s_eps, self.denominator_row(i), self.gains[i, :])
 
-    def degree_floor(self, i):
+    def degree_floor(self, i, points):
+        """Node i's degree floor, given ``points``, its sorted membership
+        breakpoints."""
         params = self.params
         return _degree_floor(i, self.profile, self.gains, params.f_bytes, params.epsilon_link,
-                             self.required_k, self.denominator_row(i))
+                             self.required_k, self.denominator_row(i), points)
 
 
 def _respond(env, nodes, steps):
@@ -525,7 +524,8 @@ def _best_response_steps(i, env):
     golden-section refinement looks ``env.lookahead`` steps ahead.
     """
     profile, params = env.profile, env.params
-    floor = env.degree_floor(i)
+    breakpoints = sorted(env.membership_breakpoints(i))
+    floor = env.degree_floor(i, breakpoints)
     if floor == INFEASIBLE:
         # Cost-only branch everywhere: spend as little as allowed.
         return profile.s_min, False
@@ -539,7 +539,7 @@ def _best_response_steps(i, env):
     # around the best one.
     scan_points = list(np.linspace(lo, hi, params.prescan_samples))
     candidates = list(scan_points)
-    for b in env.membership_breakpoints(i):
+    for b in breakpoints:
         if lo < b < hi:
             candidates.append(b)
             if b - 1e-9 > lo:

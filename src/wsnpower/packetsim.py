@@ -11,22 +11,19 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .channel import prr_matrix
-
 
 @dataclass(frozen=True)
 class TrafficConfig:
     message_period_s: float = 2.0
     messages_per_node: int = 100
-    payload_f_bytes: int = 25
     max_retries: int = 30
     seed: int = 0
 
     def __post_init__(self):
         if self.message_period_s <= 0:
             raise ValueError("message period must be positive")
-        if self.messages_per_node <= 0 or self.payload_f_bytes <= 0:
-            raise ValueError("message and payload counts must be positive")
+        if self.messages_per_node <= 0:
+            raise ValueError("messages per node must be positive")
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
 
@@ -73,21 +70,19 @@ class TransmissionLog:
         return [Transmission(*row) for row in zip(*columns)]
 
 
-def best_prr_receivers(profile, gains: np.ndarray, n0_mw: float, f_bytes: int,
-                       epsilon_link: float, interference: str = "none") -> np.ndarray:
-    """Fixed receiver per sender: the highest analytic-PRR neighbor, -1 if none."""
-    mat = prr_matrix(profile.mw, gains, n0_mw, f_bytes, interference)
+def best_prr_receivers(mat: np.ndarray, epsilon_link: float) -> np.ndarray:
+    """Fixed receiver per sender of the analytic PRR matrix ``mat``
+    (``channel.prr_matrix``): the highest-PRR neighbor, -1 if none."""
     receivers = np.argmax(mat, axis=1).astype(int)
     best = mat[np.arange(mat.shape[0]), receivers]
     receivers[best < epsilon_link] = -1
     return receivers
 
 
-def round_robin_receivers(profile, gains: np.ndarray, n0_mw: float, f_bytes: int,
-                          epsilon_link: float, n_messages: int,
-                          interference: str = "none") -> np.ndarray:
-    """Per-message receiver matrix cycling through each sender's neighbors."""
-    mat = prr_matrix(profile.mw, gains, n0_mw, f_bytes, interference)
+def round_robin_receivers(mat: np.ndarray, epsilon_link: float,
+                          n_messages: int) -> np.ndarray:
+    """Per-message receiver matrix cycling through each sender's neighbors in
+    the analytic PRR matrix ``mat``."""
     m = mat.shape[0]
     out = np.full((m, n_messages), -1, dtype=int)
     for i in range(m):
@@ -97,21 +92,22 @@ def round_robin_receivers(profile, gains: np.ndarray, n0_mw: float, f_bytes: int
     return out
 
 
-def simulate(profile, gains: np.ndarray, n0_mw: float, traffic: TrafficConfig,
-             links: np.ndarray, interference: str = "none") -> TransmissionLog:
+def simulate(profile, mat: np.ndarray, traffic: TrafficConfig,
+             links: np.ndarray) -> TransmissionLog:
     """Run the per-message attempt process for every sender.
 
-    links is either a per-sender receiver array (m,) or a per-message matrix
+    Each attempt succeeds with the link's PRR in ``mat``, the analytic PRR
+    matrix at the profile's powers (``channel.prr_matrix``).  links is
+    either a per-sender receiver array (m,) or a per-message matrix
     (m, messages_per_node); receiver -1 marks a sender with no usable link,
     whose messages exhaust the full attempt budget undelivered.
     """
-    m, n = gains.shape[0], traffic.messages_per_node
+    m, n = mat.shape[0], traffic.messages_per_node
     links = np.array(links, dtype=int)  # a copy: the log keeps it as its receivers
     if links.shape == (m,):
         links = np.repeat(links[:, None], n, axis=1)
     if links.shape != (m, n):
         raise ValueError("links must be (m,) or (m, messages_per_node)")
-    mat = prr_matrix(profile.mw, gains, n0_mw, traffic.payload_f_bytes, interference)
     p_link = np.where(links >= 0, np.take_along_axis(mat, np.clip(links, 0, m - 1), axis=1), 0.0)
     rng = np.random.default_rng(traffic.seed)
     cap = traffic.max_retries + 1

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import _denominators, ber, prr, prr_matrix, sinr_for_prr, strategy_to_mw
+from .channel import _denominators, _prr_rows, sinr_for_prr, strategy_to_mw
 
 #: Sentinel returned by min_power_for_degree when no power in range reaches k.
 INFEASIBLE = math.inf
@@ -15,6 +15,8 @@ INFEASIBLE = math.inf
 # Within this distance of the k-th breakpoint, min_power_for_degree asks
 # degree_at_power instead of trusting the breakpoint's last bits.
 _BREAKPOINT_SLACK = 1e-7
+# Width of the bracket at which min_power_for_degree's bisection stops.
+_FLOOR_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -119,8 +121,7 @@ def _reach(i, own_mw, powers_mw, gains, n0_mw, f_bytes, epsilon_link, interferen
 
 def _reach_over(i, own_mw, denom, gains, f_bytes, epsilon_link):
     """``_reach`` given node i's interference-plus-noise row ``denom``."""
-    row = prr(ber(gains[i, :] * float(own_mw) / denom), f_bytes)
-    row[i] = 0.0
+    row = _prr_rows([i], np.array([own_mw], dtype=float), gains, denom, f_bytes)[0]
     return row >= epsilon_link
 
 
@@ -196,8 +197,7 @@ def smallworld_threshold(m: int, delta: float) -> SmallWorldParams:
 
 
 def min_power_for_degree(i: int, profile, gains: np.ndarray, n0_mw: float, f_bytes: int,
-                         epsilon_link: float, k: int, interference: str = "none",
-                         tol: float = 1e-6) -> float:
+                         epsilon_link: float, k: int, interference: str = "none") -> float:
     """Smallest strategy value giving node i at least k neighbors.
 
     Bisection over the monotone degree-versus-power map.  Each step tests
@@ -209,19 +209,21 @@ def min_power_for_degree(i: int, profile, gains: np.ndarray, n0_mw: float, f_byt
     leaves the degree short.
     """
     denom = _denominators(i, profile.mw, gains, n0_mw, interference)
-    return _degree_floor(i, profile, gains, f_bytes, epsilon_link, k, denom, tol)
+    points = sorted(_membership_breakpoints(i, sinr_for_prr(epsilon_link, f_bytes), denom,
+                                            gains[i, :]))
+    return _degree_floor(i, profile, gains, f_bytes, epsilon_link, k, denom, points)
 
 
-def _degree_floor(i, profile, gains, f_bytes, epsilon_link, k, denom, tol=1e-6):
+def _degree_floor(i, profile, gains, f_bytes, epsilon_link, k, denom, points):
     """``min_power_for_degree`` given node i's interference-plus-noise row
-    ``denom``, for callers that already built it."""
+    ``denom`` and its sorted membership breakpoints ``points``, for callers
+    that already built them."""
     if k < 0:
         raise ValueError("required degree must be >= 0")
     lo, hi = profile.s_min, profile.s_max
     if k == 0:
         return lo
     s_eps = sinr_for_prr(epsilon_link, f_bytes)
-    points = sorted(_membership_breakpoints(i, s_eps, denom, gains[i, :]))
     b_k = points[k - 1] if k <= len(points) else math.inf
 
     def reaches(s):
@@ -234,7 +236,7 @@ def _degree_floor(i, profile, gains, f_bytes, epsilon_link, k, denom, tol=1e-6):
         return INFEASIBLE
     if reaches(lo):
         return lo
-    while hi - lo > tol:
+    while hi - lo > _FLOOR_TOL:
         mid = 0.5 * (lo + hi)
         if reaches(mid):
             hi = mid
@@ -243,11 +245,10 @@ def _degree_floor(i, profile, gains, f_bytes, epsilon_link, k, denom, tol=1e-6):
     return hi
 
 
-def adjacency(profile, gains: np.ndarray, n0_mw: float, f_bytes: int,
-              epsilon_link: float, interference: str = "none") -> np.ndarray:
-    """Symmetric boolean adjacency: an edge needs PRR >= epsilon both ways."""
-    mat = prr_matrix(profile.mw, gains, n0_mw, f_bytes, interference)
-    ok = mat >= epsilon_link
+def adjacency(prr_mat: np.ndarray, epsilon_link: float) -> np.ndarray:
+    """Symmetric boolean adjacency of an analytic PRR matrix (``prr_matrix``):
+    an edge needs PRR >= epsilon both ways."""
+    ok = prr_mat >= epsilon_link
     adj = ok & ok.T
     np.fill_diagonal(adj, False)
     return adj

@@ -249,7 +249,8 @@ def test_criterion_10_packet_sim_statistics(default_run):
         prof = game.StrategyProfile.constant(2, 12.0)
         traffic = packetsim.TrafficConfig(messages_per_node=10000, max_retries=0,
                                           seed=110)
-        log = packetsim.simulate(prof, gains, N0, traffic, np.array([1, 0]))
+        log = packetsim.simulate(prof, channel.prr_matrix(prof.mw, gains, N0, 25), traffic,
+                                 np.array([1, 0]))
         emp = packetsim.empirical_prr(log)["per_link_prr"][(0, 1)]
         sigma = math.sqrt(target * (1.0 - target) / 10000)
         rng_checks.append((target, emp, abs(emp - target) <= 3.0 * sigma))

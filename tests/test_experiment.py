@@ -111,25 +111,48 @@ class TestRunScenario:
             sec = desk_report.sections[mode]
             assert sec.mode == mode
             assert sec.topology_digest == desk_report.topology_digest
-            assert sec.converged
+            assert sec.result.converged
             assert len(sec.register_ids) == DESK_M
 
     def test_full_power_energy_is_exactly_one(self, desk_report):
         assert desk_report.sections["full-power"].metrics.relative_energy == 1.0
-        assert desk_report.sections["full-power"].sweeps_used == 0
+        assert desk_report.sections["full-power"].result.sweeps_used == 0
+
+    @pytest.mark.parametrize("modes,policy", [
+        (experiment.MODES, "best-prr"),
+        (experiment.MODES, "round-robin"),
+        (("continuous",), "best-prr"),
+        (("discretized-game", "full-power"), "round-robin"),
+    ])
+    def test_one_prr_matrix_per_mode(self, monkeypatch, modes, policy):
+        # Each mode's analytic PRR matrix is built once and shared by the
+        # summary, the receiver choice, the packet simulation and the
+        # adjacency; one more, at full power, decides full_power_connected.
+        calls = []
+        original = channel.prr_matrix
+
+        def counting(*args, **kwargs):
+            calls.append(None)
+            return original(*args, **kwargs)
+
+        for module in (channel, topology, packetsim, game):
+            if hasattr(module, "prr_matrix"):
+                monkeypatch.setattr(module, "prr_matrix", counting)
+        experiment.run_scenario(desk_config(modes=modes, receiver_policy=policy))
+        assert len(calls) <= len(modes) + 1
 
     def test_connectivity_checks_agree(self, desk_report):
         for sec in desk_report.sections.values():
             assert sec.connected_bfs == sec.connected_spectral
 
     def test_posthoc_is_rounded_continuous(self, desk_report):
-        cont = desk_report.sections["continuous"].profile
-        post = desk_report.sections["discretized-posthoc"].profile
+        cont = desk_report.sections["continuous"].result.profile
+        post = desk_report.sections["discretized-posthoc"].result.profile
         expected = discretize_profile(cont, desk_config().levels)
         assert np.array_equal(post.s, expected.s)
         # the rounding step is visible as one extra trace entry
-        assert len(desk_report.sections["discretized-posthoc"].profile_trace) == \
-            len(desk_report.sections["continuous"].profile_trace) + 1
+        assert len(desk_report.sections["discretized-posthoc"].result.profile_trace) == \
+            len(desk_report.sections["continuous"].result.profile_trace) + 1
 
     def test_game_modes_save_energy(self, desk_report):
         base = desk_report.sections["full-power"].metrics.relative_energy
@@ -215,7 +238,7 @@ class TestEmit:
             rows = list(csv.reader(fh))
         assert rows[0] == ["sweep", "node", "s"]
         sec = desk_report.sections["continuous"]
-        assert len(rows) == 1 + len(sec.profile_trace) * DESK_M
+        assert len(rows) == 1 + len(sec.result.profile_trace) * DESK_M
 
         with open(out / "continuous" / "cdf.csv", newline="") as fh:
             rows = list(csv.reader(fh))
@@ -361,6 +384,22 @@ class TestCli:
 
     def test_missing_config_file(self, capsys):
         assert cli.main(["validate", "--config", "/nonexistent/config.json"]) == 2
+
+    def test_traffic_payload_key_rejected(self, tmp_path, capsys):
+        # game.f_bytes is the one payload size; a config that still carries
+        # traffic.payload_f_bytes fails, and the message names the key.
+        data = desk_config().to_json_dict()
+        data["traffic"]["payload_f_bytes"] = 25
+        path = tmp_path / "config.json"
+        with open(path, "w") as fh:
+            json.dump(data, fh)
+        assert cli.main(["validate", "--config", str(path)]) == 2
+        assert "payload_f_bytes" in capsys.readouterr().out
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 2
+        assert "payload_f_bytes" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("order", [
         [0, 0, *range(2, DESK_M)],        # duplicate: node 1 would never move
         list(range(DESK_M - 1)),          # short: the last node would never move

@@ -17,6 +17,11 @@ def coin_gain(target_prr, s_value, f_bytes=25):
     return snr * N0 / channel.strategy_to_mw(s_value)
 
 
+def prr_of(prof, gains, interference="none"):
+    """The analytic PRR matrix that the packet stage takes (25-byte payload)."""
+    return channel.prr_matrix(prof.mw, gains, N0, 25, interference)
+
+
 def two_node_gains(target_prr, s_value):
     g = coin_gain(target_prr, s_value)
     return np.array([[0.0, g], [g, 0.0]])
@@ -44,14 +49,14 @@ class TestReceiverSelection:
         gains[0, 1] = gains[1, 0] = 1.0
         gains[1, 2] = gains[2, 1] = 1e-9
         prof = game.StrategyProfile.constant(3, 12.0)
-        recv = packetsim.best_prr_receivers(prof, gains, N0, 25, 0.01)
+        recv = packetsim.best_prr_receivers(prr_of(prof, gains), 0.01)
         assert recv[0] == 1 and recv[1] == 0
         assert recv[2] == -1  # node 2's only gain is too weak for a 1% link
 
     def test_round_robin_cycles_neighbors(self):
         gains = np.ones((3, 3)) - np.eye(3)
         prof = game.StrategyProfile.full_power(3)
-        links = packetsim.round_robin_receivers(prof, gains, N0, 25, 0.01, n_messages=5)
+        links = packetsim.round_robin_receivers(prr_of(prof, gains), 0.01, n_messages=5)
         assert links.shape == (3, 5)
         assert list(links[0]) == [1, 2, 1, 2, 1]
         assert list(links[1]) == [0, 2, 0, 2, 0]
@@ -59,7 +64,7 @@ class TestReceiverSelection:
     def test_round_robin_isolated_node(self):
         gains = np.zeros((2, 2))
         prof = game.StrategyProfile.full_power(2)
-        links = packetsim.round_robin_receivers(prof, gains, N0, 25, 0.01, n_messages=4)
+        links = packetsim.round_robin_receivers(prr_of(prof, gains), 0.01, n_messages=4)
         assert np.all(links == -1)
 
 
@@ -68,8 +73,8 @@ class TestSimulate:
         gains = np.ones((2, 2)) - np.eye(2)
         prof = game.StrategyProfile.full_power(2)
         traffic = packetsim.TrafficConfig(messages_per_node=100, max_retries=5, seed=1)
-        links = packetsim.best_prr_receivers(prof, gains, N0, traffic.payload_f_bytes, 0.01)
-        log = packetsim.simulate(prof, gains, N0, traffic, links)
+        links = packetsim.best_prr_receivers(prr_of(prof, gains), 0.01)
+        log = packetsim.simulate(prof, prr_of(prof, gains), traffic, links)
         assert len(log.records) == 200
         assert all(rec.delivered and rec.attempts_used == 1 for rec in log.records)
         assert log.empty_senders == ()
@@ -83,8 +88,8 @@ class TestSimulate:
         gains[0, 1] = gains[1, 0] = 1.0
         prof = game.StrategyProfile.full_power(3)
         traffic = packetsim.TrafficConfig(messages_per_node=10, max_retries=4, seed=2)
-        links = packetsim.best_prr_receivers(prof, gains, N0, traffic.payload_f_bytes, 0.01)
-        log = packetsim.simulate(prof, gains, N0, traffic, links)
+        links = packetsim.best_prr_receivers(prr_of(prof, gains), 0.01)
+        log = packetsim.simulate(prof, prr_of(prof, gains), traffic, links)
         assert log.empty_senders == (2,)
         node2 = [rec for rec in log.records if rec.sender == 2]
         assert len(node2) == 10
@@ -101,7 +106,7 @@ class TestSimulate:
         prof = game.StrategyProfile.constant(2, 12.0)
         gains = two_node_gains(0.5, 12.0)
         traffic = packetsim.TrafficConfig(messages_per_node=10000, max_retries=0, seed=3)
-        log = packetsim.simulate(prof, gains, N0, traffic, np.array([1, 0]))
+        log = packetsim.simulate(prof, prr_of(prof, gains), traffic, np.array([1, 0]))
         rates = packetsim.empirical_prr(log)
         # binomial 3 sigma at n=10000, p=0.5 is 0.015
         assert rates["per_link_prr"][(0, 1)] == pytest.approx(0.5, abs=0.02)
@@ -113,7 +118,7 @@ class TestSimulate:
         prof = game.StrategyProfile.constant(2, 12.0)
         gains = two_node_gains(0.5, 12.0)
         traffic = packetsim.TrafficConfig(messages_per_node=2000, max_retries=3, seed=4)
-        log = packetsim.simulate(prof, gains, N0, traffic, np.array([1, 0]))
+        log = packetsim.simulate(prof, prr_of(prof, gains), traffic, np.array([1, 0]))
         rates = packetsim.empirical_prr(log)
         # P(delivered within 4 attempts) = 1 - 0.5^4
         assert packetsim.delivery_ratio(log) == pytest.approx(1.0 - 0.5 ** 4, abs=0.03)
@@ -123,7 +128,7 @@ class TestSimulate:
         gains = np.ones((2, 2)) - np.eye(2)
         prof = game.StrategyProfile.full_power(2)
         traffic = packetsim.TrafficConfig(message_period_s=2.5, messages_per_node=4, seed=5)
-        log = packetsim.simulate(prof, gains, N0, traffic, np.array([1, 0]))
+        log = packetsim.simulate(prof, prr_of(prof, gains), traffic, np.array([1, 0]))
         times = [rec.send_time_s for rec in log.records if rec.sender == 0]
         assert times == [0.0, 2.5, 5.0, 7.5]
 
@@ -131,8 +136,8 @@ class TestSimulate:
         gains = np.ones((3, 3)) - np.eye(3)
         prof = game.StrategyProfile.full_power(3)
         traffic = packetsim.TrafficConfig(messages_per_node=4, seed=6)
-        links = packetsim.round_robin_receivers(prof, gains, N0, 25, 0.01, n_messages=4)
-        log = packetsim.simulate(prof, gains, N0, traffic, links)
+        links = packetsim.round_robin_receivers(prr_of(prof, gains), 0.01, n_messages=4)
+        log = packetsim.simulate(prof, prr_of(prof, gains), traffic, links)
         recv0 = [rec.receiver for rec in log.records if rec.sender == 0]
         assert recv0 == [1, 2, 1, 2]
 
@@ -141,17 +146,17 @@ class TestSimulate:
         prof = game.StrategyProfile.full_power(2)
         traffic = packetsim.TrafficConfig(messages_per_node=4, seed=0)
         with pytest.raises(ValueError):
-            packetsim.simulate(prof, gains, N0, traffic, np.array([1, 0, 0]))
+            packetsim.simulate(prof, prr_of(prof, gains), traffic, np.array([1, 0, 0]))
 
     def test_seed_determinism(self):
         prof = game.StrategyProfile.constant(2, 12.0)
         gains = two_node_gains(0.5, 12.0)
         traffic = packetsim.TrafficConfig(messages_per_node=200, max_retries=2, seed=7)
-        log_a = packetsim.simulate(prof, gains, N0, traffic, np.array([1, 0]))
-        log_b = packetsim.simulate(prof, gains, N0, traffic, np.array([1, 0]))
+        log_a = packetsim.simulate(prof, prr_of(prof, gains), traffic, np.array([1, 0]))
+        log_b = packetsim.simulate(prof, prr_of(prof, gains), traffic, np.array([1, 0]))
         assert log_a.records == log_b.records
         other = packetsim.TrafficConfig(messages_per_node=200, max_retries=2, seed=8)
-        log_c = packetsim.simulate(prof, gains, N0, other, np.array([1, 0]))
+        log_c = packetsim.simulate(prof, prr_of(prof, gains), other, np.array([1, 0]))
         assert log_a.records != log_c.records
 
 
@@ -268,7 +273,7 @@ def reference_packet_stage(profile, gains, traffic, links, interference):
     m = gains.shape[0]
     if links.shape == (m,):
         links = np.repeat(links[:, None], traffic.messages_per_node, axis=1)
-    mat = channel.prr_matrix(profile.mw, gains, N0, traffic.payload_f_bytes, interference)
+    mat = channel.prr_matrix(profile.mw, gains, N0, 25, interference)
     rng = np.random.default_rng(traffic.seed)
     cap = traffic.max_retries + 1
     records, empty = [], []
@@ -321,11 +326,11 @@ def test_array_log_matches_per_record_reference(data):
                                       message_period_s=draw(st.floats(0.01, 10.0)),
                                       seed=draw(st.integers(0, 2**32 - 1)))
     if draw(st.booleans()):
-        links = packetsim.round_robin_receivers(profile, gains, N0, 25, 0.01, n, interference)
+        links = packetsim.round_robin_receivers(prr_of(profile, gains, interference), 0.01, n)
     else:
-        links = packetsim.best_prr_receivers(profile, gains, N0, 25, 0.01, interference)
+        links = packetsim.best_prr_receivers(prr_of(profile, gains, interference), 0.01)
     links[np.array(draw(st.lists(st.booleans(), min_size=m, max_size=m)))] = -1
-    log = packetsim.simulate(profile, gains, N0, traffic, links, interference)
+    log = packetsim.simulate(profile, prr_of(profile, gains, interference), traffic, links)
     records, empty, expect = reference_packet_stage(profile, gains, traffic, links, interference)
     assert repr(log.records) == repr(records)
     assert log.empty_senders == empty

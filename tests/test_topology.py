@@ -151,7 +151,7 @@ def test_min_power_infeasible_when_isolated():
 def test_adjacency_symmetric_and_thresholded(desk0):
     _, gains = desk0
     profile = game.StrategyProfile(np.linspace(0.5, 25.0, 10))
-    adj = topology.adjacency(profile, gains, N0, 25, 0.01)
+    adj = topology.adjacency(channel.prr_matrix(profile.mw, gains, N0, 25), 0.01)
     assert np.array_equal(adj, adj.T)
     assert np.all(np.diag(adj) == 0)
     mat = channel.prr_matrix(profile.mw, gains, N0, 25)
@@ -199,15 +199,22 @@ def test_connectivity_edge_cases():
 @pytest.mark.parametrize("interference", ["none", "full"])
 def test_prr_rows_share_one_kernel(interference):
     # prr_matrix, the rows behind neighbor_set/degree_at_power and the game's
-    # per-node PRR row all divide by the same denominators, so they agree
-    # bitwise for the same own power.  Membership is checked at every row
-    # value and the next float above it, which flips if any entry differs in
-    # its last bit.
+    # PRR tables are all rows of channel._prr_rows over the same
+    # denominators, so they agree bitwise for the same own power.  Membership
+    # is checked at every row value and the next float above it, which flips
+    # if any entry differs in its last bit.
     topo = topology.random_topology(40, area=(60.0, 60.0), seed=5)
     gains = channel.build_gain_matrix(topo.positions, channel.PathLossModel())
     profile = random_profile(np.random.default_rng(3), m=40)
     params = game.GameParams(interference=interference)
     mat = channel.prr_matrix(profile.mw, gains, N0, 25, interference)
+    denoms = channel._denominators(slice(None), profile.mw, gains, N0, interference)
+    nodes = np.arange(40)
+    assert mat.tobytes() == channel._prr_rows(slice(None), profile.mw, gains, denoms,
+                                              25).tobytes()
+    mw, table = game._Environment(profile, gains, N0, params).prr_table(nodes, profile.s)
+    assert table.tobytes() == channel._prr_rows(nodes, mw, gains, denoms, 25).tobytes()
+    assert np.count_nonzero(np.diag(table)) == 0
     # degree_at_power and the game convert s to mW one scalar at a time, the
     # profile (and so prr_matrix) as an array; the two can differ in the last
     # bit, and then so do the rows.
@@ -215,6 +222,9 @@ def test_prr_rows_share_one_kernel(interference):
     assert np.count_nonzero(same_mw) >= 30
     for i in range(40):
         row = game._Environment(profile, gains, N0, params).prr_table([i], [profile.s[i]])[1][0]
+        # a one-node environment (a coupled best response) builds the same row
+        one = game._Environment(profile, gains, N0, params, i).prr_table([i], [profile.s[i]])
+        assert one[1][0].tobytes() == row.tobytes()
         if same_mw[i]:
             assert row.tobytes() == mat[i].tobytes()
         else:
