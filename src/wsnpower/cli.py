@@ -40,8 +40,11 @@ def _cmd_validate(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     ok, message = experiment.validate_config(data)
+    if not ok:
+        print(f"error: {message}", file=sys.stderr)
+        return 2
     print(message)
-    return 0 if ok else 2
+    return 0
 
 
 def _cmd_run(args) -> int:

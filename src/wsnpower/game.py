@@ -122,7 +122,6 @@ class GameParams:
 
     ncr_scale: float = 9.0
     cost_denominator: float = 25.0
-    log_base: float = 10.0
     f_bytes: int = 25
     epsilon_link: float = 0.01
     degree_target: int = 6
@@ -131,7 +130,6 @@ class GameParams:
     n_iter_max: int = 100
     convergence_tol: float = 1e-4
     br_tol: float = 1e-6
-    prescan_samples: int = 64
     ncr_denominator: str = "members"
     interference: str = "none"
     update_order: tuple = None
@@ -139,8 +137,6 @@ class GameParams:
     def __post_init__(self):
         if self.ncr_scale <= 0 or self.cost_denominator <= 0:
             raise ValueError("utility constants must be positive")
-        if self.log_base <= 1.0:
-            raise ValueError("log base must exceed 1")
         if int(self.f_bytes) != self.f_bytes or self.f_bytes < 1:
             raise ValueError("payload bytes must be a positive integer")
         if not (0.0 < self.epsilon_link <= 1.0):
@@ -155,8 +151,6 @@ class GameParams:
             raise ValueError("need at least one sweep")
         if self.convergence_tol <= 0 or self.br_tol <= 0:
             raise ValueError("tolerances must be positive")
-        if self.prescan_samples < 2:
-            raise ValueError("pre-scan needs at least 2 samples")
         if self.ncr_denominator not in NCR_DENOMINATORS:
             raise ValueError(f"ncr denominator must be one of {NCR_DENOMINATORS}")
         if self.interference not in INTERFERENCE_MODES:
@@ -206,6 +200,8 @@ class EquilibriumResult:
 
 # Cells (rows x M) in one kernel table, which bounds its memory at any M.
 _CHUNK_CELLS = 1 << 15
+# Evenly spaced strategy values a best response's pre-scan evaluates.
+_PRESCAN_SAMPLES = 64
 # Golden-section steps a one-node best response evaluates ahead of need:
 # each of its requests then holds 2^(L+1) - 1 points (15) instead of one.
 _LOOKAHEAD = 3
@@ -341,12 +337,7 @@ class _Environment:
                                        (degree >= self.required_k).tolist()):
                 cost = (x / params.cost_denominator) ** 2
                 if meets:
-                    arg = 1.0 + params.ncr_scale * value
-                    if params.log_base == 10.0:
-                        benefit = math.log10(arg)
-                    else:
-                        benefit = math.log(arg) / math.log(params.log_base)
-                    out.append(benefit - cost)
+                    out.append(math.log10(1.0 + params.ncr_scale * value) - cost)
                 else:
                     out.append(-cost)
             parts.append(np.array(out))
@@ -363,13 +354,6 @@ class _Environment:
         neighbor set; exact because PRR is monotone in own power."""
         s_eps = sinr_for_prr(self.params.epsilon_link, self.params.f_bytes)
         return _membership_breakpoints(i, s_eps, self.denominator_row(i), self.gains[i, :])
-
-    def degree_floor(self, i, points):
-        """Node i's degree floor, given ``points``, its sorted membership
-        breakpoints."""
-        params = self.params
-        return _degree_floor(i, self.profile, self.gains, params.f_bytes, params.epsilon_link,
-                             self.required_k, self.denominator_row(i), points)
 
 
 def _respond(env, nodes, steps):
@@ -525,7 +509,7 @@ def _best_response_steps(i, env):
     """
     profile, params = env.profile, env.params
     breakpoints = sorted(env.membership_breakpoints(i))
-    floor = env.degree_floor(i, breakpoints)
+    floor = _degree_floor(profile, env.required_k, breakpoints)
     if floor == INFEASIBLE:
         # Cost-only branch everywhere: spend as little as allowed.
         return profile.s_min, False
@@ -537,7 +521,7 @@ def _best_response_steps(i, env):
     # Coarse uniform pre-scan, membership breakpoints, and the incumbent value
     # as explicit candidates, all in one request; golden-section refinement
     # around the best one.
-    scan_points = list(np.linspace(lo, hi, params.prescan_samples))
+    scan_points = list(np.linspace(lo, hi, _PRESCAN_SAMPLES))
     candidates = list(scan_points)
     for b in breakpoints:
         if lo < b < hi:
@@ -572,9 +556,10 @@ def best_response(i: int, profile: StrategyProfile, gains: np.ndarray, n0_mw: fl
 
 
 def _per_node_feasible(profile, gains, n0_mw, params):
-    """Whether each node can reach its degree floor at some power in range,
-    i.e. whether min_power_for_degree would not return INFEASIBLE: its degree
-    at the maximum power meets the floor."""
+    """Whether each node can reach its degree floor at some power in range:
+    its degree at the maximum power meets the floor.  This agrees with
+    min_power_for_degree not returning INFEASIBLE, i.e. b_(k) <= s_max, and
+    one PRR table at s_max costs less than every node's breakpoints."""
     k = params.required_degree(profile.n)
     if k == 0:
         return [True] * profile.n

@@ -12,11 +12,11 @@ from .channel import _denominators, _prr_rows, sinr_for_prr, strategy_to_mw
 #: Sentinel returned by min_power_for_degree when no power in range reaches k.
 INFEASIBLE = math.inf
 
-# Within this distance of the k-th breakpoint, min_power_for_degree asks
-# degree_at_power instead of trusting the breakpoint's last bits.
+# Margin the degree floor keeps above the k-th membership breakpoint.  At the
+# breakpoint itself the k-th link's PRR can fall a few ulps short of
+# epsilon_link; the margin is far wider than that and than the PRR's last-bit
+# non-monotonicity in SINR.
 _BREAKPOINT_SLACK = 1e-7
-# Width of the bracket at which min_power_for_degree's bisection stops.
-_FLOOR_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -115,12 +115,7 @@ def _reach(i, own_mw, powers_mw, gains, n0_mw, f_bytes, epsilon_link, interferen
     Boolean row with entry i False.  The interference at each receiver never
     includes the sender, so it does not depend on ``own_mw``.
     """
-    return _reach_over(i, own_mw, _denominators(i, powers_mw, gains, n0_mw, interference),
-                       gains, f_bytes, epsilon_link)
-
-
-def _reach_over(i, own_mw, denom, gains, f_bytes, epsilon_link):
-    """``_reach`` given node i's interference-plus-noise row ``denom``."""
+    denom = _denominators(i, powers_mw, gains, n0_mw, interference)
     row = _prr_rows([i], np.array([own_mw], dtype=float), gains, denom, f_bytes)[0]
     return row >= epsilon_link
 
@@ -146,12 +141,14 @@ def _membership_breakpoints(i, s_eps, denominators, h_row):
     enters node i's neighbor set: 25 + 10 log10(s_eps * denom_j / h_ij), where
     s_eps is the SINR at which the PRR equals epsilon_link.
 
-    Empty when s_eps is 0 (every receiver is a member at any power).  Each
-    value goes through ``math.log10``; ``np.log10`` differs from it in the
-    last bit for a few percent of inputs.
+    When s_eps is 0 every receiver is a member at any power, so all M - 1
+    breakpoints are -inf.  Node i's degree at power s is the number of
+    breakpoints below s, up to the last bits of the PRR at a breakpoint.
+    Each value goes through ``math.log10``; ``np.log10`` differs from it in
+    the last bit for a few percent of inputs.
     """
     if s_eps == 0.0:
-        return []
+        return [-math.inf] * (h_row.size - 1)
     reachable = h_row > 0.0
     reachable[i] = False
     needed = s_eps * denominators[reachable] / h_row[reachable]
@@ -200,49 +197,28 @@ def min_power_for_degree(i: int, profile, gains: np.ndarray, n0_mw: float, f_byt
                          epsilon_link: float, k: int, interference: str = "none") -> float:
     """Smallest strategy value giving node i at least k neighbors.
 
-    Bisection over the monotone degree-versus-power map.  Each step tests
-    "degree >= k" as s >= b_(k), the k-th smallest membership breakpoint, and
-    counts the reach row as ``degree_at_power`` does within 1e-7 of it (or
-    when every SINR meets epsilon_link), so the result equals a bisection
-    that calls ``degree_at_power`` at every step.  Returns the profile's
-    lower power bound when k == 0 and INFEASIBLE when even the maximum power
-    leaves the degree short.
+    Node i's degree is a step function of its own power that rises at its
+    membership breakpoints, so the floor is b_(k), the k-th smallest of them,
+    plus ``_BREAKPOINT_SLACK``, clamped to the profile's power bounds.
+    Returns the lower bound when k == 0 and INFEASIBLE when b_(k) lies above
+    the maximum power or node i has fewer than k potential receivers.
     """
     denom = _denominators(i, profile.mw, gains, n0_mw, interference)
     points = sorted(_membership_breakpoints(i, sinr_for_prr(epsilon_link, f_bytes), denom,
                                             gains[i, :]))
-    return _degree_floor(i, profile, gains, f_bytes, epsilon_link, k, denom, points)
+    return _degree_floor(profile, k, points)
 
 
-def _degree_floor(i, profile, gains, f_bytes, epsilon_link, k, denom, points):
-    """``min_power_for_degree`` given node i's interference-plus-noise row
-    ``denom`` and its sorted membership breakpoints ``points``, for callers
-    that already built them."""
+def _degree_floor(profile, k, points):
+    """``min_power_for_degree`` given the node's sorted membership
+    breakpoints ``points``, for callers that already built them."""
     if k < 0:
         raise ValueError("required degree must be >= 0")
-    lo, hi = profile.s_min, profile.s_max
     if k == 0:
-        return lo
-    s_eps = sinr_for_prr(epsilon_link, f_bytes)
-    b_k = points[k - 1] if k <= len(points) else math.inf
-
-    def reaches(s):
-        if s_eps == 0.0 or abs(s - b_k) <= _BREAKPOINT_SLACK:
-            reached = _reach_over(i, strategy_to_mw(s), denom, gains, f_bytes, epsilon_link)
-            return np.count_nonzero(reached) >= k
-        return s >= b_k
-
-    if not reaches(hi):
+        return profile.s_min
+    if k > len(points) or points[k - 1] > profile.s_max:
         return INFEASIBLE
-    if reaches(lo):
-        return lo
-    while hi - lo > _FLOOR_TOL:
-        mid = 0.5 * (lo + hi)
-        if reaches(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    return min(max(profile.s_min, points[k - 1] + _BREAKPOINT_SLACK), profile.s_max)
 
 
 def adjacency(prr_mat: np.ndarray, epsilon_link: float) -> np.ndarray:

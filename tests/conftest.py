@@ -1,7 +1,16 @@
+import os
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from wsnpower import channel, game, topology
+
+# CI runs with HYPOTHESIS_PROFILE=ci: the examples are derived from each
+# test's name, so a failure there replays locally under the same profile, and
+# a failing example prints the blob that reproduces it.
+settings.register_profile("ci", derandomize=True, print_blob=True)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 # Ten nodes scattered over a few meters: every pair is within reach at the
 # lowest power, which keeps the per-node objective smooth over the whole

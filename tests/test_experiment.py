@@ -299,10 +299,14 @@ class TestCli:
         with open(bad, "w") as fh:
             json.dump({"modes": ["continuous", "continuous"]}, fh)
         assert cli.main(["validate", "--config", str(bad)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "duplicate modes" in captured.err
 
         with open(bad, "w") as fh:
             fh.write("{not json")
         assert cli.main(["validate", "--config", str(bad)]) == 2
+        assert capsys.readouterr().err
 
     def test_run_and_compare(self, tmp_path, capsys):
         config = write_config(tmp_path, modes=("continuous", "full-power"))
@@ -394,10 +398,27 @@ class TestCli:
         with open(path, "w") as fh:
             json.dump(data, fh)
         assert cli.main(["validate", "--config", str(path)]) == 2
-        assert "payload_f_bytes" in capsys.readouterr().out
+        assert "payload_f_bytes" in capsys.readouterr().err
         out = tmp_path / "out"
         assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 2
         assert "payload_f_bytes" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key", ["log_base", "prescan_samples"])
+    def test_removed_game_keys_rejected(self, tmp_path, capsys, key):
+        # The benefit is always log10 and the pre-scan always takes 64
+        # samples; a config that still carries either knob fails, naming it.
+        data = desk_config().to_json_dict()
+        assert key not in data["game"]
+        data["game"][key] = 10.0 if key == "log_base" else 64
+        path = tmp_path / "config.json"
+        with open(path, "w") as fh:
+            json.dump(data, fh)
+        assert cli.main(["validate", "--config", str(path)]) == 2
+        assert key in capsys.readouterr().err
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 2
+        assert key in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("order", [
@@ -412,7 +433,7 @@ class TestCli:
         with open(path, "w") as fh:
             json.dump(data, fh)
         assert cli.main(["validate", "--config", str(path)]) == 2
-        assert "update_order must be a permutation" in capsys.readouterr().out
+        assert "update_order must be a permutation" in capsys.readouterr().err
         out = tmp_path / "out"
         assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 2
         assert "update_order must be a permutation" in capsys.readouterr().err

@@ -67,8 +67,6 @@ class TestGameParams:
             game.GameParams(ncr_denominator="median")
         with pytest.raises(ValueError):
             game.GameParams(interference="collisions")
-        with pytest.raises(ValueError):
-            game.GameParams(log_base=1.0)
 
     def test_required_degree_rules(self):
         assert game.GameParams(degree_target=6).required_degree(80) == 6
@@ -439,7 +437,7 @@ class TestBestResponse:
                 i, prof, gains, N0, params.f_bytes, params.epsilon_link,
                 params.required_degree(10))
             lo = max(prof.s_min, floor)
-            samples = np.linspace(lo, prof.s_max, params.prescan_samples)
+            samples = np.linspace(lo, prof.s_max, game._PRESCAN_SAMPLES)
             u_scan = max(game.utility(i, prof.with_power(i, x), gains, N0, params)
                          for x in samples)
             u_br = game.utility(i, prof.with_power(i, br), gains, N0, params)

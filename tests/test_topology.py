@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wsnpower import channel, game, topology
 from conftest import N0, build_desk, random_profile
@@ -239,26 +240,41 @@ def test_prr_rows_share_one_kernel(interference):
                                                 interference) == len(reached)
 
 
-def _bisect_floor(i, profile, gains, eps, k, interference, tol=1e-6):
-    """Bisection that asks degree_at_power at every step."""
-    lo, hi = profile.s_min, profile.s_max
-    if k == 0:
-        return lo
+SLACK = topology._BREAKPOINT_SLACK
 
-    def deg(s):
-        return topology.degree_at_power(i, s, profile, gains, N0, 25, eps, interference)
 
-    if deg(hi) < k:
-        return topology.INFEASIBLE
-    if deg(lo) >= k:
-        return lo
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if deg(mid) >= k:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+def _check_floors(profile, gains, eps, interference):
+    """Every node's floor for every k against the degree it is the floor of.
+
+    At the floor the degree is at least k, both by ``degree_at_power`` and by
+    the game's PRR table; 2 * slack below a floor above s_min it is short of
+    k; an INFEASIBLE floor leaves it short of k at s_max - 2 * slack.  And
+    ``_per_node_feasible``, which counts the degree at s_max, agrees with the
+    floor being finite.
+    """
+    m = gains.shape[0]
+    for k in range(m + 1):
+        params = game.GameParams(epsilon_link=eps, interference=interference, degree_target=k)
+        env = game._Environment(profile, gains, N0, params)
+        floors = [topology.min_power_for_degree(i, profile, gains, N0, 25, eps, k,
+                                                interference) for i in range(m)]
+        assert game._per_node_feasible(profile, gains, N0, params) == [
+            f != topology.INFEASIBLE for f in floors]
+        for i, floor in enumerate(floors):
+
+            def degree(s):
+                return topology.degree_at_power(i, s, profile, gains, N0, 25, eps, interference)
+
+            if k == 0:
+                assert floor == profile.s_min
+            elif floor == topology.INFEASIBLE:
+                assert degree(profile.s_max - 2 * SLACK) < k
+            else:
+                assert profile.s_min <= floor <= profile.s_max
+                assert degree(floor) >= k
+                assert env.degrees([i], [floor])[0] >= k
+                if floor > profile.s_min:
+                    assert degree(floor - 2 * SLACK) < k
 
 
 def _floor_case(name):
@@ -268,11 +284,12 @@ def _floor_case(name):
         pos = np.vstack([topology.random_topology(8, area=(30.0, 30.0), seed=2).positions,
                          [[900.0, 900.0]]])
         return channel.build_gain_matrix(pos, channel.PathLossModel()), 0.01
-    if name == "midpoint":
-        # node 0 reaches node 1 with PRR exactly epsilon at s = 12.75, the
-        # first bisection midpoint, so the floor search lands on a breakpoint
+    if name == "s-max-breakpoint":
+        # node 0 reaches node 1 with PRR epsilon at s = s_max - slack / 2 and
+        # the others far later, so its floor for k = 1 is clamped to s_max
         gains = build_desk(1, m=6)[1]
-        g = channel.sinr_for_prr(0.01, 25) * N0 / channel.strategy_to_mw(12.75)
+        s_eps = channel.sinr_for_prr(0.01, 25)
+        g = s_eps * N0 / channel.strategy_to_mw(channel.STRATEGY_MAX - SLACK / 2)
         gains[0, 1] = gains[1, 0] = g
         gains[0, 2:] = gains[2:, 0] = g * 1e-3
         return gains, 0.01
@@ -289,23 +306,29 @@ def _floor_case(name):
 
 @pytest.mark.parametrize("interference", ["none", "full"])
 @pytest.mark.parametrize("case", ["spread", "eps-1e-62", "isolated", "shadowed", "two-nodes",
-                                  "midpoint"])
-def test_floor_equals_plain_bisection(case, interference):
+                                  "s-max-breakpoint"])
+def test_floor_is_the_kth_breakpoint(case, interference):
     gains, eps = _floor_case(case)
     m = gains.shape[0]
-    profiles = [game.StrategyProfile.full_power(m),
-                random_profile(np.random.default_rng(13), m=m)]
-    for profile in profiles:
-        for i in range(m):
-            for k in range(m + 1):
-                got = topology.min_power_for_degree(i, profile, gains, N0, 25, eps, k,
-                                                    interference)
-                want = _bisect_floor(i, profile, gains, eps, k, interference)
-                assert got == want
-        for target in (0, min(3, m - 1), m):
-            params = game.GameParams(epsilon_link=eps, interference=interference,
-                                     degree_target=target)
-            assert game._per_node_feasible(profile, gains, N0, params) == [
-                topology.min_power_for_degree(i, profile, gains, N0, 25, eps, target,
-                                              interference) != topology.INFEASIBLE
-                for i in range(m)]
+    for profile in (game.StrategyProfile.full_power(m),
+                    random_profile(np.random.default_rng(13), m=m)):
+        _check_floors(profile, gains, eps, interference)
+    if case == "s-max-breakpoint":
+        full = game.StrategyProfile.full_power(m)
+        assert topology.min_power_for_degree(0, full, gains, N0, 25, eps, 1) == full.s_max
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.data())
+def test_floor_is_the_kth_breakpoint_on_random_layouts(data):
+    m = data.draw(st.integers(2, 12), label="m")
+    side = data.draw(st.floats(10.0, 200.0), label="side")
+    sigma = data.draw(st.sampled_from([0.0, 4.0, 8.0]), label="sigma")
+    eps = data.draw(st.sampled_from([0.01, 0.5, 0.9, 1e-62]), label="eps")
+    interference = data.draw(st.sampled_from(["none", "full"]), label="interference")
+    seed = data.draw(st.integers(0, 2**16), label="seed")
+    topo = topology.random_topology(m, area=(side, side), seed=seed)
+    gains = channel.build_gain_matrix(
+        topo.positions, channel.PathLossModel(shadowing_sigma_db=sigma, seed=seed))
+    profile = random_profile(np.random.default_rng(seed), m=m)
+    _check_floors(profile, gains, eps, interference)
