@@ -16,7 +16,7 @@ params = game.GameParams()
 
 print("== solve from full power ==")
 result = game.solve(game.StrategyProfile.full_power(10), gains, n0, params)
-print(f"converged={result.converged} after {result.sweeps_used} sweeps, "
+print(f"converged={result.converged} sweeps_used={result.sweeps_used}, "
       f"non-unimodal flags={result.nonunimodal_events}")
 print("potential trace:", " -> ".join(f"{v:.4f}" for v in result.potential_trace))
 print("equilibrium s:", np.round(result.profile.s, 3))

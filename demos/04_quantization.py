@@ -26,7 +26,7 @@ for i in range(10):
     print(f"{i:4d}  {continuous.profile.dbm[i]:13.3f}  "
           f"{rounded.dbm[i]:11.0f}  {native.profile.dbm[i]:15.0f}")
 print(f"\nnative grid game: converged={native.converged} "
-      f"in {native.sweeps_used} sweeps")
+      f"sweeps_used={native.sweeps_used}")
 
 err = np.abs(rounded.dbm - continuous.profile.dbm)
 print(f"rounding error: max {err.max():.3f} dB (bound 0.5 dB on the grid span)")

@@ -70,7 +70,7 @@ def _cmd_run(args) -> int:
         config.traffic = dataclasses.replace(config.traffic, seed=args.seed_override)
     try:
         report = experiment.run_scenario(config)
-    except ValueError as exc:  # e.g. an update_order that misfits a topology file
+    except ValueError as exc:  # e.g. a topology file whose node ids have a gap
         print(f"error: {exc}", file=sys.stderr)
         return 2
     created = experiment.emit(report, args.out)

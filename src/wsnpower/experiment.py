@@ -55,7 +55,15 @@ class ScenarioConfig:
         if "file" not in spec:
             if not {"m", "area", "seed"} <= set(spec):
                 raise ValueError("topology spec needs m/area/seed or a file path")
-            game._update_order(self.game_params, int(spec["m"]))  # raises unless a permutation
+            m, seed, area = spec["m"], spec["seed"], spec["area"]
+            if not (_is_number(m, integral=True) and m >= 2):
+                raise ValueError(f"topology m must be an integer >= 2, got {m!r}")
+            if not (_is_number(seed, integral=True) and seed >= 0):
+                raise ValueError(f"topology seed must be a non-negative integer, got {seed!r}")
+            if not (isinstance(area, (list, tuple, np.ndarray)) and len(area) == 2
+                    and all(_is_number(v) and v > 0 for v in area)):
+                raise ValueError(f"topology area must be two finite positive sides, got {area!r}")
+            self.topology_spec = {**spec, "area": tuple(float(v) for v in area)}
 
     def build_topology(self) -> topology.Topology:
         spec = self.topology_spec
@@ -79,6 +87,13 @@ class ScenarioConfig:
         return cls(**kwargs)
 
 
+def _is_number(value, integral=False) -> bool:
+    """A finite real number, integral when asked; bools and strings do not count."""
+    if isinstance(value, (float, np.floating)):
+        return bool(float(value).is_integer() if integral else np.isfinite(value))
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _to_json(value):
     """JSON form of a config member: its own ``to_json_dict`` when it has one,
     otherwise a dict of its dataclass fields; tuples become lists."""
@@ -100,11 +115,6 @@ def _from_json(cls, data):
         return cls.from_json_dict(data)
     if dataclasses.is_dataclass(cls):
         return cls(**data)
-    if cls is dict:  # topology spec
-        spec = dict(data)
-        if "area" in spec:
-            spec["area"] = tuple(float(v) for v in spec["area"])
-        return spec
     return data
 
 

@@ -14,13 +14,14 @@ utilities are coupled and the potential trace is reported rather than
 guaranteed monotone.
 
 The game decouples when ``interference == "none"`` and ``ncr_denominator ==
-"members"``: a node's utility then depends on its own power alone.  A sweep
-visits each node once (the update order is a permutation), so every node's
-best response is the same against the sweep's starting profile as against
-the partly updated one.  Such sweeps run all nodes' searches in lockstep,
-one chunked PRR table per search step, with results identical to sequential
-Gauss-Seidel; the union denominator and concurrent interference keep the
-one-node-at-a-time order.  The potential, the feasibility flags and the
+"members"``: a node's utility then depends on its own power alone, and the
+rest of the profile reaches its best response only through its incumbent,
+one candidate among many.  So all nodes answer in lockstep, one chunked PRR
+table per search step, with results identical to sequential Gauss-Seidel,
+and a second pass could only confirm the first: ``solve`` and
+``solve_discrete`` answer a decoupled game in one pass.  The union
+denominator and concurrent interference keep one node at a time and sweep
+until no node moves.  The potential, the feasibility flags and the
 equilibrium check evaluate every node against its fixed profile as one
 chunked table in either mode.
 
@@ -44,7 +45,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import (
-    DBM_OFFSET,
     INTERFERENCE_MODES,
     STRATEGY_MAX,
     _denominators,
@@ -52,6 +52,7 @@ from .channel import (
     prr,  # noqa: F401  not called here; bench/run.py looks up ``game.prr`` by name
     prr_matrix,
     sinr_for_prr,
+    strategy_to_mw,
 )
 from .topology import (
     INFEASIBLE,
@@ -132,7 +133,6 @@ class GameParams:
     br_tol: float = 1e-6
     ncr_denominator: str = "members"
     interference: str = "none"
-    update_order: tuple = None
 
     def __post_init__(self):
         if self.ncr_scale <= 0 or self.cost_denominator <= 0:
@@ -155,8 +155,6 @@ class GameParams:
             raise ValueError(f"ncr denominator must be one of {NCR_DENOMINATORS}")
         if self.interference not in INTERFERENCE_MODES:
             raise ValueError(f"interference mode must be one of {INTERFERENCE_MODES}")
-        if self.update_order is not None:
-            object.__setattr__(self, "update_order", tuple(int(i) for i in self.update_order))
 
     def required_degree(self, m: int) -> int:
         """Degree floor: the fixed target, or the small-world rule's d > m + Np."""
@@ -168,7 +166,8 @@ class GameParams:
 
 @dataclass
 class EquilibriumResult:
-    """Outcome of the sequential best-response dynamics."""
+    """Outcome of the sequential best-response dynamics; ``nonunimodal_events``
+    counts the best responses whose pre-scan flagged, summed over sweeps."""
 
     profile: StrategyProfile
     sweeps_used: int
@@ -244,13 +243,11 @@ class _Environment:
     The kernel works on rows, each a pair (node, candidate strategy value).
     Per chunk of rows it builds one (rows x M) PRR table with a single
     ``channel._prr_rows`` call and reduces it to degrees and member sums
-    without a per-row loop.  Three choices keep every value bitwise equal to evaluating
-    the rows one at a time: each candidate goes to mW as the Python float
-    ``10 ** ((x - 25) / 10)``, which equals the 0-d ``strategy_to_mw`` while
-    numpy's array power differs from it in the last bit for a few percent of
-    inputs; the member PRRs of a row are summed by ``_row_sums``, as
-    ``.mean()`` sums them; and the benefit goes through ``math.log10`` row by
-    row.
+    without a per-row loop.  The candidates go to mW in one array, as
+    ``StrategyProfile.mw`` converts the profile.  Two choices keep every
+    value bitwise equal to evaluating the rows one at a time: the member PRRs
+    of a row are summed by ``_row_sums``, as ``.mean()`` sums them; and the
+    benefit goes through ``math.log10`` row by row.
 
     ``lookahead`` is how many golden-section steps the best responses it
     serves evaluate ahead of need (see ``_golden_section_max``).  It is
@@ -281,9 +278,7 @@ class _Environment:
 
     def prr_table(self, nodes, xs):
         """(own mW per row, rows x M PRR table with each row's own column zeroed)."""
-        nodes = np.asarray(nodes, dtype=np.intp)
-        mw = np.array([10.0 ** ((x - DBM_OFFSET) / 10.0)
-                       for x in np.asarray(xs, dtype=float).tolist()])
+        mw = strategy_to_mw(xs)
         return mw, _prr_rows(nodes, mw, self.gains, self.denominators, self.params.f_bytes)
 
     def _tables(self, nodes, xs):
@@ -568,27 +563,18 @@ def _per_node_feasible(profile, gains, n0_mw, params):
     return [d >= k for d in degree.tolist()]
 
 
-def _update_order(params, m):
-    """The sweep's node order; it must visit each of the m nodes once."""
-    if params.update_order is None:
-        return list(range(m))
-    if sorted(params.update_order) != list(range(m)):
-        raise ValueError(f"update_order must be a permutation of 0..{m - 1}")
-    return list(params.update_order)
-
-
 def _sweep(profile, gains, n0_mw, params, steps):
-    """One pass of best responses in update order; ``steps(i, env)`` is a
+    """One pass of best responses in index order; ``steps(i, env)`` is a
     node's response as a ``_respond`` coroutine returning (s_i, flagged).
     Returns the new profile and the flag count.
 
     When the game decouples, a node's response depends on the rest of the
     profile only through its own incumbent, which no earlier node of the
     sweep changes.  All nodes then answer the sweep's starting profile in
-    lockstep, with the same result as answering in turn; otherwise each node
-    answers the profile its predecessors left.
+    lockstep, as they would in turn, and one sweep is the whole solve;
+    otherwise each node answers the profile its predecessors left.
     """
-    order = _update_order(params, profile.n)
+    order = list(range(profile.n))
     groups = [(slice(None), order)] if _decouples(params) else [(i, [i]) for i in order]
     flags = 0
     for senders, nodes in groups:
@@ -604,20 +590,23 @@ def _iterate(profile0, gains, n0_mw, params, steps) -> EquilibriumResult:
 
     The driver of both the continuous and the discrete game: the exact
     potential makes sequential best responses ascend on either strategy set.
+    A decoupled game stops after its first sweep, converged: a node's answer
+    depends only on its own power and its incumbent, which is only one
+    candidate, so a second sweep could only confirm the first.
     """
     current = profile0
     trace = [potential(current, gains, n0_mw, params)]
     profiles = [np.array(current.s)]
-    flags = 0
+    flags = sweeps = 0
     converged = False
-    sweeps = 0
     while sweeps < params.n_iter_max and not converged:
         new_profile, sweep_flags = _sweep(current, gains, n0_mw, params, steps)
         sweeps += 1
         flags += sweep_flags
         trace.append(potential(new_profile, gains, n0_mw, params))
         profiles.append(np.array(new_profile.s))
-        converged = float(np.max(np.abs(new_profile.s - current.s))) < params.convergence_tol
+        moved = float(np.max(np.abs(new_profile.s - current.s)))
+        converged = _decouples(params) or moved < params.convergence_tol
         current = new_profile
     return EquilibriumResult(
         profile=current,
@@ -632,7 +621,7 @@ def _iterate(profile0, gains, n0_mw, params, steps) -> EquilibriumResult:
 
 def gauss_seidel_sweep(profile: StrategyProfile, gains: np.ndarray, n0_mw: float,
                        params: GameParams) -> StrategyProfile:
-    """One pass of sequential best responses in update order (ascending by default)."""
+    """One pass of sequential best responses in index order."""
     return _sweep(profile, gains, n0_mw, params, _best_response_steps)[0]
 
 
@@ -640,8 +629,8 @@ def solve(profile0: StrategyProfile, gains: np.ndarray, n0_mw: float,
           params: GameParams) -> EquilibriumResult:
     """Iterate sweeps until the profile changes by less than convergence_tol.
 
-    Non-convergence within n_iter_max sweeps is reported via the flag, not
-    raised.
+    A decoupled game takes one lockstep pass (see ``_iterate``); a coupled
+    game's non-convergence within n_iter_max sweeps is reported, not raised.
     """
     return _iterate(profile0, gains, n0_mw, params, _best_response_steps)
 

@@ -114,8 +114,8 @@ def solve_discrete(profile0: StrategyProfile, gains: np.ndarray, n0_mw: float,
 
     A finite strategy space plus the exact potential makes this terminate;
     non-termination within n_iter_max sweeps is reported, not raised.  The
-    sweeps group the nodes as ``game.solve`` does, so a decoupled game scores
-    every node's levels in one chunked table.
+    sweeps group the nodes as ``game.solve`` does: a decoupled game scores
+    every node's levels in one chunked table, in one pass.
     """
     start = discretize_profile(profile0, levels)
     usable = _usable_levels(levels, start.s_min, start.s_max)

@@ -132,7 +132,7 @@ def neighbor_set(i: int, profile, gains: np.ndarray, n0_mw: float, f_bytes: int,
 def degree_at_power(i: int, s_value: float, profile, gains, n0_mw, f_bytes,
                     epsilon_link, interference: str = "none") -> int:
     """Degree of node i if it transmitted at ``s_value`` with others unchanged."""
-    return int(np.count_nonzero(_reach(i, strategy_to_mw(s_value), profile.mw, gains,
+    return int(np.count_nonzero(_reach(i, strategy_to_mw([s_value])[0], profile.mw, gains,
                                        n0_mw, f_bytes, epsilon_link, interference)))
 
 

@@ -47,7 +47,7 @@ class TestScenarioConfig:
     @settings(deadline=None)
     @given(st.data())
     def test_json_round_trip_property(self, data):
-        # Every field survives a trip through JSON text, update_order included.
+        # Every field survives a trip through JSON text.
         draw = data.draw
         m = draw(st.integers(2, 12))
         seeds = st.integers(0, 2**31 - 1)
@@ -67,7 +67,6 @@ class TestScenarioConfig:
                 convergence_tol=draw(st.floats(1e-9, 1e-2)),
                 ncr_denominator=draw(st.sampled_from(game.NCR_DENOMINATORS)),
                 interference=draw(st.sampled_from(channel.INTERFERENCE_MODES)),
-                update_order=draw(st.none() | st.permutations(range(m))),
             ),
             levels=levels,
             registers=RegisterMap.linear(levels, id_start=draw(st.integers(0, 10))),
@@ -404,13 +403,16 @@ class TestCli:
         assert "payload_f_bytes" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("key", ["log_base", "prescan_samples"])
-    def test_removed_game_keys_rejected(self, tmp_path, capsys, key):
-        # The benefit is always log10 and the pre-scan always takes 64
-        # samples; a config that still carries either knob fails, naming it.
+    @pytest.mark.parametrize("key, value", [("log_base", 10.0), ("prescan_samples", 64),
+                                            ("update_order", list(range(DESK_M)))],
+                             ids=["log_base", "prescan_samples", "update_order"])
+    def test_removed_game_keys_rejected(self, tmp_path, capsys, key, value):
+        # The benefit is always log10, the pre-scan always takes 64 samples
+        # and sweeps visit the nodes in index order; a config that still
+        # carries any of these knobs fails, naming it.
         data = desk_config().to_json_dict()
         assert key not in data["game"]
-        data["game"][key] = 10.0 if key == "log_base" else 64
+        data["game"][key] = value
         path = tmp_path / "config.json"
         with open(path, "w") as fh:
             json.dump(data, fh)
@@ -421,33 +423,42 @@ class TestCli:
         assert key in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("order", [
-        [0, 0, *range(2, DESK_M)],        # duplicate: node 1 would never move
-        list(range(DESK_M - 1)),          # short: the last node would never move
-        [*range(DESK_M - 1), 99],         # an index past the last node
-    ], ids=["duplicate", "short", "out-of-range"])
-    def test_update_order_must_be_a_permutation(self, tmp_path, capsys, order):
+    @pytest.mark.parametrize("field, value", [
+        ("m", 2.5), ("m", 1), ("m", -3), ("m", True), ("m", "abc"),
+        ("area", [100]), ("area", [100, 100, 5]), ("area", [0, 100]),
+        ("seed", 1.5), ("seed", "x"), ("seed", -1),
+    ], ids=["m-fraction", "m-one", "m-negative", "m-bool", "m-string", "area-one-side",
+            "area-three-sides", "area-zero-side", "seed-fraction", "seed-string",
+            "seed-negative"])
+    def test_generated_topology_spec_checked(self, tmp_path, capsys, field, value):
+        # validate rejects every generated spec that run would reject,
+        # truncate or crash on, and the message names the field.
         data = desk_config().to_json_dict()
-        data["game"]["update_order"] = order
+        data["topology"][field] = value
         path = tmp_path / "config.json"
         with open(path, "w") as fh:
             json.dump(data, fh)
         assert cli.main(["validate", "--config", str(path)]) == 2
-        assert "update_order must be a permutation" in capsys.readouterr().err
+        assert f"topology {field}" in capsys.readouterr().err
         out = tmp_path / "out"
         assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 2
-        assert "update_order must be a permutation" in capsys.readouterr().err
+        assert f"topology {field}" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_update_order_checked_against_topology_file(self, tmp_path, capsys):
+    def test_topology_file_with_id_gap_fails_at_run(self, tmp_path, capsys):
+        # A topology file is read only when the scenario runs: validate
+        # accepts the config, and run exits 2 with the file's error.
         layout = tmp_path / "layout.json"
         topology.save_topology(topology.random_topology(DESK_M, area=DESK_AREA, seed=0), layout)
-        data = desk_config(topology_spec={"file": str(layout)}).to_json_dict()
-        data["game"]["update_order"] = list(range(DESK_M - 1))
-        path = tmp_path / "config.json"
-        with open(path, "w") as fh:
-            json.dump(data, fh)
-        assert cli.main(["validate", "--config", str(path)]) == 0
+        with open(layout) as fh:
+            nodes = json.load(fh)
+        nodes["nodes"][-1]["id"] = DESK_M
+        with open(layout, "w") as fh:
+            json.dump(nodes, fh)
+        path = write_config(tmp_path, topology_spec={"file": str(layout)})
+        assert cli.main(["validate", "--config", path]) == 0
         capsys.readouterr()
-        assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
-        assert "update_order must be a permutation" in capsys.readouterr().err
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", path, "--out", str(out)]) == 2
+        assert "node ids must be 0..M-1 without gaps" in capsys.readouterr().err
+        assert not out.exists()

@@ -181,10 +181,10 @@ class TestPotential:
 
 
 def _reference_row_and_utility(i, profile, gains, params, x):
-    """Node i's PRR row and utility at x, one candidate at a time: scalar mW
-    conversion, a 1-D PRR row, ``.mean()`` over the members, and the union
-    denominator from the members' own reach rows."""
-    own_mw = channel.strategy_to_mw(x)
+    """Node i's PRR row and utility at x, one candidate at a time: a
+    one-element mW conversion, a 1-D PRR row, ``.mean()`` over the members,
+    and the union denominator from the members' own reach rows."""
+    own_mw = channel.strategy_to_mw([x])[0]
     denom = channel._denominators(i, profile.mw, gains, N0, params.interference)
     row = channel.prr(channel.ber(gains[i, :] * float(own_mw) / denom), params.f_bytes)
     row[i] = 0.0
@@ -214,8 +214,8 @@ class TestKernel:
     @given(st.data())
     def test_utilities_bitwise_equal_one_at_a_time(self, data):
         # Sizes reach past numpy's 8-term pairwise-summation block, and the
-        # candidates include uniform draws: the scalar and array mW
-        # conversions differ in the last bit only for some such values.
+        # candidates include uniform draws, on which a last-bit difference
+        # between one-element and longer mW conversions would show.
         draw = data.draw
         m = draw(st.integers(2, 30))
         side = draw(st.floats(2.0, 80.0))
@@ -272,16 +272,14 @@ def _random_game(draw, max_m, **params):
     s_max = draw(st.floats(s_min, 25.0, exclude_min=True) | st.just(s_min + 5e-7))
     profile = game.StrategyProfile(rng.uniform(s_min, s_max, size=m), s_min=s_min, s_max=s_max)
     # degree targets up to m: at m no node can ever meet its floor
-    params = game.GameParams(degree_target=draw(st.integers(0, m)),
-                             update_order=draw(st.none() | st.permutations(range(m))), **params)
+    params = game.GameParams(degree_target=draw(st.integers(0, m)), **params)
     return gains, profile, params
 
 
 def _one_node_sweep(profile, gains, params, steps):
-    """A sweep in which every node answers on its own, in update order."""
-    order = params.update_order if params.update_order is not None else range(profile.n)
+    """A sweep in which every node answers on its own, in index order."""
     flags = 0
-    for i in order:
+    for i in range(profile.n):
         env = game._Environment(profile, gains, N0, params, i)
         [(s_star, flagged)] = game._respond(env, [i], steps)
         flags += int(flagged)
@@ -456,30 +454,6 @@ class TestDynamics:
             manual = manual.with_power(i, game.best_response(i, manual, gains, N0, params))
         assert np.array_equal(swept.s, manual.s)
 
-    def test_sweep_respects_update_order(self):
-        rng = np.random.default_rng(9)
-        _, gains = build_desk(3)
-        order = (9, 4, 0, 7, 2, 5, 1, 8, 3, 6)
-        params = game.GameParams(update_order=order)
-        prof = random_profile(rng, 10)
-        swept = game.gauss_seidel_sweep(prof, gains, N0, params)
-        manual = prof
-        for i in order:
-            manual = manual.with_power(i, game.best_response(i, manual, gains, N0, params))
-        assert np.array_equal(swept.s, manual.s)
-
-    @pytest.mark.parametrize("order", [(0, 0, *range(2, 10)), tuple(range(9)),
-                                       (*range(9), 99)],
-                             ids=["duplicate", "short", "out-of-range"])
-    def test_update_order_must_be_a_permutation(self, order):
-        _, gains = build_desk(0)
-        prof = game.StrategyProfile.full_power(10)
-        params = game.GameParams(update_order=order)
-        with pytest.raises(ValueError, match="permutation"):
-            game.solve(prof, gains, N0, params)
-        with pytest.raises(ValueError, match="permutation"):
-            solve_discrete(prof, gains, N0, params, DiscreteLevelSet())
-
     def test_solve_converges_on_desk(self, desk0_solution):
         result, gains, params = desk0_solution
         assert result.converged
@@ -507,9 +481,39 @@ class TestDynamics:
         result = game.solve(prof, np.zeros((1, 1)), N0, game.GameParams())
         assert result.converged
         assert result.profile.s[0] == 0.5
-        # the value is reached in sweep 1; sweep 2 only certifies the fixed point
         assert result.profile_trace[1][0] == 0.5
-        assert result.sweeps_used == 2
+        assert result.sweeps_used == 1
+
+    @settings(deadline=None, max_examples=50)
+    @given(st.data())
+    def test_decoupled_game_is_one_pass(self, data):
+        # A node's answer depends on the rest of the profile only through its
+        # incumbent, so after the one lockstep pass a further sweep confirms
+        # it: the continuous sweep moves no node by convergence_tol, and the
+        # discrete sweep moves no node at all.
+        draw = data.draw
+        m = draw(st.integers(2, 40))
+        side = draw(st.floats(3.0, 150.0))
+        rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+        topo = topology.random_topology(m, area=(side, side), seed=int(rng.integers(2**31)))
+        model = channel.PathLossModel(shadowing_sigma_db=draw(st.sampled_from([0.0, 4.0, 8.0])),
+                                      seed=int(rng.integers(2**31)))
+        gains = channel.build_gain_matrix(topo.positions, model)
+        params = game.GameParams(degree_target=draw(st.integers(0, 7)),
+                                 epsilon_link=draw(st.sampled_from([0.01, 0.5, 0.9])))
+        assert game._decouples(params)
+        start = (game.StrategyProfile.full_power(m) if draw(st.booleans())
+                 else random_profile(rng, m))
+        result = game.solve(start, gains, N0, params)
+        assert result.sweeps_used == 1 and result.converged
+        again = game.gauss_seidel_sweep(result.profile, gains, N0, params)
+        assert np.max(np.abs(again.s - result.profile.s)) < params.convergence_tol
+        levels = DiscreteLevelSet()
+        discrete = solve_discrete(start, gains, N0, params, levels)
+        assert discrete.sweeps_used == 1 and discrete.converged
+        usable = [v for v in levels.levels_dbm if start.s_min <= v + 25.0 <= start.s_max]
+        swept, _ = game._sweep(discrete.profile, gains, N0, params, _level_steps(usable))
+        assert swept.s.tobytes() == discrete.profile.s.tobytes()
 
     def test_fixed_point_property(self, desk0_solution):
         result, gains, params = desk0_solution

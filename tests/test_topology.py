@@ -216,28 +216,21 @@ def test_prr_rows_share_one_kernel(interference):
     mw, table = game._Environment(profile, gains, N0, params).prr_table(nodes, profile.s)
     assert table.tobytes() == channel._prr_rows(nodes, mw, gains, denoms, 25).tobytes()
     assert np.count_nonzero(np.diag(table)) == 0
-    # degree_at_power and the game convert s to mW one scalar at a time, the
-    # profile (and so prr_matrix) as an array; the two can differ in the last
-    # bit, and then so do the rows.
-    same_mw = np.array([float(channel.strategy_to_mw(s)) for s in profile.s]) == profile.mw
-    assert np.count_nonzero(same_mw) >= 30
+    # degree_at_power, the game and the profile (and so prr_matrix) all
+    # convert s to mW as a 1-D array, so the rows agree for every node.
     for i in range(40):
         row = game._Environment(profile, gains, N0, params).prr_table([i], [profile.s[i]])[1][0]
         # a one-node environment (a coupled best response) builds the same row
         one = game._Environment(profile, gains, N0, params, i).prr_table([i], [profile.s[i]])
         assert one[1][0].tobytes() == row.tobytes()
-        if same_mw[i]:
-            assert row.tobytes() == mat[i].tobytes()
-        else:
-            np.testing.assert_allclose(row, mat[i], rtol=1e-13, atol=0.0)
+        assert row.tobytes() == mat[i].tobytes()
         thresholds = np.concatenate([mat[i], np.nextafter(mat[i], np.inf)])
         for eps in thresholds[(thresholds > 0.0) & (thresholds <= 1.0)]:
             reached = set(np.flatnonzero(mat[i] >= eps).tolist())
             ns = topology.neighbor_set(i, profile, gains, N0, 25, eps, interference)
             assert ns.members == reached
-            if same_mw[i]:
-                assert topology.degree_at_power(i, profile.s[i], profile, gains, N0, 25, eps,
-                                                interference) == len(reached)
+            assert topology.degree_at_power(i, profile.s[i], profile, gains, N0, 25, eps,
+                                            interference) == len(reached)
 
 
 SLACK = topology._BREAKPOINT_SLACK
