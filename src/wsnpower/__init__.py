@@ -5,14 +5,11 @@ from .channel import (
     NoiseFloor,
     PathLossModel,
     Position,
-    TxPower,
     ber,
     build_gain_matrix,
     dbm_to_mw,
-    dbm_to_strategy,
     gain,
     link_prr,
-    mw_to_dbm,
     prr,
     prr_matrix,
     sinr,
@@ -26,8 +23,6 @@ from .game import (
     StrategyProfile,
     best_response,
     exact_potential_residual,
-    gauss_seidel_sweep,
-    ncr,
     potential,
     solve,
     utility,
@@ -35,7 +30,6 @@ from .game import (
 )
 from .topology import (
     INFEASIBLE,
-    NeighborSet,
     SmallWorldParams,
     Topology,
     adjacency,
@@ -45,7 +39,6 @@ from .topology import (
     is_connected_spectral,
     load_topology,
     min_power_for_degree,
-    neighbor_set,
     random_topology,
     rgg_degree_threshold,
     save_topology,
@@ -56,7 +49,6 @@ from .topology import (
 from .quantize import (
     DiscreteLevelSet,
     RegisterMap,
-    discrete_best_response,
     discretize_profile,
     solve_discrete,
     to_register,
@@ -74,7 +66,6 @@ from .packetsim import (
     relative_energy,
     round_robin_receivers,
     simulate,
-    write_log_csv,
 )
 from .experiment import (
     MODES,

@@ -34,44 +34,12 @@ def strategy_to_dbm(s):
     return np.asarray(s, dtype=float) - DBM_OFFSET
 
 
-def dbm_to_strategy(dbm):
-    return np.asarray(dbm, dtype=float) + DBM_OFFSET
-
-
 def dbm_to_mw(dbm):
     return 10.0 ** (np.asarray(dbm, dtype=float) / 10.0)
 
 
-def mw_to_dbm(mw):
-    return 10.0 * np.log10(np.asarray(mw, dtype=float))
-
-
 def strategy_to_mw(s):
     return dbm_to_mw(strategy_to_dbm(s))
-
-
-@dataclass(frozen=True)
-class TxPower:
-    """A single transmit power expressed in strategy units."""
-
-    strategy_units: float
-
-    def __post_init__(self):
-        s = float(self.strategy_units)
-        if not math.isfinite(s) or s < 0.0 or s > STRATEGY_MAX:
-            raise ValueError(f"strategy units must lie in [0, {STRATEGY_MAX}], got {s}")
-
-    @property
-    def dbm(self) -> float:
-        return float(self.strategy_units) - DBM_OFFSET
-
-    @property
-    def linear_mw(self) -> float:
-        return float(10.0 ** (self.dbm / 10.0))
-
-    @classmethod
-    def from_dbm(cls, dbm: float) -> "TxPower":
-        return cls(float(dbm) + DBM_OFFSET)
 
 
 @dataclass(frozen=True)

@@ -18,13 +18,11 @@ def _parse_modes(text):
 
 def _cmd_generate_topology(args) -> int:
     topo = topology.random_topology(args.nodes, area=tuple(args.area), seed=args.seed)
-    payload = json.dumps(topology.topology_to_json_dict(topo), indent=2, sort_keys=True)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(payload + "\n")
+        topology.save_topology(topo, args.out)
         print(f"wrote {args.out}")
     else:
-        print(payload)
+        print(json.dumps(topology.topology_to_json_dict(topo), indent=2, sort_keys=True))
     return 0
 
 
@@ -39,8 +37,8 @@ def _cmd_validate(args) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    ok, message = experiment.validate_config(data)
-    if not ok:
+    config, message = experiment.validate_config(data)
+    if config is None:
         print(f"error: {message}", file=sys.stderr)
         return 2
     print(message)
@@ -55,11 +53,10 @@ def _cmd_run(args) -> int:
         return 2
     if args.modes:
         data["modes"] = list(_parse_modes(args.modes))
-    ok, message = experiment.validate_config(data)
-    if not ok:
+    config, message = experiment.validate_config(data)
+    if config is None:
         print(f"error: {message}", file=sys.stderr)
         return 2
-    config = experiment.ScenarioConfig.from_json_dict(data)
     if args.seed_override is not None:
         # One switch re-seeds the whole scenario: layout, shadowing, traffic.
         spec = dict(config.topology_spec)

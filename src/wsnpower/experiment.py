@@ -129,12 +129,12 @@ def testbed_default() -> ScenarioConfig:
 
 
 def validate_config(data: dict):
-    """(ok, message): parse a config dict without running anything."""
+    """(config, message): parse a config dict without running anything.
+    An invalid dict gives (None, the error's type and text)."""
     try:
-        ScenarioConfig.from_json_dict(data)
+        return ScenarioConfig.from_json_dict(data), "ok"
     except (ValueError, TypeError, KeyError) as exc:
-        return False, f"{type(exc).__name__}: {exc}"
-    return True, "ok"
+        return None, f"{type(exc).__name__}: {exc}"
 
 
 def _topology_digest(topo: topology.Topology) -> str:
@@ -181,7 +181,6 @@ class SimulationReport:
     full_power_connected: bool
     sections: dict
     deltas: dict
-    logs: dict = field(default_factory=dict, repr=False)
 
     def to_json_dict(self) -> dict:
         return {
@@ -232,8 +231,7 @@ def _run_mode(mode, config, gains, digest, continuous_result=None):
                                                 config.traffic.messages_per_node)
     else:
         links = packetsim.best_prr_receivers(mat, params.epsilon_link)
-    log = packetsim.simulate(profile, mat, config.traffic, links)
-    metrics = packetsim.build_metrics(log)
+    metrics = packetsim.build_metrics(packetsim.simulate(profile, mat, config.traffic, links))
     chosen = {key: float(mat[key]) for key in sorted(metrics.per_link_prr)}
     adj = topology.adjacency(mat, params.epsilon_link)
     register_ids = [to_register(float(d), config.registers) for d in profile.dbm]
@@ -247,7 +245,7 @@ def _run_mode(mode, config, gains, digest, continuous_result=None):
         metrics=metrics,
         connected_bfs=topology.is_connected_bfs(adj),
         connected_spectral=topology.is_connected_spectral(adj),
-    ), log
+    )
 
 
 def run_scenario(config: ScenarioConfig) -> SimulationReport:
@@ -270,10 +268,8 @@ def run_scenario(config: ScenarioConfig) -> SimulationReport:
     if needs_continuous:
         continuous_result = game.solve(full, gains, n0, params)
 
-    sections = {}
-    logs = {}
-    for mode in config.modes:
-        sections[mode], logs[mode] = _run_mode(mode, config, gains, digest, continuous_result)
+    sections = {mode: _run_mode(mode, config, gains, digest, continuous_result)
+                for mode in config.modes}
 
     deltas = {}
     if "full-power" in sections:
@@ -292,7 +288,6 @@ def run_scenario(config: ScenarioConfig) -> SimulationReport:
         full_power_connected=full_connected,
         sections=sections,
         deltas=deltas,
-        logs=logs,
     )
 
 

@@ -381,15 +381,6 @@ def _respond(env, nodes, steps):
     return [results[i] for i in nodes]
 
 
-def ncr(i: int, profile: StrategyProfile, gains: np.ndarray, n0_mw: float,
-        params: GameParams) -> float:
-    """Neighborhood communication reliability: mean link PRR over i's neighbors,
-    zero when the neighbor set is empty."""
-    env = _Environment(profile, gains, n0_mw, params, i)
-    mw, table = env.prr_table([i], [profile.s[i]])
-    return float(env.ncr_and_degree(np.array([i]), mw, table)[0][0])
-
-
 def utility(i: int, profile: StrategyProfile, gains: np.ndarray, n0_mw: float,
             params: GameParams) -> float:
     """Reliability benefit minus normalized energy cost for node i."""
@@ -617,12 +608,6 @@ def _iterate(profile0, gains, n0_mw, params, steps) -> EquilibriumResult:
         nonunimodal_events=flags,
         profile_trace=profiles,
     )
-
-
-def gauss_seidel_sweep(profile: StrategyProfile, gains: np.ndarray, n0_mw: float,
-                       params: GameParams) -> StrategyProfile:
-    """One pass of sequential best responses in index order."""
-    return _sweep(profile, gains, n0_mw, params, _best_response_steps)[0]
 
 
 def solve(profile0: StrategyProfile, gains: np.ndarray, n0_mw: float,

@@ -6,7 +6,6 @@ messages as parallel arrays (`records` rebuilds them as rows).  Link quality
 counts first attempts only; the delivery ratio credits retries.
 """
 
-import csv
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -220,11 +219,3 @@ def build_metrics(log: TransmissionLog) -> Metrics:
         empty_neighborhood_senders=log.empty_senders,
     )
 
-
-def write_log_csv(log: TransmissionLog, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["sender", "receiver", "tx_dbm", "attempts", "delivered"])
-        writer.writerows(zip(log.sender.tolist(), log.receiver.tolist(),
-                             map(repr, log.tx_dbm.tolist()), log.attempts_used.tolist(),
-                             log.delivered.astype(int).tolist()))

@@ -1,8 +1,9 @@
 """Discrete power levels, nearest-level quantization, and register mapping.
 
 Two ways to reach a discrete operating point: round a continuous solution
-to the grid after the fact, or play the game natively on the grid with an
-exhaustive per-node argmax.  Both are provided; they need not agree.
+to the grid after the fact (``discretize_profile``), or play the game
+natively on the grid with an exhaustive per-node argmax (``solve_discrete``).
+They need not agree.
 """
 
 from dataclasses import dataclass
@@ -10,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import DBM_OFFSET
-from .game import EquilibriumResult, GameParams, StrategyProfile, _Environment, _iterate, _respond
+from .game import EquilibriumResult, GameParams, StrategyProfile, _iterate
 
 DBM_FLOOR = -25.0
 DBM_CEIL = 0.0
@@ -31,20 +32,6 @@ class DiscreteLevelSet:
         if levels[0] < DBM_FLOOR or levels[-1] > DBM_CEIL:
             raise ValueError(f"levels must lie within [{DBM_FLOOR}, {DBM_CEIL}]")
         object.__setattr__(self, "levels_dbm", levels)
-
-    @classmethod
-    def one_db_grid(cls, include_floor: bool = False) -> "DiscreteLevelSet":
-        """1 dB grid over the transmit range: 25 values {-24..0} by default,
-        26 values {-25..0} when the floor endpoint is included."""
-        lo = -25 if include_floor else -24
-        return cls(tuple(float(v) for v in range(lo, 1)))
-
-    def to_json_dict(self) -> dict:
-        return {"levels_dbm": list(self.levels_dbm)}
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "DiscreteLevelSet":
-        return cls(tuple(float(v) for v in data["levels_dbm"]))
 
 
 def quantize(dbm, levels: DiscreteLevelSet):
@@ -83,29 +70,15 @@ def discretize_profile(profile: StrategyProfile, levels: DiscreteLevelSet) -> St
     return StrategyProfile(np.asarray(q) + DBM_OFFSET, s_min=profile.s_min, s_max=profile.s_max)
 
 
-def _best_level(usable):
-    """The usable level with the highest utility, ties to the lower one; a
-    coroutine for ``game._respond``."""
-    values = yield [level + DBM_OFFSET for level in usable]
-    return float(usable[int(np.argmax(values))])  # argmax keeps the first maximum
-
-
 def _level_steps(usable):
-    """A node's response in the discrete game's sweeps: (s of its best
-    usable level, no non-unimodal flag)."""
+    """A node's response in the discrete game's sweeps, a coroutine for
+    ``game._respond``: (s of its usable level with the highest utility, ties
+    to the lower one; no non-unimodal flag)."""
     def steps(i, env):
-        dbm = yield from _best_level(usable)
-        return dbm + DBM_OFFSET, False
+        values = yield [level + DBM_OFFSET for level in usable]
+        # argmax keeps the first maximum
+        return float(usable[int(np.argmax(values))]) + DBM_OFFSET, False
     return steps
-
-
-def discrete_best_response(i: int, profile: StrategyProfile, gains: np.ndarray,
-                           n0_mw: float, params: GameParams,
-                           levels: DiscreteLevelSet) -> float:
-    """Exhaustive utility argmax over the level set; ties pick the lower level."""
-    env = _Environment(profile, gains, n0_mw, params, i)
-    usable = _usable_levels(levels, profile.s_min, profile.s_max)
-    return _respond(env, [i], lambda i, env: _best_level(usable))[0]
 
 
 def solve_discrete(profile0: StrategyProfile, gains: np.ndarray, n0_mw: float,
@@ -139,11 +112,6 @@ class RegisterMap:
         if any(b <= a for a, b in zip(ids, ids[1:])):
             raise ValueError("register ids must be strictly increasing with dB")
         object.__setattr__(self, "pairs", pairs)
-
-    @classmethod
-    def linear(cls, levels: DiscreteLevelSet, id_start: int = 0, id_step: int = 1) -> "RegisterMap":
-        """Consecutive ids along the level grid."""
-        return cls(tuple((v, id_start + k * id_step) for k, v in enumerate(levels.levels_dbm)))
 
     @classmethod
     def eight_level_default(cls) -> "RegisterMap":

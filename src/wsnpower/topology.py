@@ -73,6 +73,11 @@ def topology_from_json_dict(data: dict) -> Topology:
         area = data["area"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"topology JSON missing required field: {exc}") from exc
+    for k, node in enumerate(nodes):
+        for key in ("id", "x", "y"):
+            if key not in node:
+                name = f"id {node['id']}" if "id" in node else f"at index {k}"
+                raise ValueError(f"topology node {name} has no {key!r} field")
     ids = [int(n["id"]) for n in nodes]
     if sorted(ids) != list(range(len(nodes))):
         raise ValueError("node ids must be 0..M-1 without gaps")
@@ -94,21 +99,6 @@ def load_topology(path) -> Topology:
         return topology_from_json_dict(json.load(fh))
 
 
-@dataclass(frozen=True)
-class NeighborSet:
-    """Nodes a given sender reaches with analytic PRR at or above the threshold."""
-
-    owner: int
-    members: frozenset
-    epsilon_link: float
-
-    def __post_init__(self):
-        if not (0.0 < self.epsilon_link <= 1.0):
-            raise ValueError("epsilon_link must lie in (0, 1]")
-        if self.owner in self.members:
-            raise ValueError("a node is not its own neighbor")
-
-
 def _reach(i, own_mw, powers_mw, gains, n0_mw, f_bytes, epsilon_link, interference):
     """Receivers that node i reaches at ``own_mw`` with the others at ``powers_mw``.
 
@@ -118,15 +108,6 @@ def _reach(i, own_mw, powers_mw, gains, n0_mw, f_bytes, epsilon_link, interferen
     denom = _denominators(i, powers_mw, gains, n0_mw, interference)
     row = _prr_rows([i], np.array([own_mw], dtype=float), gains, denom, f_bytes)[0]
     return row >= epsilon_link
-
-
-def neighbor_set(i: int, profile, gains: np.ndarray, n0_mw: float, f_bytes: int,
-                 epsilon_link: float, interference: str = "none") -> NeighborSet:
-    """Neighbors of node i at the profile's powers: link PRR >= epsilon_link."""
-    mask = _reach(i, profile.mw[i], profile.mw, gains, n0_mw, f_bytes, epsilon_link,
-                  interference)
-    return NeighborSet(owner=i, members=frozenset(int(j) for j in np.flatnonzero(mask)),
-                       epsilon_link=epsilon_link)
 
 
 def degree_at_power(i: int, s_value: float, profile, gains, n0_mw, f_bytes,
@@ -155,14 +136,12 @@ def _membership_breakpoints(i, s_eps, denominators, h_row):
     return [25.0 + 10.0 * math.log10(v) for v in needed.tolist()]
 
 
-def rgg_degree_threshold(n: int, log_base: float = math.e) -> float:
-    """Average degree 5.1774 * log(N) above which a random geometric graph
-    is asymptotically almost surely connected.  Natural log by default."""
+def rgg_degree_threshold(n: int) -> float:
+    """Average degree 5.1774 * ln(N) above which a random geometric graph
+    is asymptotically almost surely connected."""
     if n < 2:
         raise ValueError("need at least 2 nodes")
-    if not (log_base > 1.0):
-        raise ValueError("log base must exceed 1")
-    return 5.1774 * math.log(n) / math.log(log_base)
+    return 5.1774 * math.log(n)
 
 
 @dataclass(frozen=True)

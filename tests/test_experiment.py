@@ -53,6 +53,7 @@ class TestScenarioConfig:
         seeds = st.integers(0, 2**31 - 1)
         levels = DiscreteLevelSet(tuple(float(v) for v in sorted(draw(
             st.lists(st.integers(-25, 0), min_size=1, max_size=26, unique=True)))))
+        id_start = draw(st.integers(0, 10))
         cfg = experiment.ScenarioConfig(
             topology_spec={"m": m, "area": (draw(st.floats(1.0, 1e3)), draw(st.floats(1.0, 1e3))),
                            "seed": draw(seeds)},
@@ -69,7 +70,8 @@ class TestScenarioConfig:
                 interference=draw(st.sampled_from(channel.INTERFERENCE_MODES)),
             ),
             levels=levels,
-            registers=RegisterMap.linear(levels, id_start=draw(st.integers(0, 10))),
+            registers=RegisterMap(tuple((v, id_start + k)
+                                        for k, v in enumerate(levels.levels_dbm))),
             traffic=packetsim.TrafficConfig(messages_per_node=draw(st.integers(1, 500)),
                                             max_retries=draw(st.integers(0, 30)),
                                             seed=draw(seeds)),
@@ -88,10 +90,10 @@ class TestScenarioConfig:
         assert tb.traffic.message_period_s == 2.0
 
     def test_validate_config_helper(self):
-        ok, message = experiment.validate_config(desk_config().to_json_dict())
-        assert ok and message == "ok"
-        ok, message = experiment.validate_config({"modes": ["continuous", "continuous"]})
-        assert not ok and "duplicate" in message
+        config, message = experiment.validate_config(desk_config().to_json_dict())
+        assert config == desk_config() and message == "ok"
+        config, message = experiment.validate_config({"modes": ["continuous", "continuous"]})
+        assert config is None and "duplicate" in message
 
     def test_topology_from_file(self, tmp_path):
         topo = topology.random_topology(5, area=(3.0, 3.0), seed=7)
@@ -462,3 +464,39 @@ class TestCli:
         assert cli.main(["run", "--config", path, "--out", str(out)]) == 2
         assert "node ids must be 0..M-1 without gaps" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("key", ["x", "y", "id"])
+    def test_topology_file_node_missing_field_fails_at_run(self, tmp_path, capsys, key):
+        # run exits 2 with one line naming the node and its missing field.
+        layout = tmp_path / "layout.json"
+        topology.save_topology(topology.random_topology(DESK_M, area=DESK_AREA, seed=0), layout)
+        with open(layout) as fh:
+            nodes = json.load(fh)
+        del nodes["nodes"][3][key]
+        with open(layout, "w") as fh:
+            json.dump(nodes, fh)
+        path = write_config(tmp_path, topology_spec={"file": str(layout)})
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", path, "--out", str(out)]) == 2
+        node = "at index 3" if key == "id" else "id 3"
+        assert capsys.readouterr().err == f"error: topology node {node} has no '{key}' field\n"
+        assert not out.exists()
+
+    def test_unknown_levels_key_rejected(self, tmp_path, capsys):
+        data = desk_config().to_json_dict()
+        data["levels"]["step_db"] = 1.0
+        path = tmp_path / "config.json"
+        with open(path, "w") as fh:
+            json.dump(data, fh)
+        assert cli.main(["validate", "--config", str(path)]) == 2
+        assert "step_db" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["levels", "game", "traffic"])
+    def test_empty_section_gives_defaults(self, key):
+        # An empty object stands for the section's defaults.
+        data = desk_config().to_json_dict()
+        data[key] = {}
+        config, message = experiment.validate_config(data)
+        assert message == "ok"
+        name = {"game": "game_params"}.get(key, key)
+        assert getattr(config, name) == getattr(experiment.ScenarioConfig(), name)

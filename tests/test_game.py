@@ -74,23 +74,31 @@ class TestGameParams:
         assert sw.required_degree(80) == topology.smallworld_threshold(80, 0.1).degree_requirement()
 
 
+def ncr(i, prof, gains, params):
+    """NCR_i read back from the utility, log10(1 + scale * NCR_i) - cost,
+    with the degree floor off so that the benefit term always applies."""
+    params = dataclasses.replace(params, degree_target=0)
+    cost = (prof.s[i] / params.cost_denominator) ** 2
+    return (10.0 ** (game.utility(i, prof, gains, N0, params) + cost) - 1.0) / params.ncr_scale
+
+
 class TestNcr:
     def test_two_neighbor_mean(self):
         gains = gains_for_prrs({1: 0.8, 2: 0.6}, s_value=12.0, m=3)
         prof = game.StrategyProfile(np.array([12.0, 1.0, 1.0]))
-        value = game.ncr(0, prof, gains, N0, game.GameParams())
+        value = ncr(0, prof, gains, game.GameParams())
         assert value == pytest.approx(0.7, abs=1e-12)
 
     def test_empty_neighborhood_is_zero(self):
         gains = np.zeros((3, 3))
         prof = game.StrategyProfile.constant(3, 25.0)
-        assert game.ncr(0, prof, gains, N0, game.GameParams()) == 0.0
+        assert ncr(0, prof, gains, game.GameParams()) == 0.0
 
     def test_saturated_links_give_one(self):
         # unit gains put every link deep in the flat PRR region at full power
         gains = np.ones((3, 3)) - np.eye(3)
         prof = game.StrategyProfile.full_power(3)
-        assert game.ncr(0, prof, gains, N0, game.GameParams()) == pytest.approx(1.0, abs=1e-6)
+        assert ncr(0, prof, gains, game.GameParams()) == pytest.approx(1.0, abs=1e-6)
 
     def test_union_denominator(self):
         # member PRR sum normalized by the size of the members' joint
@@ -100,7 +108,7 @@ class TestNcr:
         gains[1, 2] = gains[2, 1] = snr_12 * N0 / channel.strategy_to_mw(12.0)
         prof = game.StrategyProfile.constant(3, 12.0)
         params = game.GameParams(ncr_denominator="union")
-        value = game.ncr(0, prof, gains, N0, params)
+        value = ncr(0, prof, gains, params)
         assert value == pytest.approx((0.8 + 0.6) / 3.0, abs=1e-9)
 
     def test_range(self):
@@ -110,7 +118,7 @@ class TestNcr:
             _, gains = build_desk(seed)
             prof = random_profile(rng, 10)
             for i in range(10):
-                assert 0.0 <= game.ncr(i, prof, gains, N0, params) <= 1.0
+                assert -1e-12 <= ncr(i, prof, gains, params) <= 1.0 + 1e-12
 
 
 class TestUtility:
@@ -448,7 +456,7 @@ class TestDynamics:
         _, gains = build_desk(3)
         params = game.GameParams()
         prof = random_profile(rng, 10)
-        swept = game.gauss_seidel_sweep(prof, gains, N0, params)
+        swept, _ = game._sweep(prof, gains, N0, params, game._best_response_steps)
         manual = prof
         for i in range(10):
             manual = manual.with_power(i, game.best_response(i, manual, gains, N0, params))
@@ -506,7 +514,7 @@ class TestDynamics:
                  else random_profile(rng, m))
         result = game.solve(start, gains, N0, params)
         assert result.sweeps_used == 1 and result.converged
-        again = game.gauss_seidel_sweep(result.profile, gains, N0, params)
+        again, _ = game._sweep(result.profile, gains, N0, params, game._best_response_steps)
         assert np.max(np.abs(again.s - result.profile.s)) < params.convergence_tol
         levels = DiscreteLevelSet()
         discrete = solve_discrete(start, gains, N0, params, levels)

@@ -1,7 +1,4 @@
-import csv
 import math
-import os
-import tempfile
 
 import numpy as np
 import pytest
@@ -257,17 +254,6 @@ class TestMetrics:
         assert set(data["link_class_fractions"]) == {"good", "intermediate", "bad"}
 
 
-def test_write_log_csv(tmp_path):
-    log = synth_log([(0, 1, -2.0, 1, True), (1, 0, 0.0, 3, False)])
-    path = tmp_path / "log.csv"
-    packetsim.write_log_csv(log, path)
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["sender", "receiver", "tx_dbm", "attempts", "delivered"]
-    assert rows[1] == ["0", "1", "-2.0", "1", "1"]
-    assert rows[2] == ["1", "0", "0.0", "3", "0"]
-
-
 def reference_packet_stage(profile, gains, traffic, links, interference):
     """simulate and the metrics one message at a time: the per-record reference."""
     m = gains.shape[0]
@@ -338,14 +324,3 @@ def test_array_log_matches_per_record_reference(data):
     assert metrics.empty_neighborhood_senders == empty
     for name, value in expect.items():
         assert repr(getattr(metrics, name)) == repr(value), name
-    with tempfile.TemporaryDirectory() as tmp:
-        packetsim.write_log_csv(log, os.path.join(tmp, "log.csv"))
-        with open(os.path.join(tmp, "ref.csv"), "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["sender", "receiver", "tx_dbm", "attempts", "delivered"])
-            for rec in records:
-                writer.writerow([rec.sender, rec.receiver, repr(rec.tx_dbm),
-                                 rec.attempts_used, int(rec.delivered)])
-        with open(os.path.join(tmp, "log.csv"), "rb") as a, \
-                open(os.path.join(tmp, "ref.csv"), "rb") as b:
-            assert a.read() == b.read()

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wsnpower import game, quantize as quantize_mod
+from wsnpower import experiment, game, quantize as quantize_mod
 from wsnpower.quantize import (
     DiscreteLevelSet,
     RegisterMap,
-    discrete_best_response,
+    _level_steps,
+    _usable_levels,
     discretize_profile,
     quantize,
     solve_discrete,
@@ -16,15 +17,22 @@ from wsnpower.quantize import (
 )
 from conftest import N0, build_desk, random_profile
 
+# The 1 dB grid with the -25 dB floor endpoint: 26 levels.
+WIDE = DiscreteLevelSet(tuple(float(v) for v in range(-25, 1)))
+
+
+def discrete_best_response(i, profile, gains, params, levels):
+    """Node i's discrete game response against the profile, in dB."""
+    env = game._Environment(profile, gains, N0, params, i)
+    steps = _level_steps(_usable_levels(levels, profile.s_min, profile.s_max))
+    return game._respond(env, [i], steps)[0][0] - 25.0
+
 
 class TestLevelSet:
     def test_default_grid_sizes(self):
         assert len(DiscreteLevelSet().levels_dbm) == 25
         assert DiscreteLevelSet().levels_dbm[0] == -24.0
         assert DiscreteLevelSet().levels_dbm[-1] == 0.0
-        wide = DiscreteLevelSet.one_db_grid(include_floor=True)
-        assert len(wide.levels_dbm) == 26
-        assert wide.levels_dbm[0] == -25.0
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -38,7 +46,9 @@ class TestLevelSet:
 
     def test_json_round_trip(self):
         levels = DiscreteLevelSet((-20.0, -10.0, -3.0, 0.0))
-        assert DiscreteLevelSet.from_json_dict(levels.to_json_dict()) == levels
+        data = experiment.ScenarioConfig(levels=levels).to_json_dict()
+        assert data["levels"] == {"levels_dbm": [-20.0, -10.0, -3.0, 0.0]}
+        assert experiment.ScenarioConfig.from_json_dict(data).levels == levels
 
 
 class TestQuantize:
@@ -55,9 +65,8 @@ class TestQuantize:
             assert quantize(v, levels) == v
 
     def test_clamps_out_of_range_inputs(self):
-        levels = DiscreteLevelSet.one_db_grid(include_floor=True)
-        assert quantize(-40.0, levels) == -25.0
-        assert quantize(3.0, levels) == 0.0
+        assert quantize(-40.0, WIDE) == -25.0
+        assert quantize(3.0, WIDE) == 0.0
 
     def test_scalar_and_array_forms(self):
         levels = DiscreteLevelSet()
@@ -111,9 +120,8 @@ class TestDiscretizeProfile:
 
     def test_respects_profile_bounds(self):
         # the -25 dB floor level maps to s=0, below s_min, so it is dropped
-        levels = DiscreteLevelSet.one_db_grid(include_floor=True)
         prof = game.StrategyProfile(np.array([0.5, 0.6]))
-        out = discretize_profile(prof, levels)
+        out = discretize_profile(prof, WIDE)
         assert np.array_equal(out.s, [1.0, 1.0])
         with pytest.raises(ValueError):
             discretize_profile(game.StrategyProfile(np.array([5.0]), s_min=4.9, s_max=5.1),
@@ -124,13 +132,13 @@ class TestDiscreteBestResponse:
     def test_penalty_branch_picks_lowest_level(self):
         gains = np.zeros((3, 3))
         prof = game.StrategyProfile.full_power(3)
-        br = discrete_best_response(0, prof, gains, N0, game.GameParams(), DiscreteLevelSet())
+        br = discrete_best_response(0, prof, gains, game.GameParams(), DiscreteLevelSet())
         assert br == -24.0
 
     def test_single_node_picks_lowest_level(self):
         prof = game.StrategyProfile(np.array([20.0]))
-        br = discrete_best_response(0, prof, np.zeros((1, 1)), N0,
-                                    game.GameParams(), DiscreteLevelSet())
+        br = discrete_best_response(0, prof, np.zeros((1, 1)), game.GameParams(),
+                                    DiscreteLevelSet())
         assert br == -24.0
 
     def test_matches_exhaustive_argmax(self):
@@ -141,7 +149,7 @@ class TestDiscreteBestResponse:
             _, gains = build_desk(seed)
             prof = random_profile(rng, 10)
             for i in range(10):
-                br = discrete_best_response(i, prof, gains, N0, params, levels)
+                br = discrete_best_response(i, prof, gains, params, levels)
                 best_dbm, best_val = None, -np.inf
                 for level in levels.levels_dbm:
                     val = game.utility(i, prof.with_power(i, level + 25.0), gains, N0, params)
@@ -162,7 +170,7 @@ class TestSolveDiscrete:
         # every power sits on the grid and is its own discrete best response
         for i in range(10):
             assert result.profile.dbm[i] in levels.levels_dbm
-            br = discrete_best_response(i, result.profile, gains, N0, params, levels)
+            br = discrete_best_response(i, result.profile, gains, params, levels)
             assert br == result.profile.dbm[i]
 
     def test_potential_never_decreases(self, desk0):
@@ -191,11 +199,6 @@ class TestRegisterMap:
             RegisterMap(((-10.0, 4), (-10.0, 8)))
         with pytest.raises(ValueError):
             RegisterMap(((-10.0, 8), (-5.0, 4)))  # ids must rise with power
-
-    def test_linear_builder(self):
-        levels = DiscreteLevelSet((-20.0, -10.0, 0.0))
-        rmap = RegisterMap.linear(levels, id_start=2, id_step=3)
-        assert rmap.pairs == ((-20.0, 2), (-10.0, 5), (0.0, 8))
 
     def test_eight_level_default(self):
         rmap = RegisterMap.eight_level_default()

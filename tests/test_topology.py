@@ -62,26 +62,21 @@ def test_positions_must_lie_in_area():
                           area=(10.0, 10.0), seed=0)
 
 
-def test_neighbor_set_validation():
-    with pytest.raises(ValueError):
-        topology.NeighborSet(owner=1, members=frozenset({1, 2}), epsilon_link=0.01)
-    with pytest.raises(ValueError):
-        topology.NeighborSet(owner=0, members=frozenset(), epsilon_link=0.0)
-    ns = topology.NeighborSet(owner=0, members=frozenset({1}), epsilon_link=0.01)
-    assert 0 not in ns.members
+def neighbors(i, profile, gains, eps, interference):
+    """Node i's neighbor set at the profile's powers, from its ``_reach`` row."""
+    row = topology._reach(i, profile.mw[i], profile.mw, gains, N0, 25, eps, interference)
+    return set(np.flatnonzero(row).tolist())
 
 
 def test_neighbor_set_matches_link_prr(desk0):
     _, gains = desk0
     profile = game.StrategyProfile.constant(10, 3.0)
-    ns = topology.neighbor_set(0, profile, gains, N0, 25, 0.01)
+    members = neighbors(0, profile, gains, 0.01, "none")
     mat = channel.prr_matrix(profile.mw, gains, N0, 25, interference="none")
     for j in range(1, 10):
-        assert (j in ns.members) == (mat[0, j] >= 0.01)
+        assert (j in members) == (mat[0, j] >= 0.01)
     # under concurrent interference from all nodes, membership may shrink
-    ns_full = topology.neighbor_set(0, profile, gains, N0, 25, 0.01,
-                                    interference="full")
-    assert ns_full.members <= ns.members
+    assert neighbors(0, profile, gains, 0.01, "full") <= members
 
 
 def test_degree_monotone_in_own_power():
@@ -99,9 +94,6 @@ def test_degree_monotone_in_own_power():
 
 def test_rgg_threshold_values():
     assert topology.rgg_degree_threshold(80) == pytest.approx(22.687504698360555, rel=1e-12)
-    # changing the log base only rescales
-    assert topology.rgg_degree_threshold(80, log_base=10.0) == pytest.approx(
-        22.687504698360555 / math.log(10.0), rel=1e-12)
     with pytest.raises(ValueError):
         topology.rgg_degree_threshold(1)
 
@@ -199,7 +191,7 @@ def test_connectivity_edge_cases():
 
 @pytest.mark.parametrize("interference", ["none", "full"])
 def test_prr_rows_share_one_kernel(interference):
-    # prr_matrix, the rows behind neighbor_set/degree_at_power and the game's
+    # prr_matrix, the _reach rows behind degree_at_power and the game's
     # PRR tables are all rows of channel._prr_rows over the same
     # denominators, so they agree bitwise for the same own power.  Membership
     # is checked at every row value and the next float above it, which flips
@@ -227,8 +219,7 @@ def test_prr_rows_share_one_kernel(interference):
         thresholds = np.concatenate([mat[i], np.nextafter(mat[i], np.inf)])
         for eps in thresholds[(thresholds > 0.0) & (thresholds <= 1.0)]:
             reached = set(np.flatnonzero(mat[i] >= eps).tolist())
-            ns = topology.neighbor_set(i, profile, gains, N0, 25, eps, interference)
-            assert ns.members == reached
+            assert neighbors(i, profile, gains, eps, interference) == reached
             assert topology.degree_at_power(i, profile.s[i], profile, gains, N0, 25, eps,
                                             interference) == len(reached)
 
