@@ -173,8 +173,13 @@ def ber(sinr_value):
     s = np.asarray(sinr_value, dtype=float)
     if (s < 0.0).any():
         raise ValueError("SINR must be non-negative")
-    out = 0.5 * (1.0 / (1.0 + s)) / (1.0 + np.sqrt(s / (1.0 + s)))
+    out = _ber(s)
     return float(out) if s.ndim == 0 else out
+
+
+def _ber(s):
+    t = 1.0 + s
+    return 0.5 * (1.0 / t) / (1.0 + np.sqrt(s / t))
 
 
 def prr(ber_value, f_bytes: int):
@@ -182,10 +187,18 @@ def prr(ber_value, f_bytes: int):
     b = np.asarray(ber_value, dtype=float)
     if ((b < 0.0) | (b > 1.0)).any():
         raise ValueError("BER must lie in [0, 1]")
+    _check_payload(f_bytes)
+    out = _prr(b, f_bytes)
+    return float(out) if b.ndim == 0 else out
+
+
+def _prr(b, f_bytes):
+    return (1.0 - b) ** (8 * int(f_bytes))
+
+
+def _check_payload(f_bytes):
     if int(f_bytes) != f_bytes or f_bytes < 1:
         raise ValueError("payload size must be a positive integer byte count")
-    out = (1.0 - b) ** (8 * int(f_bytes))
-    return float(out) if b.ndim == 0 else out
 
 
 def link_prr(i: int, j: int, powers_mw, gains: np.ndarray, n0_mw: float, f_bytes: int) -> float:
@@ -226,6 +239,22 @@ def _denominators(senders, powers_mw, gains: np.ndarray, n0_mw: float, interfere
     return np.maximum(received.sum(axis=0) - received[senders], 0.0) + n0_mw
 
 
+def _check_link_inputs(gain_rows, denominators, f_bytes):
+    """``ber``'s and ``prr``'s checks, made once on the inputs of
+    ``_prr_table``: no gain and no denominator is negative."""
+    if (np.fmin.reduce(gain_rows, axis=None) < 0.0
+            or np.fmin.reduce(denominators, axis=None) < 0.0):
+        raise ValueError("SINR must be non-negative")
+    _check_payload(f_bytes)
+
+
+def _prr_table(gain_rows, own_mw, denominators, f_bytes: int) -> np.ndarray:
+    """``prr(ber(gain_rows * own_mw[:, None] / denominators))``, bitwise,
+    without the checks: the array PRR kernel.  ``_check_link_inputs`` checks
+    its inputs once for every table built from them."""
+    return _prr(_ber(gain_rows * own_mw[:, None] / denominators), f_bytes)
+
+
 def _prr_rows(senders, own_mw, gains: np.ndarray, denominators, f_bytes: int) -> np.ndarray:
     """Analytic PRR from each sender to every receiver, one row per sender.
 
@@ -238,7 +267,9 @@ def _prr_rows(senders, own_mw, gains: np.ndarray, denominators, f_bytes: int) ->
     """
     if denominators.ndim == 2:
         denominators = denominators[senders]
-    table = prr(ber(gains[senders] * own_mw[:, None] / denominators), f_bytes)
+    rows = gains[senders]
+    _check_link_inputs(rows, denominators, f_bytes)
+    table = _prr_table(rows, own_mw, denominators, f_bytes)
     table[np.arange(table.shape[0]), np.arange(gains.shape[0])[senders]] = 0.0
     return table
 

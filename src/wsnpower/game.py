@@ -36,19 +36,24 @@ then covers four steps instead of one, and the search replays its steps from
 the returned values, so it visits the same points, makes the same
 comparisons and returns the same result.  Lockstep groups keep one step per
 request, since all their nodes already share each table, and so does the
-``union`` denominator, whose every row builds a whole M x M PRR matrix.
+``union`` denominator, whose every row builds a whole M x M PRR matrix
+under interference.
 """
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import repeat
 
 import numpy as np
 
 from .channel import (
+    DBM_OFFSET,
     INTERFERENCE_MODES,
     STRATEGY_MAX,
+    _check_link_inputs,
     _denominators,
-    _prr_rows,
+    _prr_table,
     prr,  # noqa: F401  not called here; bench/run.py looks up ``game.prr`` by name
     prr_matrix,
     sinr_for_prr,
@@ -65,6 +70,11 @@ _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 DEGREE_RULES = ("fixed-k", "smallworld")
 NCR_DENOMINATORS = ("members", "union")
+
+
+def _read_only(arr):
+    arr.setflags(write=False)
+    return arr
 
 
 @dataclass(frozen=True)
@@ -85,21 +95,20 @@ class StrategyProfile:
             raise ValueError("strategy vector must be one-dimensional and non-empty")
         if np.any(arr < self.s_min - 1e-12) or np.any(arr > self.s_max + 1e-12):
             raise ValueError("strategy values must lie within the profile bounds")
-        arr = np.clip(arr, self.s_min, self.s_max).copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "s", arr)
+        object.__setattr__(self, "s", _read_only(np.clip(arr, self.s_min, self.s_max).copy()))
 
     @property
     def n(self) -> int:
         return self.s.shape[0]
 
-    @property
+    # The views are built once per profile, read-only like ``s``.
+    @cached_property
     def dbm(self) -> np.ndarray:
-        return self.s - 25.0
+        return _read_only(self.s - 25.0)
 
-    @property
+    @cached_property
     def mw(self) -> np.ndarray:
-        return 10.0 ** (self.dbm / 10.0)
+        return _read_only(10.0 ** (self.dbm / 10.0))
 
     def with_power(self, i: int, value: float) -> "StrategyProfile":
         arr = self.s.copy()
@@ -197,8 +206,14 @@ class EquilibriumResult:
         }
 
 
-# Cells (rows x M) in one kernel table, which bounds its memory at any M.
+# Rows, and cells (rows x candidate columns), in one kernel table: bounds
+# on its memory and on that of its per-row lists at any M.
+_CHUNK_ROWS = 1 << 9
 _CHUNK_CELLS = 1 << 15
+# Strategy margin above s_max at which a receiver still counts as a
+# candidate: far wider than the PRR's last-bit non-monotonicity in SINR, and
+# it only adds columns that never hold a member.
+_CANDIDATE_MARGIN = 1e-6
 # Evenly spaced strategy values a best response's pre-scan evaluates.
 _PRESCAN_SAMPLES = 64
 # Golden-section steps a one-node best response evaluates ahead of need:
@@ -211,15 +226,19 @@ def _decouples(params) -> bool:
     return params.interference == "none" and params.ncr_denominator == "members"
 
 
-def _row_sums(members, counts):
-    """Per-row sums of ``members``, the rows' member values concatenated in
-    row order (row r has counts[r] of them).
+def _row_sums(table, member, counts):
+    """Per row of ``table``, the sum of its counts[r] ``member`` entries,
+    bitwise ``np.add.reduce`` over those entries alone.
 
-    Each sum is bitwise ``np.add.reduce`` over that row's values alone: the
-    rows with equal counts form one contiguous (rows x count) array, whose
-    last-axis reduction pairs the terms as the 1-D one does.  A masked
-    two-dimensional sum would pair them differently.
+    Below 8 terms numpy adds one term after another (its pairwise summation
+    starts at 8), so a table narrower than 8 is summed with its non-members
+    set to 0.  In a wider one the rows with equal counts form one contiguous
+    (rows x count) array of their members, whose last-axis reduction pairs
+    the terms as the 1-D one does; a masked sum would pair them differently.
     """
+    if table.shape[1] < 8:
+        return np.add.reduce(np.where(member, table, 0.0), axis=1)
+    members = table[member]
     distinct = set(counts.tolist())
     if len(distinct) == 1:
         return np.add.reduce(members.reshape(counts.size, distinct.pop()), axis=1)
@@ -231,6 +250,19 @@ def _row_sums(members, counts):
     return sums
 
 
+def _padded_columns(candidate):
+    """(M x K index of each row's True columns, ascending, padded with the
+    row's own index; the pad mask, or None without pads)."""
+    m = candidate.shape[0]
+    rows, cols = np.nonzero(candidate)
+    counts = np.bincount(rows, minlength=m)
+    k = int(counts.max())
+    index = np.repeat(np.arange(m)[:, None], k, axis=1)
+    index[rows, np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts, counts)] = cols
+    pads = np.arange(k) >= counts[:, None]
+    return index, (pads if pads.any() else None)
+
+
 class _Environment:
     """What stays fixed while nodes answer one profile, and the utility kernel.
 
@@ -240,14 +272,22 @@ class _Environment:
     node, row t bitwise the single-sender row).  Under the clear channel both
     are the one noise row.
 
-    The kernel works on rows, each a pair (node, candidate strategy value).
-    Per chunk of rows it builds one (rows x M) PRR table with a single
-    ``channel._prr_rows`` call and reduces it to degrees and member sums
-    without a per-row loop.  The candidates go to mW in one array, as
-    ``StrategyProfile.mw`` converts the profile.  Two choices keep every
-    value bitwise equal to evaluating the rows one at a time: the member PRRs
-    of a row are summed by ``_row_sums``, as ``.mean()`` sums them; and the
-    benefit goes through ``math.log10`` row by row.
+    The kernel sees only each node's candidate receivers: the columns j != i
+    whose SINR at s_max + ``_CANDIDATE_MARGIN`` reaches the epsilon-PRR
+    threshold (every column when that is 0).  PRR rises with own power, so
+    no other column holds a member in range.  One node keeps a 1-D index, a
+    group an (M x K) index padded with each node's own column, whose entries
+    are forced to 0.  The inputs are checked once here, over the full gain
+    rows and the denominators.
+
+    Per chunk of rows, each a pair (node, strategy value), one unchecked
+    ``channel._prr_table`` call builds a (rows x K) table, reduced without a
+    per-row loop.  Every value is bitwise what dense ``_prr_rows`` rows give
+    one at a time: strategies go to mW in one array, as ``StrategyProfile.mw``
+    does; columns stay in ascending order and ``_row_sums`` sums members as
+    ``.mean()`` does; and ``math.log10`` and Python's ``pow`` score each row,
+    since numpy's ``log10`` and squaring differ in the last bit on some
+    inputs.
 
     ``lookahead`` is how many golden-section steps the best responses it
     serves evaluate ahead of need (see ``_golden_section_max``).  It is
@@ -257,8 +297,8 @@ class _Environment:
     ``_LOOKAHEAD`` for every group on a 2-vCPU VM: for a lockstep group,
     whose nodes already share one table per step (the ``default-80``
     benchmark's median job 0.29 -> 0.35 s), and under ``union``, where every
-    row builds an M x M PRR matrix (solves 22-34% slower, coupled and clear
-    channel, 30 and 40 nodes).
+    row built an M x M PRR matrix when this was timed (solves 22-34% slower,
+    coupled and clear channel, 30 and 40 nodes).
     """
 
     def __init__(self, profile, gains, n0_mw, params, senders=slice(None)):
@@ -266,26 +306,47 @@ class _Environment:
         self.gains = gains
         self.n0_mw = n0_mw
         self.params = params
-        self.denominators = _denominators(senders, profile.mw, gains, n0_mw,
-                                          params.interference)
+        self.denominators = d = _denominators(senders, profile.mw, gains, n0_mw,
+                                              params.interference)
+        rows = gains[senders]
+        _check_link_inputs(rows, d, params.f_bytes)
         self.required_k = params.required_degree(profile.n)
         one_node = not isinstance(senders, slice)
         self.lookahead = _LOOKAHEAD if one_node and params.ncr_denominator == "members" else 0
+        # SINR at s_max + margin reaches the threshold, without an M x M temporary
+        top_mw = 10.0 ** ((profile.s_max + _CANDIDATE_MARGIN - DBM_OFFSET) / 10.0)
+        candidate = rows >= sinr_for_prr(params.epsilon_link, params.f_bytes) / top_mw * d
+        if one_node:
+            candidate[senders] = False
+            self.columns, self.pads = candidate.nonzero()[0], None
+            self.column_gains, self.column_denominators = rows[self.columns], d[self.columns]
+        else:
+            np.fill_diagonal(candidate, False)
+            self.columns, self.pads = _padded_columns(candidate)
+            self.column_gains = np.take_along_axis(rows, self.columns, 1)
+            self.column_denominators = (np.take_along_axis(d, self.columns, 1) if d.ndim == 2
+                                        else d[self.columns])
 
     def denominator_row(self, i):
         d = self.denominators
         return d if d.ndim == 1 else d[i]
 
     def prr_table(self, nodes, xs):
-        """(own mW per row, rows x M PRR table with each row's own column zeroed)."""
+        """(own mW per row, rows x K PRR table over the rows' candidate columns)."""
         mw = strategy_to_mw(xs)
-        return mw, _prr_rows(nodes, mw, self.gains, self.denominators, self.params.f_bytes)
+        gains, denominators = self.column_gains, self.column_denominators
+        if self.columns.ndim == 2:
+            gains, denominators = gains[nodes], denominators[nodes]
+        table = _prr_table(gains, mw, denominators, self.params.f_bytes)
+        if self.pads is not None:
+            table[self.pads[nodes]] = 0.0
+        return mw, table
 
     def _tables(self, nodes, xs):
         """(nodes, xs, own mW, PRR table) per chunk of the rows."""
         nodes = np.asarray(nodes, dtype=np.intp)
         xs = np.asarray(xs, dtype=float)
-        step = max(1, _CHUNK_CELLS // self.profile.n)
+        step = max(1, min(_CHUNK_ROWS, _CHUNK_CELLS // max(1, self.columns.shape[-1])))
         for a in range(0, xs.size, step):
             part_nodes, part_xs = nodes[a:a + step], xs[a:a + step]
             yield (part_nodes, part_xs, *self.prr_table(part_nodes, part_xs))
@@ -294,54 +355,61 @@ class _Environment:
         """Per row of a PRR table: NCR and degree."""
         params = self.params
         member = table >= params.epsilon_link
-        degree = np.count_nonzero(member, axis=1)
-        totals = _row_sums(table[member], degree)
+        degree = np.add.reduce(member, axis=1)
+        totals = _row_sums(table, member, degree)
         if params.ncr_denominator == "members":
-            size = degree
-        else:
-            size = self._union_sizes(nodes, mw, member)
-        ncr_values = np.divide(totals, size, out=np.zeros(degree.size),
-                               where=(degree > 0) & (size > 0))
-        if params.ncr_denominator == "union":
-            np.minimum(ncr_values, 1.0, out=ncr_values)
-        return ncr_values, degree
+            return np.divide(totals, degree, out=np.zeros(degree.size), where=degree > 0), degree
+        size = self._union_sizes(nodes, mw, member)
+        ncr_values = np.divide(totals, size, out=np.zeros(degree.size), where=size > 0)
+        return np.minimum(ncr_values, 1.0, out=ncr_values), degree
+
+    @cached_property
+    def _clear_reach(self):
+        """Who reaches whom at the profile's powers on the clear channel,
+        where no one's reach depends on another's power: every row's union
+        size comes from this one matrix."""
+        params = self.params
+        return prr_matrix(self.profile.mw, self.gains, self.n0_mw,
+                          params.f_bytes) >= params.epsilon_link
 
     def _union_sizes(self, nodes, mw, member):
         """Per row, how many nodes its members reach between them: the
         printed formula's NCR denominator, which couples the nodes and is off
-        by default."""
+        by default.  Under interference each row builds the PRR matrix of its
+        own power."""
         params = self.params
         sizes = np.zeros(member.shape[0], dtype=np.intp)
         for r, (i, own_mw) in enumerate(zip(nodes.tolist(), mw.tolist())):
             if member[r].any():
-                powers = self.profile.mw.copy()
-                powers[i] = own_mw
-                reach = prr_matrix(powers, self.gains, self.n0_mw, params.f_bytes,
-                                   params.interference) >= params.epsilon_link
-                sizes[r] = np.count_nonzero(reach[member[r]].any(axis=0))
+                columns = self.columns if self.columns.ndim == 1 else self.columns[i]
+                if params.interference == "none":
+                    reach = self._clear_reach
+                else:
+                    powers = self.profile.mw.copy()
+                    powers[i] = own_mw
+                    reach = prr_matrix(powers, self.gains, self.n0_mw, params.f_bytes,
+                                       params.interference) >= params.epsilon_link
+                sizes[r] = np.count_nonzero(reach[columns[member[r]]].any(axis=0))
         return sizes
 
     def utilities(self, nodes, xs) -> np.ndarray:
         """Utility of node nodes[r] at strategy value xs[r], for every row r."""
         params = self.params
-        parts = [np.zeros(0)]
+        parts = []
         for part_nodes, part_xs, mw, table in self._tables(nodes, xs):
             ncr_values, degree = self.ncr_and_degree(part_nodes, mw, table)
-            out = []
-            for x, value, meets in zip(part_xs.tolist(), ncr_values.tolist(),
-                                       (degree >= self.required_k).tolist()):
-                cost = (x / params.cost_denominator) ** 2
-                if meets:
-                    out.append(math.log10(1.0 + params.ncr_scale * value) - cost)
-                else:
-                    out.append(-cost)
-            parts.append(np.array(out))
-        return np.concatenate(parts)
+            n = part_xs.size
+            benefit = np.fromiter(map(math.log10, (1.0 + params.ncr_scale * ncr_values).tolist()),
+                                  float, n)
+            cost = np.fromiter(map(pow, (part_xs / params.cost_denominator).tolist(), repeat(2)),
+                               float, n)
+            parts.append(np.where(degree >= self.required_k, benefit - cost, -cost))
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
     def degrees(self, nodes, xs) -> np.ndarray:
         """Degree of node nodes[r] at strategy value xs[r], for every row r."""
         eps = self.params.epsilon_link
-        return np.concatenate([np.count_nonzero(table >= eps, axis=1)
+        return np.concatenate([np.add.reduce(table >= eps, axis=1)
                                for *_, table in self._tables(nodes, xs)])
 
     def membership_breakpoints(self, i):
@@ -495,7 +563,8 @@ def _best_response_steps(i, env):
     """
     profile, params = env.profile, env.params
     breakpoints = sorted(env.membership_breakpoints(i))
-    floor = _degree_floor(profile, env.required_k, breakpoints)
+    floor = _degree_floor(profile, env.required_k, breakpoints,
+                          lambda: env.degrees([i], [profile.s_max])[0])
     if floor == INFEASIBLE:
         # Cost-only branch everywhere: spend as little as allowed.
         return profile.s_min, False
@@ -543,9 +612,10 @@ def best_response(i: int, profile: StrategyProfile, gains: np.ndarray, n0_mw: fl
 
 def _per_node_feasible(profile, gains, n0_mw, params):
     """Whether each node can reach its degree floor at some power in range:
-    its degree at the maximum power meets the floor.  This agrees with
-    min_power_for_degree not returning INFEASIBLE, i.e. b_(k) <= s_max, and
-    one PRR table at s_max costs less than every node's breakpoints."""
+    its degree at the maximum power meets the floor.  This is the count that
+    decides min_power_for_degree when b_(k) lies within the slack below
+    s_max, so the two agree, and one PRR table at s_max costs less than
+    every node's breakpoints."""
     k = params.required_degree(profile.n)
     if k == 0:
         return [True] * profile.n

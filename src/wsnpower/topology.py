@@ -178,26 +178,35 @@ def min_power_for_degree(i: int, profile, gains: np.ndarray, n0_mw: float, f_byt
 
     Node i's degree is a step function of its own power that rises at its
     membership breakpoints, so the floor is b_(k), the k-th smallest of them,
-    plus ``_BREAKPOINT_SLACK``, clamped to the profile's power bounds.
-    Returns the lower bound when k == 0 and INFEASIBLE when b_(k) lies above
-    the maximum power or node i has fewer than k potential receivers.
+    plus ``_BREAKPOINT_SLACK``, raised to the lower power bound.  Returns the
+    lower bound when k == 0 and INFEASIBLE when b_(k) lies above the maximum
+    power or node i has fewer than k potential receivers.  When b_(k) lies
+    within the slack below the maximum power, the degree there decides:
+    the maximum power if it meets k, else INFEASIBLE.
     """
     denom = _denominators(i, profile.mw, gains, n0_mw, interference)
     points = sorted(_membership_breakpoints(i, sinr_for_prr(epsilon_link, f_bytes), denom,
                                             gains[i, :]))
-    return _degree_floor(profile, k, points)
+    return _degree_floor(profile, k, points, lambda: degree_at_power(
+        i, profile.s_max, profile, gains, n0_mw, f_bytes, epsilon_link, interference))
 
 
-def _degree_floor(profile, k, points):
+def _degree_floor(profile, k, points, degree_at_s_max):
     """``min_power_for_degree`` given the node's sorted membership
-    breakpoints ``points``, for callers that already built them."""
+    breakpoints ``points``, for callers that already built them.
+    ``degree_at_s_max()`` is called only when b_(k) lies within the slack
+    below s_max, where the k-th link's PRR at s_max can fall a few ulps short
+    of epsilon_link: the degree count that decides feasibility decides."""
     if k < 0:
         raise ValueError("required degree must be >= 0")
     if k == 0:
         return profile.s_min
     if k > len(points) or points[k - 1] > profile.s_max:
         return INFEASIBLE
-    return min(max(profile.s_min, points[k - 1] + _BREAKPOINT_SLACK), profile.s_max)
+    floor = points[k - 1] + _BREAKPOINT_SLACK
+    if floor > profile.s_max:
+        return profile.s_max if degree_at_s_max() >= k else INFEASIBLE
+    return max(profile.s_min, floor)
 
 
 def adjacency(prr_mat: np.ndarray, epsilon_link: float) -> np.ndarray:

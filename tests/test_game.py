@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from wsnpower import channel, game, topology
 from wsnpower.quantize import DiscreteLevelSet, _level_steps, solve_discrete
-from conftest import DESK_SEEDS, N0, build_desk, random_profile
+from conftest import DESK_M, DESK_SEEDS, N0, build_desk, random_profile
 
 # log10(1 + 9 * 0.5) - (12.5 / 25)^2, high-precision reference
 UTILITY_HALF_NCR_MID_POWER = 0.49036268949424384554
@@ -45,6 +45,12 @@ class TestStrategyProfile:
         assert prof.n == 3
         assert np.allclose(prof.dbm, [-24.5, -15.0, 0.0])
         assert np.allclose(prof.mw, 10.0 ** (np.array([-24.5, -15.0, 0.0]) / 10.0))
+        # built once per profile, read-only, with the array expression
+        # the kernel converts candidates with
+        for view in (prof.s, prof.dbm, prof.mw):
+            assert not view.flags.writeable
+        assert prof.mw is prof.mw and prof.dbm is prof.dbm
+        assert prof.mw.tobytes() == channel.strategy_to_mw(prof.s).tobytes()
         bumped = prof.with_power(1, 20.0)
         assert bumped.s[1] == 20.0 and prof.s[1] == 10.0
         with pytest.raises(ValueError):
@@ -217,7 +223,114 @@ def _reference_row_and_utility(i, profile, gains, params, x):
     return row, math.log10(1.0 + params.ncr_scale * ncr_value) - cost
 
 
+def _candidates(env, i):
+    """Node i's candidate receiver columns in a kernel environment, pads left out."""
+    if env.columns.ndim == 1:
+        return env.columns
+    columns = env.columns[i]
+    return columns if env.pads is None else columns[~env.pads[i]]
+
+
+def _dense_reference(env, nodes, xs):
+    """(utilities, degrees) of the rows (nodes[r], xs[r]) from one dense
+    (rows x M) ``channel._prr_rows`` table, reduced row by row: the layout
+    the candidate-column kernel replaced, with the union denominator built
+    from one PRR matrix per row."""
+    params, profile = env.params, env.profile
+    k = params.required_degree(profile.n)
+    mw = channel.strategy_to_mw(np.asarray(xs, dtype=float))
+    table = channel._prr_rows(np.asarray(nodes), mw, env.gains, env.denominators,
+                              params.f_bytes)
+    utilities, degrees = [], []
+    for i, x, own_mw, row in zip(nodes, xs, mw.tolist(), table):
+        member = row >= params.epsilon_link
+        degree = int(np.count_nonzero(member))
+        size = degree
+        if params.ncr_denominator == "union":
+            powers = profile.mw.copy()
+            powers[i] = own_mw
+            reach = channel.prr_matrix(powers, env.gains, env.n0_mw, params.f_bytes,
+                                       params.interference) >= params.epsilon_link
+            size = int(np.count_nonzero(reach[member].any(axis=0)))
+        ncr_value = float(np.add.reduce(row[member])) / size if degree and size else 0.0
+        if params.ncr_denominator == "union":
+            ncr_value = min(1.0, ncr_value)
+        cost = (float(x) / params.cost_denominator) ** 2
+        utilities.append(math.log10(1.0 + params.ncr_scale * ncr_value) - cost
+                         if degree >= k else -cost)
+        degrees.append(degree)
+    return np.array(utilities), np.array(degrees, dtype=np.intp)
+
+
 class TestKernel:
+    @settings(deadline=None, max_examples=60)
+    @given(st.data())
+    def test_columns_equal_dense_reference(self, data):
+        draw = data.draw
+        m = draw(st.integers(2, 24))
+        seed = draw(st.integers(0, 2**31 - 1))
+        rng = np.random.default_rng(seed)
+        topo = topology.random_topology(m, area=(draw(st.floats(2.0, 150.0)),) * 2, seed=seed)
+        model = channel.PathLossModel(shadowing_sigma_db=draw(st.sampled_from([0.0, 4.0, 8.0])),
+                                      seed=seed)
+        gains = channel.build_gain_matrix(topo.positions, model)
+        if draw(st.booleans()):
+            # an off-diagonal zero gain: a candidate, and a member, only when
+            # the SINR threshold is 0 (epsilon 1e-62)
+            a, b = rng.choice(m, size=2, replace=False)
+            gains[a, b] = gains[b, a] = 0.0
+        s_min = draw(st.floats(0.1, 24.0))
+        s_max = draw(st.floats(s_min, 25.0, exclude_min=True))
+        profile = game.StrategyProfile(rng.uniform(s_min, s_max, size=m), s_min=s_min,
+                                       s_max=s_max)
+        params = game.GameParams(interference=draw(st.sampled_from(["none", "full"])),
+                                 ncr_denominator=draw(st.sampled_from(["members", "union"])),
+                                 epsilon_link=draw(st.sampled_from([0.01, 0.5, 0.9, 1e-62])),
+                                 degree_target=draw(st.integers(0, 3)))
+        xs = [s_min, s_max, *rng.uniform(s_min, s_max, size=draw(st.integers(1, 16)))]
+        i = draw(st.integers(0, m - 1))
+        group = game._Environment(profile, gains, N0, params)
+        alone = game._Environment(profile, gains, N0, params, i)
+        for env, nodes in ((group, rng.integers(0, m, size=len(xs))), (alone, [i] * len(xs))):
+            utilities, degrees = _dense_reference(env, nodes, xs)
+            assert env.utilities(nodes, xs).tobytes() == utilities.tobytes()
+            assert env.degrees(nodes, xs).tobytes() == degrees.tobytes()
+        assert _candidates(alone, i).tobytes() == _candidates(group, i).tobytes()
+
+    @pytest.mark.parametrize("interference", ["none", "full"])
+    def test_union_sizes_equal_per_row_build(self, interference):
+        # On the clear channel one reach matrix per environment serves every
+        # row; under interference each row builds its own.  Both give the
+        # sizes of one PRR matrix per row at that row's own power, over the
+        # members of the row's dense PRR row.
+        if interference == "none":
+            positions = topology.random_topology(30, area=(60.0, 60.0), seed=4).positions
+        else:
+            # pairs 1.6 m apart and 40 m from the next pair, so that members
+            # reach their partner under interference
+            centers = np.array([[x, y] for x in (5.0, 45.0, 85.0) for y in (5.0, 45.0)])
+            positions = np.vstack([centers, centers + [1.5, 0.5]])
+        gains = channel.build_gain_matrix(positions,
+                                          channel.PathLossModel(shadowing_sigma_db=4.0, seed=4))
+        m = gains.shape[0]
+        profile = game.StrategyProfile.constant(m, 0.5)
+        params = game.GameParams(interference=interference, ncr_denominator="union")
+        rng = np.random.default_rng(6)
+        xs = rng.uniform(10.0, 25.0, size=40)
+        for env, nodes in ((game._Environment(profile, gains, N0, params),
+                            rng.integers(0, m, size=40)),
+                           (game._Environment(profile, gains, N0, params, 3), np.full(40, 3))):
+            mw, table = env.prr_table(nodes, xs)
+            want = []
+            for i, own_mw in zip(nodes.tolist(), mw.tolist()):
+                row = channel._prr_rows([i], np.array([own_mw]), gains, env.denominators, 25)[0]
+                powers = profile.mw.copy()
+                powers[i] = own_mw
+                reach = channel.prr_matrix(powers, gains, N0, 25, interference) >= 0.01
+                want.append(int(np.count_nonzero(reach[row >= 0.01].any(axis=0))))
+            assert env._union_sizes(nodes, mw, table >= 0.01).tolist() == want
+            assert max(want) > 0
+
     @settings(deadline=None)
     @given(st.data())
     def test_utilities_bitwise_equal_one_at_a_time(self, data):
@@ -243,7 +356,15 @@ class TestKernel:
         nodes = [i] * len(xs)
         rows, want = zip(*(_reference_row_and_utility(i, profile, gains, params, x)
                            for x in xs))
-        assert env.prr_table(nodes, xs)[1].tobytes() == np.array(rows).tobytes()
+        # the table holds node i's candidate columns, bitwise the dense rows'
+        # entries there, then pads of 0; every column it drops is below
+        # epsilon at s_max
+        columns = _candidates(env, i)
+        table = env.prr_table(nodes, xs)[1]
+        assert table[:, :columns.size].tobytes() == np.array(rows)[:, columns].tobytes()
+        assert not table[:, columns.size:].any()
+        top = _reference_row_and_utility(i, profile, gains, params, profile.s_max)[0]
+        assert np.all(np.delete(top, columns) < params.epsilon_link)
         assert np.array(env.utilities(nodes, xs)).tobytes() == np.array(want).tobytes()
         s_eps = channel.sinr_for_prr(params.epsilon_link, params.f_bytes)
         denom = channel._denominators(i, profile.mw, gains, N0, params.interference)
@@ -566,3 +687,35 @@ class TestVerification:
             game.StrategyProfile(s), gains, N0, params)
         assert not passed
         assert worst > 1e-4
+
+_ENTRY_POINTS = {
+    "solve": lambda prof, gains, n0, params: game.solve(prof, gains, n0, params),
+    "potential": lambda prof, gains, n0, params: game.potential(prof, gains, n0, params),
+    "utility": lambda prof, gains, n0, params: game.utility(0, prof, gains, n0, params),
+    "best_response": lambda prof, gains, n0, params: game.best_response(0, prof, gains, n0,
+                                                                        params),
+    "verify_equilibrium": lambda prof, gains, n0, params: game.verify_equilibrium(
+        prof, gains, n0, params),
+}
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("entry", sorted(_ENTRY_POINTS))
+    @pytest.mark.parametrize("interference", ["none", "full"])
+    def test_negative_gain_rejected(self, entry, interference):
+        _, gains = build_desk(0)
+        gains = gains.copy()
+        gains[0, 1] = gains[1, 0] = -1e-6
+        params = game.GameParams(interference=interference, degree_target=1)
+        # node 0 loud and the rest quiet, so that under interference node 0
+        # still reaches a neighbor and its best response builds a table
+        profile = game.StrategyProfile(np.array([25.0] + [0.5] * (DESK_M - 1)))
+        with pytest.raises(ValueError):
+            _ENTRY_POINTS[entry](profile, gains, N0, params)
+
+    @pytest.mark.parametrize("entry", sorted(_ENTRY_POINTS))
+    def test_negative_noise_floor_rejected(self, entry):
+        _, gains = build_desk(0)
+        with pytest.raises(ValueError):
+            _ENTRY_POINTS[entry](game.StrategyProfile.full_power(DESK_M), gains, -N0,
+                                 game.GameParams(degree_target=1))

@@ -191,11 +191,11 @@ def test_connectivity_edge_cases():
 
 @pytest.mark.parametrize("interference", ["none", "full"])
 def test_prr_rows_share_one_kernel(interference):
-    # prr_matrix, the _reach rows behind degree_at_power and the game's
-    # PRR tables are all rows of channel._prr_rows over the same
-    # denominators, so they agree bitwise for the same own power.  Membership
-    # is checked at every row value and the next float above it, which flips
-    # if any entry differs in its last bit.
+    # prr_matrix and the _reach rows behind degree_at_power are rows of
+    # channel._prr_rows, and the game's PRR tables hold columns of such rows,
+    # all over the same denominators, so they agree bitwise for the same own
+    # power.  Membership is checked at every row value and the next float
+    # above it, which flips if any entry differs in its last bit.
     topo = topology.random_topology(40, area=(60.0, 60.0), seed=5)
     gains = channel.build_gain_matrix(topo.positions, channel.PathLossModel())
     profile = random_profile(np.random.default_rng(3), m=40)
@@ -205,17 +205,27 @@ def test_prr_rows_share_one_kernel(interference):
     nodes = np.arange(40)
     assert mat.tobytes() == channel._prr_rows(slice(None), profile.mw, gains, denoms,
                                               25).tobytes()
-    mw, table = game._Environment(profile, gains, N0, params).prr_table(nodes, profile.s)
-    assert table.tobytes() == channel._prr_rows(nodes, mw, gains, denoms, 25).tobytes()
-    assert np.count_nonzero(np.diag(table)) == 0
+    env = game._Environment(profile, gains, N0, params)
+    mw, table = env.prr_table(nodes, profile.s)
+    assert mat.tobytes() == channel._prr_rows(nodes, mw, gains, denoms, 25).tobytes()
+    at_s_max = channel._prr_rows(nodes, np.full(40, channel.strategy_to_mw([25.0])[0]), gains,
+                                 denoms, 25)
     # degree_at_power, the game and the profile (and so prr_matrix) all
-    # convert s to mW as a 1-D array, so the rows agree for every node.
+    # convert s to mW as a 1-D array, so the rows agree for every node: the
+    # game's table holds a node's candidate columns, bitwise the matrix row's
+    # entries there, then pads of 0; every column it drops is below epsilon
+    # at s_max.
     for i in range(40):
-        row = game._Environment(profile, gains, N0, params).prr_table([i], [profile.s[i]])[1][0]
+        columns = env.columns[i] if env.pads is None else env.columns[i][~env.pads[i]]
+        assert i not in columns.tolist() and np.all(np.diff(columns) > 0)
+        assert table[i, :columns.size].tobytes() == mat[i, columns].tobytes()
+        assert not table[i, columns.size:].any()
+        assert np.all(np.delete(at_s_max[i], columns) < params.epsilon_link)
         # a one-node environment (a coupled best response) builds the same row
-        one = game._Environment(profile, gains, N0, params, i).prr_table([i], [profile.s[i]])
-        assert one[1][0].tobytes() == row.tobytes()
-        assert row.tobytes() == mat[i].tobytes()
+        one = game._Environment(profile, gains, N0, params, i)
+        assert one.columns.tobytes() == columns.tobytes()
+        assert one.prr_table([i], [profile.s[i]])[1][0].tobytes() == (
+            table[i, :columns.size].tobytes())
         thresholds = np.concatenate([mat[i], np.nextafter(mat[i], np.inf)])
         for eps in thresholds[(thresholds > 0.0) & (thresholds <= 1.0)]:
             reached = set(np.flatnonzero(mat[i] >= eps).tolist())
@@ -300,6 +310,30 @@ def test_floor_is_the_kth_breakpoint(case, interference):
     if case == "s-max-breakpoint":
         full = game.StrategyProfile.full_power(m)
         assert topology.min_power_for_degree(0, full, gains, N0, 25, eps, 1) == full.s_max
+
+
+def test_floor_and_feasibility_agree_across_s_max():
+    # Node 0's first membership breakpoint b_1 moves across s_max in 41 steps
+    # of 1e-15, from s_max - 2e-14 to s_max + 2e-14.  Within the slack below
+    # s_max its one link's PRR at s_max can fall a few ulps short of epsilon;
+    # the floor, the feasibility flag and the best response still agree.
+    s_eps = channel.sinr_for_prr(0.01, 25)
+    full = game.StrategyProfile.full_power(6)
+    params = game.GameParams(degree_target=1)
+    flags = []
+    for step in range(-20, 21):
+        gains = build_desk(1, m=6)[1]
+        g = s_eps * N0 / channel.strategy_to_mw(full.s_max + step * 1e-15)
+        gains[0, 1] = gains[1, 0] = g
+        gains[0, 2:] = gains[2:, 0] = g * 1e-3
+        floor = topology.min_power_for_degree(0, full, gains, N0, 25, 0.01, 1)
+        feasible = game._per_node_feasible(full, gains, N0, params)[0]
+        assert floor == (full.s_max if feasible else topology.INFEASIBLE)
+        assert game.best_response(0, full, gains, N0, params) == (
+            full.s_max if feasible else full.s_min)
+        flags.append(feasible)
+    # the probe crosses the edge
+    assert flags[0] and not flags[-1]
 
 
 @settings(deadline=None, max_examples=40)
