@@ -13,6 +13,7 @@ import hashlib
 import math
 import struct
 from dataclasses import dataclass
+from itertools import repeat
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -101,19 +102,14 @@ def _pair_shadowing_db(model: PathLossModel, a, b) -> float:
 
 
 def gain(model: PathLossModel, a: Sequence[float], b: Sequence[float]) -> float:
-    """Linear channel gain between two positions (dimensionless, in (0, 1])."""
-    ax, ay = float(a[0]), float(a[1])
-    bx, by = float(b[0]), float(b[1])
-    if not all(math.isfinite(v) for v in (ax, ay, bx, by)):
-        raise ValueError("positions must be finite")
-    d = math.hypot(bx - ax, by - ay)
-    d_eff = max(d, model.reference_distance_d0)
-    gain_db = model.reference_gain_db - 10.0 * model.exponent * math.log10(
-        d_eff / model.reference_distance_d0
-    )
-    if model.shadowing_sigma_db > 0.0:
-        gain_db += _pair_shadowing_db(model, (ax, ay), (bx, by))
-    return float(10.0 ** (gain_db / 10.0))
+    """Linear channel gain between two positions (dimensionless, in (0, 1]):
+    the one-pair case of ``build_gain_matrix``."""
+    return float(build_gain_matrix((a, b), model)[0, 1])
+
+
+# Node pairs, and so entries of each array temporary, in one row block of
+# ``build_gain_matrix``: bounds its working memory at any M.
+_GAIN_PAIRS = 1 << 15
 
 
 def build_gain_matrix(positions, model: PathLossModel) -> np.ndarray:
@@ -121,6 +117,13 @@ def build_gain_matrix(positions, model: PathLossModel) -> np.ndarray:
 
     The diagonal is unused and set to zero.  The matrix is symmetric because
     the path (and any shadowing draw) is a property of the unordered pair.
+
+    The upper triangle is filled in blocks of rows, each one array pass over
+    its pairs (i, j > i).  ``math.hypot``, ``math.log10`` and Python's
+    ``pow`` take the distances, logarithms and powers of ten through ``map``,
+    since numpy's ``hypot``, ``log10`` and ``power`` differ from them in the
+    last bit on some inputs; the clamp, the scaling and the sums are exact
+    IEEE array operations, so every gain is bitwise the per-pair formula.
     """
     pos = np.asarray(positions, dtype=float)
     if pos.ndim != 2 or pos.shape[1] != 2:
@@ -128,12 +131,30 @@ def build_gain_matrix(positions, model: PathLossModel) -> np.ndarray:
     m = pos.shape[0]
     if m < 2:
         raise ValueError("need at least 2 nodes")
+    if not np.isfinite(pos).all():
+        raise ValueError("positions must be finite")
+    d0 = model.reference_distance_d0
+    slope = 10.0 * model.exponent
+    points = pos.tolist()
     h = np.zeros((m, m), dtype=float)
-    for i in range(m):
-        for j in range(i + 1, m):
-            g = gain(model, pos[i], pos[j])
-            h[i, j] = g
-            h[j, i] = g
+    first = 0
+    while first < m - 1:
+        last = min(m - 1, first + max(1, _GAIN_PAIRS // (m - 1 - first)))
+        rows, cols = np.nonzero(np.arange(m) > np.arange(first, last)[:, None])
+        rows += first
+        n = rows.size
+        diff = pos[cols] - pos[rows]
+        d = np.fromiter(map(math.hypot, diff[:, 0].tolist(), diff[:, 1].tolist()), float, n)
+        ratio = np.maximum(d, d0) / d0
+        gain_db = model.reference_gain_db - slope * np.fromiter(
+            map(math.log10, ratio.tolist()), float, n)
+        if model.shadowing_sigma_db > 0.0:
+            gain_db += np.fromiter((_pair_shadowing_db(model, points[i], points[j])
+                                    for i, j in zip(rows.tolist(), cols.tolist())), float, n)
+        g = np.fromiter(map(pow, repeat(10.0), (gain_db / 10.0).tolist()), float, n)
+        h[rows, cols] = g
+        h[cols, rows] = g
+        first = last
     return h
 
 

@@ -67,7 +67,7 @@ def _cmd_run(args) -> int:
         config.traffic = dataclasses.replace(config.traffic, seed=args.seed_override)
     try:
         report = experiment.run_scenario(config)
-    except ValueError as exc:  # e.g. a topology file whose node ids have a gap
+    except ValueError as exc:  # e.g. a layout file that changed since it was validated
         print(f"error: {exc}", file=sys.stderr)
         return 2
     created = experiment.emit(report, args.out)

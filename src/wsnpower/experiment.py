@@ -129,10 +129,14 @@ def testbed_default() -> ScenarioConfig:
 
 
 def validate_config(data: dict):
-    """(config, message): parse a config dict without running anything.
-    An invalid dict gives (None, the error's type and text)."""
+    """(config, message): parse a config dict, and load the layout file it
+    names, without running anything.  An invalid dict or layout gives
+    (None, the error's type and text)."""
     try:
-        return ScenarioConfig.from_json_dict(data), "ok"
+        config = ScenarioConfig.from_json_dict(data)
+        if "file" in config.topology_spec:
+            config.build_topology()
+        return config, "ok"
     except (ValueError, TypeError, KeyError) as exc:
         return None, f"{type(exc).__name__}: {exc}"
 

@@ -111,9 +111,20 @@ class StrategyProfile:
         return _read_only(10.0 ** (self.dbm / 10.0))
 
     def with_power(self, i: int, value: float) -> "StrategyProfile":
+        """This profile with s_i set to ``value``.  Only the new entry is
+        checked and clipped: the others are in bounds already, where the
+        clip is the identity."""
         arr = self.s.copy()
         arr[i] = value
-        return StrategyProfile(s=arr, s_min=self.s_min, s_max=self.s_max)
+        x = arr[i]
+        if x < self.s_min - 1e-12 or x > self.s_max + 1e-12:
+            raise ValueError("strategy values must lie within the profile bounds")
+        arr[i] = min(max(x, self.s_min), self.s_max)
+        profile = object.__new__(type(self))
+        object.__setattr__(profile, "s", _read_only(arr))
+        object.__setattr__(profile, "s_min", self.s_min)
+        object.__setattr__(profile, "s_max", self.s_max)
+        return profile
 
     @classmethod
     def constant(cls, m: int, value: float, s_min: float = 0.5,
@@ -324,8 +335,9 @@ class _Environment:
             np.fill_diagonal(candidate, False)
             self.columns, self.pads = _padded_columns(candidate)
             self.column_gains = np.take_along_axis(rows, self.columns, 1)
+            # On the clear channel every denominator is the one noise value.
             self.column_denominators = (np.take_along_axis(d, self.columns, 1) if d.ndim == 2
-                                        else d[self.columns])
+                                        else d[:1])
 
     def denominator_row(self, i):
         d = self.denominators
@@ -335,8 +347,10 @@ class _Environment:
         """(own mW per row, rows x K PRR table over the rows' candidate columns)."""
         mw = strategy_to_mw(xs)
         gains, denominators = self.column_gains, self.column_denominators
-        if self.columns.ndim == 2:
-            gains, denominators = gains[nodes], denominators[nodes]
+        if gains.ndim == 2:
+            gains = gains[nodes]
+            if denominators.ndim == 2:
+                denominators = denominators[nodes]
         table = _prr_table(gains, mw, denominators, self.params.f_bytes)
         if self.pads is not None:
             table[self.pads[nodes]] = 0.0
@@ -413,10 +427,15 @@ class _Environment:
                                for *_, table in self._tables(nodes, xs)])
 
     def membership_breakpoints(self, i):
-        """Strategy values at which each potential receiver enters node i's
-        neighbor set; exact because PRR is monotone in own power."""
+        """Strategy values at which each candidate receiver enters node i's
+        neighbor set; exact because PRR is monotone in own power.  Only a
+        candidate's breakpoint can lie at or below s_max."""
+        columns = self.columns
+        if columns.ndim == 2:
+            columns = columns[i] if self.pads is None else columns[i][~self.pads[i]]
         s_eps = sinr_for_prr(self.params.epsilon_link, self.params.f_bytes)
-        return _membership_breakpoints(i, s_eps, self.denominator_row(i), self.gains[i, :])
+        return _membership_breakpoints(s_eps, self.denominator_row(i)[columns],
+                                       self.gains[i, columns])
 
 
 def _respond(env, nodes, steps):

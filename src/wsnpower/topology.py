@@ -34,6 +34,8 @@ class Topology:
         w, h = float(self.area[0]), float(self.area[1])
         if not (w > 0.0 and h > 0.0):
             raise ValueError("area sides must be positive")
+        if not np.isfinite(pos).all():
+            raise ValueError("positions must be finite")
         if np.any(pos < -1e-9) or np.any(pos[:, 0] > w + 1e-9) or np.any(pos[:, 1] > h + 1e-9):
             raise ValueError("positions must lie inside the area")
         pos = pos.copy()
@@ -117,22 +119,23 @@ def degree_at_power(i: int, s_value: float, profile, gains, n0_mw, f_bytes,
                                        n0_mw, f_bytes, epsilon_link, interference)))
 
 
-def _membership_breakpoints(i, s_eps, denominators, h_row):
-    """Strategy values at which each receiver j != i with a positive gain
-    enters node i's neighbor set: 25 + 10 log10(s_eps * denom_j / h_ij), where
-    s_eps is the SINR at which the PRR equals epsilon_link.
+def _membership_breakpoints(s_eps, denominators, gains):
+    """Strategy values at which each receiver with a positive gain enters a
+    sender's neighbor set: 25 + 10 log10(s_eps * denom_j / h_j), where s_eps
+    is the SINR at which the PRR equals epsilon_link.  ``denominators`` and
+    ``gains`` are the sender's entries for some of its receivers, never
+    itself.
 
-    When s_eps is 0 every receiver is a member at any power, so all M - 1
-    breakpoints are -inf.  Node i's degree at power s is the number of
+    When s_eps is 0 every receiver is a member at any power, so all
+    breakpoints are -inf.  The sender's degree at power s is the number of
     breakpoints below s, up to the last bits of the PRR at a breakpoint.
     Each value goes through ``math.log10``; ``np.log10`` differs from it in
     the last bit for a few percent of inputs.
     """
     if s_eps == 0.0:
-        return [-math.inf] * (h_row.size - 1)
-    reachable = h_row > 0.0
-    reachable[i] = False
-    needed = s_eps * denominators[reachable] / h_row[reachable]
+        return [-math.inf] * gains.size
+    reachable = gains > 0.0
+    needed = s_eps * denominators[reachable] / gains[reachable]
     return [25.0 + 10.0 * math.log10(v) for v in needed.tolist()]
 
 
@@ -184,9 +187,10 @@ def min_power_for_degree(i: int, profile, gains: np.ndarray, n0_mw: float, f_byt
     within the slack below the maximum power, the degree there decides:
     the maximum power if it meets k, else INFEASIBLE.
     """
+    others = np.arange(gains.shape[0]) != i
     denom = _denominators(i, profile.mw, gains, n0_mw, interference)
-    points = sorted(_membership_breakpoints(i, sinr_for_prr(epsilon_link, f_bytes), denom,
-                                            gains[i, :]))
+    points = sorted(_membership_breakpoints(sinr_for_prr(epsilon_link, f_bytes), denom[others],
+                                            gains[i, others]))
     return _degree_floor(profile, k, points, lambda: degree_at_power(
         i, profile.s_max, profile, gains, n0_mw, f_bytes, epsilon_link, interference))
 

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import mpmath
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wsnpower import channel
+from wsnpower import channel, experiment, topology
 
 mpmath.mp.dps = 50
 
@@ -99,6 +100,88 @@ def test_gain_matrix_structure():
     assert h[1, 4] == channel.gain(model, pos[1], pos[4])
     with pytest.raises(ValueError):
         channel.build_gain_matrix(pos[:1], model)
+
+
+def reference_gain_matrix(positions, model):
+    """The per-pair scalar path-loss formula, one pair at a time."""
+    pos = [(float(x), float(y)) for x, y in positions]
+    m = len(pos)
+    h = np.zeros((m, m))
+    for i in range(m):
+        for j in range(i + 1, m):
+            (ax, ay), (bx, by) = pos[i], pos[j]
+            d = math.hypot(bx - ax, by - ay)
+            d_eff = max(d, model.reference_distance_d0)
+            gain_db = model.reference_gain_db - 10.0 * model.exponent * math.log10(
+                d_eff / model.reference_distance_d0)
+            if model.shadowing_sigma_db > 0.0:
+                gain_db += channel._pair_shadowing_db(model, (ax, ay), (bx, by))
+            h[i, j] = h[j, i] = 10.0 ** (gain_db / 10.0)
+    return h
+
+
+@st.composite
+def layouts(draw):
+    """(positions, model): up to 30 nodes, some coincident and some closer
+    than the reference distance to another node."""
+    d0 = draw(st.floats(0.1, 5.0))
+    m = draw(st.integers(2, 30))
+    coord = st.floats(0.0, 60.0)
+    pos = [[draw(coord), draw(coord)] for _ in range(m)]
+    for _ in range(draw(st.integers(0, m))):
+        k, near = draw(st.integers(0, m - 1)), draw(st.integers(0, m - 1))
+        offset = draw(st.floats(0.0, 0.7)) * d0
+        pos[k] = [pos[near][0] + offset, pos[near][1]]
+    model = channel.PathLossModel(
+        reference_distance_d0=d0,
+        reference_gain_db=draw(st.floats(-80.0, 0.0)),
+        exponent=draw(st.floats(1.5, 6.0)),
+        shadowing_sigma_db=draw(st.sampled_from([0.0, 4.0])),
+        seed=draw(st.integers(0, 2**31 - 1)),
+    )
+    return np.array(pos), model
+
+
+@settings(max_examples=60, deadline=None)
+@given(layouts())
+def test_gain_matrix_equals_per_pair_formula(layout):
+    pos, model = layout
+    h = channel.build_gain_matrix(pos, model)
+    assert h.tobytes() == reference_gain_matrix(pos, model).tobytes()
+    assert channel.gain(model, pos[0], pos[-1]) == h[0, -1]
+
+
+def test_gain_matrix_frozen_default():
+    # the default config's seed-0 80-node gains, byte for byte
+    config = experiment.simulation_default()
+    h = channel.build_gain_matrix(config.build_topology().positions, config.path_loss)
+    assert hashlib.sha256(h.tobytes()).hexdigest() == (
+        "a44d033fa3e74664157b2b32819b76fae438125b4bbd991ee4f501219bf45bda")
+
+
+@pytest.mark.parametrize("sigma", [0.0, 4.0])
+def test_gain_matrix_row_blocks(monkeypatch, sigma):
+    # A pair cap of 5 splits 23 nodes into blocks of one row (rows with more
+    # than 5 pairs) and of several rows: every block boundary is crossed.
+    pos = np.random.default_rng(5).uniform(0.0, 30.0, size=(23, 2))
+    model = channel.PathLossModel(shadowing_sigma_db=sigma, seed=2)
+    whole = channel.build_gain_matrix(pos, model)
+    monkeypatch.setattr(channel, "_GAIN_PAIRS", 5)
+    blocked = channel.build_gain_matrix(pos, model)
+    assert blocked.tobytes() == whole.tobytes()
+    assert blocked.tobytes() == reference_gain_matrix(pos, model).tobytes()
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_positions_rejected(bad):
+    pos = np.random.default_rng(6).uniform(0.0, 10.0, size=(5, 2))
+    pos[3, 1] = bad
+    with pytest.raises(ValueError, match="positions must be finite"):
+        topology.Topology(positions=pos, area=(10.0, 10.0))
+    with pytest.raises(ValueError, match="positions must be finite"):
+        channel.build_gain_matrix(pos, channel.PathLossModel())
+    with pytest.raises(ValueError, match="positions must be finite"):
+        channel.gain(channel.PathLossModel(), (0.0, 0.0), pos[3])
 
 
 def test_sinr_two_node_closed_form():

@@ -1,6 +1,7 @@
 import csv
 import filecmp
 import json
+import math
 import os
 
 import numpy as np
@@ -448,8 +449,8 @@ class TestCli:
         assert not out.exists()
 
     def test_topology_file_with_id_gap_fails_at_run(self, tmp_path, capsys):
-        # A topology file is read only when the scenario runs: validate
-        # accepts the config, and run exits 2 with the file's error.
+        # validate loads the topology file too, so both it and run exit 2
+        # with the file's error.
         layout = tmp_path / "layout.json"
         topology.save_topology(topology.random_topology(DESK_M, area=DESK_AREA, seed=0), layout)
         with open(layout) as fh:
@@ -458,16 +459,39 @@ class TestCli:
         with open(layout, "w") as fh:
             json.dump(nodes, fh)
         path = write_config(tmp_path, topology_spec={"file": str(layout)})
-        assert cli.main(["validate", "--config", path]) == 0
-        capsys.readouterr()
+        assert cli.main(["validate", "--config", path]) == 2
+        assert "node ids must be 0..M-1 without gaps" in capsys.readouterr().err
         out = tmp_path / "out"
         assert cli.main(["run", "--config", path, "--out", str(out)]) == 2
         assert "node ids must be 0..M-1 without gaps" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("x, message", [
+        (math.nan, "positions must be finite"),
+        (math.inf, "positions must be finite"),
+        (DESK_AREA[0] + 1.0, "positions must lie inside the area"),
+    ])
+    def test_bad_layout_fails_at_validate(self, tmp_path, capsys, x, message):
+        # A layout with a node off the area, or not on the plane at all,
+        # exits 2 at validate as at run, with one stderr line.
+        layout = tmp_path / "layout.json"
+        topology.save_topology(topology.random_topology(DESK_M, area=DESK_AREA, seed=0), layout)
+        with open(layout) as fh:
+            nodes = json.load(fh)
+        nodes["nodes"][2]["x"] = x
+        with open(layout, "w") as fh:
+            json.dump(nodes, fh)
+        path = write_config(tmp_path, topology_spec={"file": str(layout)})
+        for argv in (["validate", "--config", path],
+                     ["run", "--config", path, "--out", str(tmp_path / "out")]):
+            assert cli.main(argv) == 2
+            assert capsys.readouterr().err == f"error: ValueError: {message}\n"
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("key", ["x", "y", "id"])
     def test_topology_file_node_missing_field_fails_at_run(self, tmp_path, capsys, key):
-        # run exits 2 with one line naming the node and its missing field.
+        # run exits 2 with one line naming the node and its missing field,
+        # found while the config is validated.
         layout = tmp_path / "layout.json"
         topology.save_topology(topology.random_topology(DESK_M, area=DESK_AREA, seed=0), layout)
         with open(layout) as fh:
@@ -479,7 +503,8 @@ class TestCli:
         out = tmp_path / "out"
         assert cli.main(["run", "--config", path, "--out", str(out)]) == 2
         node = "at index 3" if key == "id" else "id 3"
-        assert capsys.readouterr().err == f"error: topology node {node} has no '{key}' field\n"
+        assert capsys.readouterr().err == (
+            f"error: ValueError: topology node {node} has no '{key}' field\n")
         assert not out.exists()
 
     def test_unknown_levels_key_rejected(self, tmp_path, capsys):

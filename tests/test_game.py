@@ -56,6 +56,27 @@ class TestStrategyProfile:
         with pytest.raises(ValueError):
             prof.with_power(0, 0.1)
 
+    @pytest.mark.parametrize("value", [0.5 - 5e-13, 0.5, 7.25, 25.0, 25.0 + 5e-13,
+                                       0.5 - 2e-12, 25.0 + 2e-12])
+    def test_with_power_equals_constructor(self, value):
+        # Checking and clipping only the new entry gives the profile the
+        # constructor builds from the whole vector, or its ValueError.
+        prof = game.StrategyProfile(np.array([3.0, 10.0, 25.0, 0.5]))
+        s = prof.s.copy()
+        s[2] = value
+        try:
+            want = game.StrategyProfile(s)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=str(exc)):
+                prof.with_power(2, value)
+            return
+        got = prof.with_power(2, value)
+        assert type(got) is game.StrategyProfile
+        assert got.s.tobytes() == want.s.tobytes() and not got.s.flags.writeable
+        assert (got.s_min, got.s_max) == (want.s_min, want.s_max)
+        assert got.mw.tobytes() == want.mw.tobytes()
+        assert prof.s[2] == 25.0
+
     def test_constructors(self):
         assert np.all(game.StrategyProfile.constant(4, 7.0).s == 7.0)
         assert np.all(game.StrategyProfile.full_power(4).s == 25.0)
@@ -366,11 +387,14 @@ class TestKernel:
         top = _reference_row_and_utility(i, profile, gains, params, profile.s_max)[0]
         assert np.all(np.delete(top, columns) < params.epsilon_link)
         assert np.array(env.utilities(nodes, xs)).tobytes() == np.array(want).tobytes()
+        # the breakpoints are those of the candidate columns; every other
+        # receiver enters above s_max
         s_eps = channel.sinr_for_prr(params.epsilon_link, params.f_bytes)
         denom = channel._denominators(i, profile.mw, gains, N0, params.interference)
-        assert env.membership_breakpoints(i) == [
-            25.0 + 10.0 * math.log10(s_eps * denom[j] / gains[i, j])
-            for j in range(m) if j != i and gains[i, j] > 0.0]
+        breakpoints = {j: 25.0 + 10.0 * math.log10(s_eps * denom[j] / gains[i, j])
+                       for j in range(m) if j != i and gains[i, j] > 0.0}
+        assert env.membership_breakpoints(i) == [breakpoints[j] for j in columns.tolist()]
+        assert all(b > profile.s_max for j, b in breakpoints.items() if j not in columns)
 
     def test_rows_with_more_than_128_members(self):
         # Past 128 terms numpy's pairwise sum splits a row in halves; rows of
