@@ -238,7 +238,7 @@ def _run_mode(mode, config, gains, digest, continuous_result=None):
     metrics = packetsim.build_metrics(packetsim.simulate(profile, mat, config.traffic, links))
     chosen = {key: float(mat[key]) for key in sorted(metrics.per_link_prr)}
     adj = topology.adjacency(mat, params.epsilon_link)
-    register_ids = [to_register(float(d), config.registers) for d in profile.dbm]
+    register_ids = to_register(profile.dbm, config.registers).tolist()
     return ModeSection(
         mode=mode,
         topology_digest=digest,

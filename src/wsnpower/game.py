@@ -16,28 +16,28 @@ guaranteed monotone.
 The game decouples when ``interference == "none"`` and ``ncr_denominator ==
 "members"``: a node's utility then depends on its own power alone, and the
 rest of the profile reaches its best response only through its incumbent,
-one candidate among many.  So all nodes answer in lockstep, one chunked PRR
-table per search step, with results identical to sequential Gauss-Seidel,
-and a second pass could only confirm the first: ``solve`` and
-``solve_discrete`` answer a decoupled game in one pass.  The union
-denominator and concurrent interference keep one node at a time and sweep
-until no node moves.  The potential, the feasibility flags and the
-equilibrium check evaluate every node against its fixed profile as one
-chunked table in either mode.
+one candidate among many.  So all nodes answer in lockstep, with results
+identical to sequential Gauss-Seidel, and a second pass could only confirm
+the first: ``solve`` and ``solve_discrete`` answer a decoupled game in one
+pass.  The union denominator and concurrent interference keep one node at a
+time and sweep until no node moves.  The potential, the feasibility flags
+and the equilibrium check evaluate every node against its fixed profile as
+one chunked table in either mode.
 
 A best response asks for its pre-scan, membership-breakpoint and incumbent
 candidates in one request, then refines around the best of them by
-golden-section search.  Where a sweep group is a single node (the coupled
-game and the public ``best_response``) each golden-section request is
-speculative: a step's new point depends only on the bracket and one
-comparison, so the points the next few steps could ask for form a small
-binary tree that is known before any of them is evaluated.  One kernel table
-then covers four steps instead of one, and the search replays its steps from
-the returned values, so it visits the same points, makes the same
-comparisons and returns the same result.  Lockstep groups keep one step per
-request, since all their nodes already share each table, and so does the
-``union`` denominator, whose every row builds a whole M x M PRR matrix
-under interference.
+golden-section search.  The size of the sweep group picks how.  A lockstep
+group runs one array search over all its nodes (``_lockstep_search``): one
+kernel call for every node's candidates, then one per golden-section step
+for the nodes still searching.  A single node (the coupled game and the
+public ``best_response``) runs the scalar search, whose golden-section
+requests are speculative: a step's new point depends only on the bracket
+and one comparison, so the points the next few steps could ask for form a
+small binary tree that is known before any of them is evaluated.  One kernel
+table then covers four steps instead of one, and the search replays its
+steps from the returned values.  Both searches visit the same points, make
+the same comparisons and return the same result.  The discrete game scores
+every node's usable levels in one (nodes x levels) table for any group.
 """
 
 import math
@@ -229,6 +229,9 @@ _CANDIDATE_MARGIN = 1e-6
 _PRESCAN_SAMPLES = 64
 # Golden-section steps a one-node best response evaluates ahead of need:
 # each of its requests then holds 2^(L+1) - 1 points (15) instead of one.
+# The ``union`` denominator looks 0 steps ahead: under interference each of
+# its rows builds an M x M PRR matrix, and with speculative rows its solves
+# ran 22-34% slower (coupled and clear channel, 30 and 40 nodes, 2-vCPU VM).
 _LOOKAHEAD = 3
 
 
@@ -243,21 +246,24 @@ def _row_sums(table, member, counts):
 
     Below 8 terms numpy adds one term after another (its pairwise summation
     starts at 8), so a table narrower than 8 is summed with its non-members
-    set to 0.  In a wider one the rows with equal counts form one contiguous
-    (rows x count) array of their members, whose last-axis reduction pairs
-    the terms as the 1-D one does; a masked sum would pair them differently.
+    set to 0.  A wider one gathers the members of its rows, stably sorted by
+    count, into one array in which the rows of each count form a contiguous
+    (rows x count) block, whose last-axis reduction pairs the terms as the
+    1-D one does.  A masked sum would pair them differently, and so would
+    ``np.add.reduceat``.
     """
     if table.shape[1] < 8:
         return np.add.reduce(np.where(member, table, 0.0), axis=1)
-    members = table[member]
-    distinct = set(counts.tolist())
-    if len(distinct) == 1:
-        return np.add.reduce(members.reshape(counts.size, distinct.pop()), axis=1)
-    sums = np.zeros(counts.size)
-    starts = np.cumsum(counts) - counts
-    for count in distinct:
-        rows = np.flatnonzero(counts == count)
-        sums[rows] = np.add.reduce(members[starts[rows, None] + np.arange(count)], axis=1)
+    order = np.argsort(counts, kind="stable")
+    ordered, members = counts[order], table[order][member[order]]
+    bounds = [0, *(np.flatnonzero(ordered[1:] != ordered[:-1]) + 1).tolist(), counts.size]
+    sums = np.empty(counts.size)
+    start = 0
+    for a, b in zip(bounds, bounds[1:]):
+        count = int(ordered[a])
+        stop = start + (b - a) * count
+        sums[order[a:b]] = np.add.reduce(members[start:stop].reshape(b - a, count), axis=1)
+        start = stop
     return sums
 
 
@@ -300,16 +306,10 @@ class _Environment:
     since numpy's ``log10`` and squaring differ in the last bit on some
     inputs.
 
-    ``lookahead`` is how many golden-section steps the best responses it
-    serves evaluate ahead of need (see ``_golden_section_max``).  It is
-    ``_LOOKAHEAD`` for one node under the ``members`` denominator, where a
-    small table costs mostly its per-call overhead.  It is 0 where the
-    speculative rows cost more than the calls they save, as timed with
-    ``_LOOKAHEAD`` for every group on a 2-vCPU VM: for a lockstep group,
-    whose nodes already share one table per step (the ``default-80``
-    benchmark's median job 0.29 -> 0.35 s), and under ``union``, where every
-    row built an M x M PRR matrix when this was timed (solves 22-34% slower,
-    coupled and clear channel, 30 and 40 nodes).
+    A row's value depends only on its node and strategy value, never on the
+    other rows of its call, so a search may batch its rows as it likes: one
+    node's speculative steps (``_golden_section_max``) or one step of every
+    node of a lockstep group (``_lockstep_search``).
     """
 
     def __init__(self, profile, gains, n0_mw, params, senders=slice(None)):
@@ -323,7 +323,6 @@ class _Environment:
         _check_link_inputs(rows, d, params.f_bytes)
         self.required_k = params.required_degree(profile.n)
         one_node = not isinstance(senders, slice)
-        self.lookahead = _LOOKAHEAD if one_node and params.ncr_denominator == "members" else 0
         # SINR at s_max + margin reaches the threshold, without an M x M temporary
         top_mw = 10.0 ** ((profile.s_max + _CANDIDATE_MARGIN - DBM_OFFSET) / 10.0)
         candidate = rows >= sinr_for_prr(params.epsilon_link, params.f_bytes) / top_mw * d
@@ -438,34 +437,17 @@ class _Environment:
                                        self.gains[i, columns])
 
 
-def _respond(env, nodes, steps):
-    """Run the coroutine ``steps(i, env)`` of every node in lockstep; returns
-    their results in node order.
-
-    A coroutine yields a list of strategy values, is sent their utilities in
-    the same order, and finally returns its result.  Each round evaluates
-    every node's pending request in one kernel call, so the nodes of a group
-    share their tables while each one's search runs as it would alone.
-    """
-    results, pending = {}, {}
-
-    def advance(i, coroutine, values):
-        try:
-            pending[i] = (coroutine, coroutine.send(values))
-        except StopIteration as stop:
-            results[i] = stop.value
-
-    for i in nodes:
-        advance(i, steps(i, env), None)
-    while pending:
-        batch, pending = pending, {}
-        rows = [i for i, (_, xs) in batch.items() for _ in xs]
-        values = env.utilities(rows, [x for _, xs in batch.values() for x in xs]).tolist()
-        pos = 0
-        for i, (coroutine, xs) in batch.items():
-            advance(i, coroutine, values[pos:pos + len(xs)])
-            pos += len(xs)
-    return [results[i] for i in nodes]
+def _respond(env, i):
+    """Node i's best response (s_i, flagged): drives ``_best_response_steps``,
+    which yields lists of strategy values and is sent their utilities in the
+    same order, one kernel call per request."""
+    steps, values = _best_response_steps(i, env), None
+    try:
+        while True:
+            xs = steps.send(values)
+            values = env.utilities([i] * len(xs), xs).tolist()
+    except StopIteration as stop:
+        return stop.value
 
 
 def utility(i: int, profile: StrategyProfile, gains: np.ndarray, n0_mw: float,
@@ -557,15 +539,20 @@ def _golden_section_max(lo: float, hi: float, tol: float, lookahead: int):
     return (state[2], fc) if fc >= fd else (state[3], fd)
 
 
-def _scan_nonunimodal(values, atol: float = 1e-12) -> bool:
-    """True if a sampled 1-D sequence rises again after having fallen."""
-    fell = False
-    for prev, cur in zip(values, values[1:]):
-        if cur < prev - atol:
-            fell = True
-        elif fell and cur > prev + atol:
-            return True
-    return False
+def _scan_nonunimodal(values, atol: float = 1e-12):
+    """Per row of sampled values (last axis): whether it rises again after
+    having fallen.  A step cannot both fall and rise, so a rise counts when
+    some step up to it fell."""
+    prev, cur = values[..., :-1], values[..., 1:]
+    fell = np.logical_or.accumulate(cur < prev - atol, axis=-1)
+    return (fell & (cur > prev + atol)).any(axis=-1)
+
+
+def _search_floor(i, env):
+    """(Node i's sorted membership breakpoints, its degree floor)."""
+    breakpoints = sorted(env.membership_breakpoints(i))
+    return breakpoints, _degree_floor(env.profile, env.required_k, breakpoints,
+                                      lambda: env.degrees([i], [env.profile.s_max])[0])
 
 
 def _best_response_steps(i, env):
@@ -578,12 +565,12 @@ def _best_response_steps(i, env):
 
     The pre-scan, the membership breakpoints and the incumbent go out as one
     request, since no candidate depends on another's value.  The
-    golden-section refinement looks ``env.lookahead`` steps ahead.
+    golden-section refinement looks ``_LOOKAHEAD`` steps ahead, none under
+    the ``union`` denominator.  ``_lockstep_search`` is this search over
+    arrays, for many nodes at once.
     """
     profile, params = env.profile, env.params
-    breakpoints = sorted(env.membership_breakpoints(i))
-    floor = _degree_floor(profile, env.required_k, breakpoints,
-                          lambda: env.degrees([i], [profile.s_max])[0])
+    breakpoints, floor = _search_floor(i, env)
     if floor == INFEASIBLE:
         # Cost-only branch everywhere: spend as little as allowed.
         return profile.s_min, False
@@ -608,25 +595,115 @@ def _best_response_steps(i, env):
     candidates = sorted(set(candidates))
     values = yield candidates
     cache = dict(zip(candidates, values))
-    nonunimodal = _scan_nonunimodal([cache[x] for x in scan_points])
+    nonunimodal = bool(_scan_nonunimodal(np.array([cache[x] for x in scan_points])))
     best_idx = int(np.argmax(values))
     best_x, best_val = candidates[best_idx], values[best_idx]
 
     bracket_lo = candidates[best_idx - 1] if best_idx > 0 else lo
     bracket_hi = candidates[best_idx + 1] if best_idx + 1 < len(candidates) else hi
     if bracket_hi - bracket_lo > params.br_tol:
+        lookahead = _LOOKAHEAD if params.ncr_denominator == "members" else 0
         x_ref, v_ref = yield from _golden_section_max(bracket_lo, bracket_hi, params.br_tol,
-                                                      env.lookahead)
+                                                      lookahead)
         if v_ref > best_val:
             best_x, best_val = x_ref, v_ref
     return float(best_x), nonunimodal
+
+
+def _lockstep_search(env, nodes):
+    """``_best_response_steps`` for every node of a lockstep group at once:
+    (s* per node, how many flagged).
+
+    Each step is one kernel call over the nodes still searching, and every
+    array operation is the scalar one per element, so each node visits the
+    same points, makes the same comparisons and returns the same value as
+    alone.  The pre-scan is one ``linspace`` over the rows, bitwise the
+    per-row calls.  The breakpoint and incumbent candidates pad their rows
+    with +inf; a stable sort puts the scan points first among equal values,
+    and each value's first copy goes to the kernel.  The bracket is the
+    first maximum's distinct neighbours, and the golden section holds its
+    state in arrays.
+    """
+    profile, params = env.profile, env.params
+    hi, tol = profile.s_max, params.br_tol
+    breakpoints, floors = zip(*(_search_floor(i, env) for i in nodes))
+    lo = np.maximum(profile.s_min, floors)
+    # the scalar search's early answers: s_min when infeasible, else hi
+    # when the range is within tol
+    s_star = np.where(lo == INFEASIBLE, profile.s_min, hi)
+    search = np.flatnonzero(hi - lo > tol)
+    if search.size == 0:
+        return s_star, 0
+    nodes, lo = np.asarray(nodes)[search], lo[search]
+    breakpoints = [breakpoints[r] for r in search.tolist()]
+    points = np.full((search.size, max(map(len, breakpoints))), np.inf)
+    for row, b in enumerate(breakpoints):
+        points[row, :len(b)] = b
+    inside = (lo[:, None] < points) & (points < hi)
+    below = points - 1e-9
+    incumbent = profile.s[nodes]
+    raw = np.column_stack([
+        np.linspace(lo, hi, _PRESCAN_SAMPLES, axis=1),
+        np.where(inside, points, np.inf),
+        np.where(inside & (below > lo[:, None]), below, np.inf),
+        np.where((lo <= incumbent) & (incumbent <= hi), incumbent, np.inf)])
+    order = np.argsort(raw, axis=1, kind="stable")
+    cand = np.take_along_axis(raw, order, axis=1)
+    first = np.isfinite(cand)
+    first[:, 1:] &= cand[:, 1:] != cand[:, :-1]
+    values = np.full(cand.shape, -np.inf)
+    values[first] = env.utilities(np.repeat(nodes, first.sum(axis=1)), cand[first])
+    # A copy takes its first copy's utility: scan points can repeat each
+    # other in a range a few ulps wide.
+    columns = np.arange(cand.shape[1])
+    values = np.take_along_axis(values, np.maximum.accumulate(
+        np.where(first | ~np.isfinite(cand), columns, 0), axis=1), axis=1)
+    flagged = _scan_nonunimodal(values[order < _PRESCAN_SAMPLES].reshape(-1, _PRESCAN_SAMPLES))
+
+    rows, best = np.arange(search.size), np.argmax(values, axis=1)
+    x, v = cand[rows, best], values[rows, best]
+    # lo and hi are always candidates, so they bound the neighbours
+    a = np.maximum(np.where(cand < x[:, None], cand, -np.inf).max(axis=1), lo)
+    b = np.minimum(np.where(cand > x[:, None], cand, np.inf).min(axis=1), hi)
+    refine = np.flatnonzero(b - a > tol)
+    if refine.size:
+        x_ref, v_ref = _lockstep_golden_section(env, nodes[refine], a[refine], b[refine], tol)
+        better = v_ref > v[refine]
+        x[refine[better]] = x_ref[better]
+    s_star[search] = x
+    return s_star, int(np.count_nonzero(flagged))
+
+
+def _lockstep_golden_section(env, nodes, a, b, tol):
+    """``_golden_section_max`` on the brackets [a, b] of several nodes, its
+    (a, b, c, d, fc, fd) state held in arrays: one kernel call per step for
+    the nodes whose bracket is still wider than tol.  Returns (x, f(x)) per
+    node.  It looks no step ahead: the nodes already share each step's
+    table, and speculative rows made lockstep solves slower when timed
+    (``default-80`` median job 0.29 -> 0.35 s, 2-vCPU VM)."""
+    c = b - _INV_GOLDEN * (b - a)
+    d = a + _INV_GOLDEN * (b - a)
+    fc, fd = env.utilities(np.repeat(nodes, 2), np.column_stack([c, d]).ravel()).reshape(-1, 2).T
+    while (live := np.flatnonzero(b - a > tol)).size:
+        left = fc[live] >= fd[live]
+        lt, rt = live[left], live[~left]
+        # as _golden_step: left keeps [a, d], right keeps [c, b]
+        b[lt], d[lt] = d[lt], c[lt]
+        c[lt] = b[lt] - _INV_GOLDEN * (b[lt] - a[lt])
+        a[rt], c[rt] = c[rt], d[rt]
+        d[rt] = a[rt] + _INV_GOLDEN * (b[rt] - a[rt])
+        fx = env.utilities(nodes[live], np.where(left, c[live], d[live]))
+        fc[lt], fd[lt] = fx[left], fc[lt]
+        fc[rt], fd[rt] = fd[rt], fx[~left]
+    top = fc >= fd
+    return np.where(top, c, d), np.where(top, fc, fd)
 
 
 def best_response(i: int, profile: StrategyProfile, gains: np.ndarray, n0_mw: float,
                   params: GameParams) -> float:
     """Utility-maximizing power for node i against the rest of the profile."""
     env = _Environment(profile, gains, n0_mw, params, i)
-    return _respond(env, [i], _best_response_steps)[0][0]
+    return _respond(env, i)[0]
 
 
 def _per_node_feasible(profile, gains, n0_mw, params):
@@ -643,15 +720,26 @@ def _per_node_feasible(profile, gains, n0_mw, params):
     return [d >= k for d in degree.tolist()]
 
 
-def _sweep(profile, gains, n0_mw, params, steps):
-    """One pass of best responses in index order; ``steps(i, env)`` is a
-    node's response as a ``_respond`` coroutine returning (s_i, flagged).
+def _best_responses(env, nodes):
+    """The continuous game's answers of a sweep group: (s* per node, how
+    many flagged).  A lone node runs the speculative scalar search, a
+    lockstep group the array search; both return what each node's search
+    alone returns."""
+    if len(nodes) > 1:
+        return _lockstep_search(env, nodes)
+    s_star, flagged = _respond(env, nodes[0])
+    return [s_star], int(flagged)
+
+
+def _sweep(profile, gains, n0_mw, params, respond):
+    """One pass of best responses in index order; ``respond(env, nodes)``
+    answers a group of nodes with (s* per node, how many flagged).
     Returns the new profile and the flag count.
 
     When the game decouples, a node's response depends on the rest of the
     profile only through its own incumbent, which no earlier node of the
     sweep changes.  All nodes then answer the sweep's starting profile in
-    lockstep, as they would in turn, and one sweep is the whole solve;
+    one group, as they would in turn, and one sweep is the whole solve;
     otherwise each node answers the profile its predecessors left.
     """
     order = list(range(profile.n))
@@ -659,13 +747,14 @@ def _sweep(profile, gains, n0_mw, params, steps):
     flags = 0
     for senders, nodes in groups:
         env = _Environment(profile, gains, n0_mw, params, senders)
-        for i, (s_star, flagged) in zip(nodes, _respond(env, nodes, steps)):
-            flags += int(flagged)
-            profile = profile.with_power(i, s_star)
+        s_star, flagged = respond(env, nodes)
+        flags += flagged
+        for i, s in zip(nodes, np.asarray(s_star).tolist()):
+            profile = profile.with_power(i, s)
     return profile, flags
 
 
-def _iterate(profile0, gains, n0_mw, params, steps) -> EquilibriumResult:
+def _iterate(profile0, gains, n0_mw, params, respond) -> EquilibriumResult:
     """Sweep until no node moves by convergence_tol or n_iter_max sweeps ran.
 
     The driver of both the continuous and the discrete game: the exact
@@ -680,7 +769,7 @@ def _iterate(profile0, gains, n0_mw, params, steps) -> EquilibriumResult:
     flags = sweeps = 0
     converged = False
     while sweeps < params.n_iter_max and not converged:
-        new_profile, sweep_flags = _sweep(current, gains, n0_mw, params, steps)
+        new_profile, sweep_flags = _sweep(current, gains, n0_mw, params, respond)
         sweeps += 1
         flags += sweep_flags
         trace.append(potential(new_profile, gains, n0_mw, params))
@@ -706,7 +795,7 @@ def solve(profile0: StrategyProfile, gains: np.ndarray, n0_mw: float,
     A decoupled game takes one lockstep pass (see ``_iterate``); a coupled
     game's non-convergence within n_iter_max sweeps is reported, not raised.
     """
-    return _iterate(profile0, gains, n0_mw, params, _best_response_steps)
+    return _iterate(profile0, gains, n0_mw, params, _best_responses)
 
 
 def verify_equilibrium(profile: StrategyProfile, gains: np.ndarray, n0_mw: float,

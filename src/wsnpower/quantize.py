@@ -70,15 +70,17 @@ def discretize_profile(profile: StrategyProfile, levels: DiscreteLevelSet) -> St
     return StrategyProfile(np.asarray(q) + DBM_OFFSET, s_min=profile.s_min, s_max=profile.s_max)
 
 
-def _level_steps(usable):
-    """A node's response in the discrete game's sweeps, a coroutine for
-    ``game._respond``: (s of its usable level with the highest utility, ties
-    to the lower one; no non-unimodal flag)."""
-    def steps(i, env):
-        values = yield [level + DBM_OFFSET for level in usable]
-        # argmax keeps the first maximum
-        return float(usable[int(np.argmax(values))]) + DBM_OFFSET, False
-    return steps
+def _level_responses(usable):
+    """The discrete game's answers of a sweep group, for ``game._sweep``:
+    each node's usable level with the highest utility, ties to the lower
+    one, from one (nodes x levels) table; no non-unimodal flags."""
+    xs = np.array(usable) + DBM_OFFSET
+
+    def respond(env, nodes):
+        values = env.utilities(np.repeat(nodes, xs.size), np.tile(xs, len(nodes)))
+        # argmax keeps each row's first maximum
+        return xs[np.argmax(values.reshape(len(nodes), xs.size), axis=1)], 0
+    return respond
 
 
 def solve_discrete(profile0: StrategyProfile, gains: np.ndarray, n0_mw: float,
@@ -92,7 +94,7 @@ def solve_discrete(profile0: StrategyProfile, gains: np.ndarray, n0_mw: float,
     """
     start = discretize_profile(profile0, levels)
     usable = _usable_levels(levels, start.s_min, start.s_max)
-    return _iterate(start, gains, n0_mw, params, _level_steps(usable))
+    return _iterate(start, gains, n0_mw, params, _level_responses(usable))
 
 
 @dataclass(frozen=True)
@@ -128,18 +130,18 @@ class RegisterMap:
         return cls(tuple((row["dbm"], row["id"]) for row in data["registers"]))
 
 
-def to_register(dbm: float, rmap: RegisterMap) -> int:
+def to_register(dbm, rmap: RegisterMap):
     """Register id for a dB level, snapping to the nearest table entry.
 
-    Values outside the table's span are a configuration error.
+    Values outside the table's span are a configuration error.  Accepts
+    scalars or arrays, as ``quantize`` does.
     """
-    value = float(dbm)
-    dbms = [d for d, _ in rmap.pairs]
-    if value < dbms[0] - 1e-12 or value > dbms[-1] + 1e-12:
-        raise ValueError(f"{value} dB is outside the register map domain "
-                         f"[{dbms[0]}, {dbms[-1]}]")
-    snapped = quantize(value, DiscreteLevelSet(tuple(dbms)))
-    for d, r in rmap.pairs:
-        if d == snapped:
-            return r
-    raise AssertionError("unreachable: snapped level must be a table entry")
+    values = np.asarray(dbm, dtype=float)
+    dbms, ids = zip(*rmap.pairs)
+    outside = ~((values >= dbms[0] - 1e-12) & (values <= dbms[-1] + 1e-12))
+    if outside.any():
+        raise ValueError(f"{float(values[outside].flat[0])} dB is outside the register map "
+                         f"domain [{dbms[0]}, {dbms[-1]}]")
+    snapped = quantize(values, DiscreteLevelSet(dbms))
+    out = np.array(ids)[np.searchsorted(dbms, snapped)]
+    return int(out) if np.ndim(dbm) == 0 else out

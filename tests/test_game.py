@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wsnpower import channel, game, topology
-from wsnpower.quantize import DiscreteLevelSet, _level_steps, solve_discrete
+from wsnpower.quantize import DiscreteLevelSet, _level_responses, solve_discrete
 from conftest import DESK_M, DESK_SEEDS, N0, build_desk, random_profile
 
 # log10(1 + 9 * 0.5) - (12.5 / 25)^2, high-precision reference
@@ -429,14 +429,14 @@ def _random_game(draw, max_m, **params):
     return gains, profile, params
 
 
-def _one_node_sweep(profile, gains, params, steps):
+def _one_node_sweep(profile, gains, params, respond):
     """A sweep in which every node answers on its own, in index order."""
     flags = 0
     for i in range(profile.n):
         env = game._Environment(profile, gains, N0, params, i)
-        [(s_star, flagged)] = game._respond(env, [i], steps)
-        flags += int(flagged)
-        profile = profile.with_power(i, s_star)
+        [s_star], flagged = respond(env, [i])
+        flags += flagged
+        profile = profile.with_power(i, float(s_star))
     return profile, flags
 
 
@@ -444,20 +444,38 @@ class TestLockstep:
     @settings(deadline=None, max_examples=30)
     @given(st.data())
     def test_decoupled_sweep_equals_one_node_groups(self, data):
-        # Lockstep groups search with lookahead 0 and one-node groups with
-        # game._LOOKAHEAD > 0, so this also checks the speculative search.
-        gains, profile, params = _random_game(data.draw, 30)
+        # A lockstep group runs the array search and a lone node the scalar
+        # search with game._LOOKAHEAD > 0, so this checks the one against the
+        # other.  Up to 90 nodes, lockstep tables 8 or more columns wide with
+        # many distinct degrees are common.
+        gains, profile, params = _random_game(
+            data.draw, 90, epsilon_link=data.draw(st.sampled_from([0.01, 0.5, 0.9])))
         assert game._decouples(params)
         usable = [v for v in DiscreteLevelSet().levels_dbm
                   if profile.s_min <= v + 25.0 <= profile.s_max]
-        games = [game._best_response_steps]
+        games = [game._best_responses]
         if usable:
-            games.append(_level_steps(usable))
-        for steps in games:
-            lockstep, lockstep_flags = game._sweep(profile, gains, N0, params, steps)
-            alone, alone_flags = _one_node_sweep(profile, gains, params, steps)
+            games.append(_level_responses(usable))
+        for respond in games:
+            lockstep, lockstep_flags = game._sweep(profile, gains, N0, params, respond)
+            alone, alone_flags = _one_node_sweep(profile, gains, params, respond)
             assert lockstep.s.tobytes() == alone.s.tobytes()
             assert lockstep_flags == alone_flags
+
+    @pytest.mark.parametrize("s_min", [16.5, 19.5, 23.0])
+    def test_scan_points_that_repeat(self, s_min):
+        # In a range a few ulps wide some of the scan points are equal; the
+        # array search still answers and flags as each node alone.
+        topo = topology.random_topology(30, area=(20.0, 20.0), seed=5)
+        gains = channel.build_gain_matrix(topo.positions, channel.PathLossModel())
+        s_max = s_min + 1.5e-13
+        assert np.any(np.diff(np.linspace(s_min, s_max, game._PRESCAN_SAMPLES)) == 0)
+        profile = game.StrategyProfile(np.full(30, s_max), s_min=s_min, s_max=s_max)
+        params = game.GameParams(degree_target=0, br_tol=1e-13)
+        lockstep, lockstep_flags = game._sweep(profile, gains, N0, params, game._best_responses)
+        alone, alone_flags = _one_node_sweep(profile, gains, params, game._best_responses)
+        assert lockstep.s.tobytes() == alone.s.tobytes()
+        assert lockstep_flags == alone_flags
 
     @settings(deadline=None, max_examples=30)
     @given(st.data())
@@ -601,7 +619,7 @@ class TestDynamics:
         _, gains = build_desk(3)
         params = game.GameParams()
         prof = random_profile(rng, 10)
-        swept, _ = game._sweep(prof, gains, N0, params, game._best_response_steps)
+        swept, _ = game._sweep(prof, gains, N0, params, game._best_responses)
         manual = prof
         for i in range(10):
             manual = manual.with_power(i, game.best_response(i, manual, gains, N0, params))
@@ -659,13 +677,13 @@ class TestDynamics:
                  else random_profile(rng, m))
         result = game.solve(start, gains, N0, params)
         assert result.sweeps_used == 1 and result.converged
-        again, _ = game._sweep(result.profile, gains, N0, params, game._best_response_steps)
+        again, _ = game._sweep(result.profile, gains, N0, params, game._best_responses)
         assert np.max(np.abs(again.s - result.profile.s)) < params.convergence_tol
         levels = DiscreteLevelSet()
         discrete = solve_discrete(start, gains, N0, params, levels)
         assert discrete.sweeps_used == 1 and discrete.converged
         usable = [v for v in levels.levels_dbm if start.s_min <= v + 25.0 <= start.s_max]
-        swept, _ = game._sweep(discrete.profile, gains, N0, params, _level_steps(usable))
+        swept, _ = game._sweep(discrete.profile, gains, N0, params, _level_responses(usable))
         assert swept.s.tobytes() == discrete.profile.s.tobytes()
 
     def test_fixed_point_property(self, desk0_solution):

@@ -324,3 +324,29 @@ def test_array_log_matches_per_record_reference(data):
     assert metrics.empty_neighborhood_senders == empty
     for name, value in expect.items():
         assert repr(getattr(metrics, name)) == repr(value), name
+
+
+@pytest.mark.parametrize("m, n, retries", [(7, 3000, 5), (5, 20000, 3), (9, 100, 0)])
+def test_simulate_blocks_continue_the_per_sender_stream(m, n, retries):
+    # Several senders per draw and several draws per run, one sender wider
+    # than a draw, and one draw for the whole run: each gives the attempts
+    # and deliveries of one (n x cap) draw per sender in sender order.
+    rng = np.random.default_rng(m)
+    gains = channel.build_gain_matrix(rng.uniform(0.0, 40.0, size=(m, 2)),
+                                      channel.PathLossModel())
+    profile = game.StrategyProfile(rng.uniform(0.5, 25.0, size=m))
+    mat = prr_of(profile, gains)
+    links = packetsim.best_prr_receivers(mat, 0.01)
+    traffic = packetsim.TrafficConfig(messages_per_node=n, max_retries=retries, seed=m + n)
+    cap = retries + 1
+    if (m, n) == (7, 3000):
+        assert 2 <= packetsim._DRAW_CELLS // (n * cap) < m
+    log = packetsim.simulate(profile, mat, traffic, links)
+    draws = np.random.default_rng(traffic.seed)
+    p_link = np.where(links >= 0, mat[np.arange(m), np.clip(links, 0, m - 1)], 0.0)
+    for i in range(m):
+        success = draws.random((n, cap)) < p_link[i]
+        delivered = success.any(axis=1)
+        assert np.array_equal(log.delivered[i * n:(i + 1) * n], delivered)
+        assert np.array_equal(log.attempts_used[i * n:(i + 1) * n],
+                              np.where(delivered, np.argmax(success, axis=1) + 1, cap))

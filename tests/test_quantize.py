@@ -8,7 +8,7 @@ from wsnpower import experiment, game, quantize as quantize_mod
 from wsnpower.quantize import (
     DiscreteLevelSet,
     RegisterMap,
-    _level_steps,
+    _level_responses,
     _usable_levels,
     discretize_profile,
     quantize,
@@ -24,8 +24,8 @@ WIDE = DiscreteLevelSet(tuple(float(v) for v in range(-25, 1)))
 def discrete_best_response(i, profile, gains, params, levels):
     """Node i's discrete game response against the profile, in dB."""
     env = game._Environment(profile, gains, N0, params, i)
-    steps = _level_steps(_usable_levels(levels, profile.s_min, profile.s_max))
-    return game._respond(env, [i], steps)[0][0] - 25.0
+    respond = _level_responses(_usable_levels(levels, profile.s_min, profile.s_max))
+    return float(respond(env, [i])[0][0]) - 25.0
 
 
 class TestLevelSet:
@@ -235,6 +235,18 @@ class TestToRegister:
         probe = np.linspace(-25.0, 0.0, 501)
         ids = [to_register(v, rmap) for v in probe]
         assert all(b >= a for a, b in zip(ids, ids[1:]))
+
+    def test_array_is_the_scalar_per_entry(self):
+        rmap = RegisterMap.eight_level_default()
+        probe = np.linspace(-25.0, 0.0, 501)
+        assert type(to_register(-3.0, rmap)) is int
+        assert to_register(probe, rmap).tolist() == [to_register(v, rmap) for v in probe.tolist()]
+        grid = np.array([[-25.0, -2.0], [0.0, -14.9]])
+        assert to_register(grid, rmap).tolist() == [[3, 23], [31, 7]]
+        # one domain check, naming the first value outside
+        with pytest.raises(ValueError, match=r"^0\.5 dB is outside the register map "
+                                             r"domain \[-25\.0, 0\.0\]$"):
+            to_register(np.array([-3.0, 0.5, -30.0]), rmap)
 
 
 def test_module_accessible_despite_function_reexport():
