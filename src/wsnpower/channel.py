@@ -230,13 +230,16 @@ def link_prr(i: int, j: int, powers_mw, gains: np.ndarray, n0_mw: float, f_bytes
 def sinr_for_prr(target_prr: float, f_bytes: int) -> float:
     """Invert the BER/PRR chain: the SINR at which the PRR equals the target.
 
-    Returns 0 when any non-negative SINR already meets the target.
+    Returns 0 when any non-negative SINR already meets the target, and inf
+    when only an error-free bit, at infinite SINR, does (a target of 1).
     """
     if not (0.0 < target_prr <= 1.0):
         raise ValueError("target PRR must lie in (0, 1]")
     b = 1.0 - target_prr ** (1.0 / (8 * int(f_bytes)))
     if b >= 0.5:
         return 0.0
+    if b <= 0.0:
+        return math.inf
     x = 1.0 - 2.0 * b  # equals sqrt(S / (1 + S)) at the threshold
     return float(x * x / (1.0 - x * x))
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import channel, game, packetsim, topology
-from .quantize import (DiscreteLevelSet, RegisterMap, discretize_profile,
+from .quantize import (DiscreteLevelSet, RegisterMap, _usable_levels, discretize_profile,
                        solve_discrete, to_register)
 
 MODES = ("continuous", "discretized-posthoc", "discretized-game", "full-power")
@@ -51,6 +51,16 @@ class ScenarioConfig:
             raise ValueError("duplicate modes")
         if self.receiver_policy not in RECEIVER_POLICIES:
             raise ValueError(f"receiver policy must be one of {RECEIVER_POLICIES}")
+        # Every mode maps its powers, anywhere in the profile's range, to
+        # registers, and a discretized mode needs a level in that range.
+        s_min, s_max = game.StrategyProfile.s_min, game.StrategyProfile.s_max
+        low, high = s_min - channel.DBM_OFFSET, s_max - channel.DBM_OFFSET
+        dbms = [d for d, _ in self.registers.pairs]
+        if dbms[0] > low or dbms[-1] < high:
+            raise ValueError(f"register map spans [{dbms[0]}, {dbms[-1]}] dB, which does not "
+                             f"cover the transmit range [{low}, {high}] dB")
+        if {"discretized-posthoc", "discretized-game"} & set(self.modes):
+            _usable_levels(self.levels, s_min, s_max)
         spec = self.topology_spec
         if "file" not in spec:
             if not {"m", "area", "seed"} <= set(spec):
@@ -158,7 +168,6 @@ class ModeSection:
     analytic_link_prr: dict
     metrics: packetsim.Metrics
     connected_bfs: bool
-    connected_spectral: bool
 
     def to_json_dict(self) -> dict:
         data = self.result.to_json_dict()
@@ -174,7 +183,6 @@ class ModeSection:
             "analytic_link_prr": {f"{i}->{j}": v for (i, j), v in sorted(self.analytic_link_prr.items())},
             "metrics": self.metrics.to_json_dict(),
             "connected_bfs": self.connected_bfs,
-            "connected_spectral": self.connected_spectral,
         }
 
 
@@ -248,7 +256,6 @@ def _run_mode(mode, config, gains, digest, continuous_result=None):
         analytic_link_prr=chosen,
         metrics=metrics,
         connected_bfs=topology.is_connected_bfs(adj),
-        connected_spectral=topology.is_connected_spectral(adj),
     )
 
 
@@ -265,7 +272,7 @@ def run_scenario(config: ScenarioConfig) -> SimulationReport:
     adj_full = topology.adjacency(
         channel.prr_matrix(full.mw, gains, n0, params.f_bytes, params.interference),
         params.epsilon_link)
-    full_connected = topology.is_connected_spectral(adj_full)
+    full_connected = topology.is_connected_bfs(adj_full)
 
     needs_continuous = {"continuous", "discretized-posthoc"} & set(config.modes)
     continuous_result = None
@@ -353,9 +360,8 @@ def emit(report: SimulationReport, out_dir) -> list:
     rows = []
     for mode in report.config.modes:
         sec = report.sections[mode]
-        connected = sec.connected_bfs and sec.connected_spectral
         rows.append([mode, _fmt(sec.metrics.avg_prr), _fmt(sec.metrics.relative_energy),
-                     int(connected)])
+                     int(sec.connected_bfs)])
     path = os.path.join(out_dir, "summary.csv")
     _write_csv(path, ["mode", "avg_prr", "relative_energy", "connected"], rows)
     created.append(path)

@@ -1,17 +1,23 @@
 """Per-node power game: neighborhood reliability benefit against energy cost.
 
-Each node i picks a transmit power s_i in [s_min, s_max] to maximize
+Each node i picks a transmit power s_i to maximize
 
-    u_i = log10(1 + 9 * NCR_i) - (s_i / 25)^2      when its degree floor holds,
-    u_i = -(s_i / 25)^2                            otherwise,
+    u_i = log10(1 + 9 * NCR_i) - (s_i / 25)^2
 
 where NCR_i is the mean analytic packet reception ratio over i's current
-neighbor set.  With the default clear-channel link model a node's reliability
-depends only on its own power, the sum of utilities is an exact potential for
-unilateral deviations, and sequential best responses ascend it to the unique
+neighbor set.  The degree floor constrains the strategy set; it is not a
+penalty.  Node i plays in [max(s_min, floor_i), s_max], floor_i being the
+least power that gives it k neighbors (``topology.min_power_for_degree``).
+A node that cannot reach k neighbors at s_max is infeasible: it plays in
+[s_min, s_max] and scores only the cost.  ``utility`` evaluates any power,
+with the cost-only branch below the floor; the best response and
+``verify_equilibrium`` search only the strategy set.  With the default
+clear-channel link model a node's reliability depends only on its own
+power, the sum of utilities is an exact potential for unilateral
+deviations, and sequential best responses ascend it to the unique
 maximizer.  Under the optional worst-case concurrent-interference model the
-utilities are coupled and the potential trace is reported rather than
-guaranteed monotone.
+utilities and the floors are coupled, and the potential trace is reported
+rather than guaranteed monotone.
 
 The game decouples when ``interference == "none"`` and ``ncr_denominator ==
 "members"``: a node's utility then depends on its own power alone, and the
@@ -24,20 +30,21 @@ time and sweep until no node moves.  The potential, the feasibility flags
 and the equilibrium check evaluate every node against its fixed profile as
 one chunked table in either mode.
 
-A best response asks for its pre-scan, membership-breakpoint and incumbent
-candidates in one request, then refines around the best of them by
-golden-section search.  The size of the sweep group picks how.  A lockstep
-group runs one array search over all its nodes (``_lockstep_search``): one
-kernel call for every node's candidates, then one per golden-section step
-for the nodes still searching.  A single node (the coupled game and the
-public ``best_response``) runs the scalar search, whose golden-section
-requests are speculative: a step's new point depends only on the bracket
-and one comparison, so the points the next few steps could ask for form a
-small binary tree that is known before any of them is evaluated.  One kernel
-table then covers four steps instead of one, and the search replays its
-steps from the returned values.  Both searches visit the same points, make
-the same comparisons and return the same result.  The discrete game scores
-every node's usable levels in one (nodes x levels) table for any group.
+A best response evaluates its pre-scan, membership-breakpoint and incumbent
+candidates in one table, then refines around the best of them by
+golden-section search to within ``_BR_TOL``.  The size of the sweep group
+picks how.  A lockstep group runs one array search over all its nodes
+(``_lockstep_search``): one kernel call for every node's candidates, then
+one per golden-section step for the nodes still searching.  A single node
+(the coupled game and the public ``best_response``) runs the scalar search
+``_best_response``, whose golden-section tables are speculative: a step's
+new point depends only on the bracket and one comparison, so the points the
+next few steps could ask for form a small binary tree that is known before
+any of them is evaluated.  One kernel table then covers four steps instead
+of one, and the search replays its steps from the returned values.  Both
+searches visit the same points, make the same comparisons and return the
+same result.  The discrete game scores every node's usable levels in one
+(nodes x levels) table for any group.
 """
 
 import math
@@ -149,8 +156,6 @@ class GameParams:
     degree_rule: str = "fixed-k"
     smallworld_delta: float = 0.1
     n_iter_max: int = 100
-    convergence_tol: float = 1e-4
-    br_tol: float = 1e-6
     ncr_denominator: str = "members"
     interference: str = "none"
 
@@ -159,8 +164,8 @@ class GameParams:
             raise ValueError("utility constants must be positive")
         if int(self.f_bytes) != self.f_bytes or self.f_bytes < 1:
             raise ValueError("payload bytes must be a positive integer")
-        if not (0.0 < self.epsilon_link <= 1.0):
-            raise ValueError("epsilon_link must lie in (0, 1]")
+        if not (0.0 < self.epsilon_link < 1.0):
+            raise ValueError(f"epsilon_link must lie in (0, 1), got {self.epsilon_link!r}")
         if self.degree_target < 0:
             raise ValueError("degree target must be >= 0")
         if self.degree_rule not in DEGREE_RULES:
@@ -169,8 +174,6 @@ class GameParams:
             raise ValueError("smallworld delta must be positive")
         if self.n_iter_max < 1:
             raise ValueError("need at least one sweep")
-        if self.convergence_tol <= 0 or self.br_tol <= 0:
-            raise ValueError("tolerances must be positive")
         if self.ncr_denominator not in NCR_DENOMINATORS:
             raise ValueError(f"ncr denominator must be one of {NCR_DENOMINATORS}")
         if self.interference not in INTERFERENCE_MODES:
@@ -227,8 +230,12 @@ _CHUNK_CELLS = 1 << 15
 _CANDIDATE_MARGIN = 1e-6
 # Evenly spaced strategy values a best response's pre-scan evaluates.
 _PRESCAN_SAMPLES = 64
+# Bracket width at which a best response's golden section stops, and the
+# largest move of a sweep that counts as converged.
+_BR_TOL = 1e-6
+_CONVERGENCE_TOL = 1e-4
 # Golden-section steps a one-node best response evaluates ahead of need:
-# each of its requests then holds 2^(L+1) - 1 points (15) instead of one.
+# each of its kernel tables then holds 2^(L+1) - 1 points (15) instead of one.
 # The ``union`` denominator looks 0 steps ahead: under interference each of
 # its rows builds an M x M PRR matrix, and with speculative rows its solves
 # ran 22-34% slower (coupled and clear channel, 30 and 40 nodes, 2-vCPU VM).
@@ -437,29 +444,23 @@ class _Environment:
                                        self.gains[i, columns])
 
 
-def _respond(env, i):
-    """Node i's best response (s_i, flagged): drives ``_best_response_steps``,
-    which yields lists of strategy values and is sent their utilities in the
-    same order, one kernel call per request."""
-    steps, values = _best_response_steps(i, env), None
-    try:
-        while True:
-            xs = steps.send(values)
-            values = env.utilities([i] * len(xs), xs).tolist()
-    except StopIteration as stop:
-        return stop.value
-
-
 def utility(i: int, profile: StrategyProfile, gains: np.ndarray, n0_mw: float,
             params: GameParams) -> float:
-    """Reliability benefit minus normalized energy cost for node i."""
+    """Reliability benefit minus normalized energy cost for node i at its
+    profile power: log10(1 + 9 NCR_i) - (s_i / 25)^2 when node i has at least
+    k neighbors there, else -(s_i / 25)^2.  The second branch is the
+    infeasible node's score; for a feasible node it lies below the degree
+    floor, outside node i's strategy set [max(s_min, floor_i), s_max]."""
     env = _Environment(profile, gains, n0_mw, params, i)
     return float(env.utilities([i], [profile.s[i]])[0])
 
 
 def potential(profile: StrategyProfile, gains: np.ndarray, n0_mw: float,
               params: GameParams) -> float:
-    """Sum of the per-node utilities, evaluated branch-by-branch."""
+    """Sum of the per-node utilities, evaluated branch by branch as
+    ``utility`` does.  It is an exact potential on the strategy sets
+    [max(s_min, floor_i), s_max] (the whole range for an infeasible node)
+    when the game decouples."""
     env = _Environment(profile, gains, n0_mw, params)
     return float(sum(env.utilities(np.arange(profile.n), profile.s).tolist()))
 
@@ -513,19 +514,20 @@ def _speculate(state, tol, depth):
     return tree
 
 
-def _golden_section_max(lo: float, hi: float, tol: float, lookahead: int):
-    """Golden-section search for a maximum on [lo, hi], as a coroutine for
-    ``_respond`` (``yield from`` it); returns (x, f(x)).
+def _golden_section_max(f, lo: float, hi: float, tol: float, lookahead: int):
+    """Golden-section search for a maximum on [lo, hi] of the batch objective
+    f, which maps a list of points to the list of their values; returns
+    (x, f(x)).
 
-    With ``lookahead`` L > 0 each request also holds every point the next L
+    With ``lookahead`` L > 0 each call of f also holds every point the next L
     steps could ask for (``_speculate``), so one kernel table covers L + 1
     steps.  The search replays its steps from the returned values: it makes
     the same comparisons on the same points as with L = 0, and only the
-    number of requests changes.
+    number of calls changes.
     """
     state = (lo, hi, hi - _INV_GOLDEN * (hi - lo), lo + _INV_GOLDEN * (hi - lo))
     tree = _speculate(state, tol, lookahead)
-    fc, fd, *values = yield [state[2], state[3], *tree.values()]
+    fc, fd, *values = f([state[2], state[3], *tree.values()])
     known, node = dict(zip(tree, values)), 1
     while state[1] - state[0] > tol:
         left = fc >= fd
@@ -533,7 +535,7 @@ def _golden_section_max(lo: float, hi: float, tol: float, lookahead: int):
         node = 2 * node + (not left)
         if node not in known:
             tree = _speculate(state, tol, lookahead)
-            fx, *values = yield [x, *tree.values()]
+            fx, *values = f([x, *tree.values()])
             known, node = {1: fx, **dict(zip(tree, values))}, 1
         fc, fd = (known[node], fc) if left else (fd, known[node])
     return (state[2], fc) if fc >= fd else (state[3], fd)
@@ -555,16 +557,15 @@ def _search_floor(i, env):
                                       lambda: env.degrees([i], [env.profile.s_max])[0])
 
 
-def _best_response_steps(i, env):
-    """Maximize node i's utility over its feasible power range, as a
-    coroutine for ``_respond``.
+def _best_response(env, i):
+    """Maximize node i's utility over its strategy set: (s_star, flagged).
 
-    Returns (s_star, nonunimodal) where the flag records that the uniform
-    pre-scan saw the objective rise again after falling, i.e. the sampled
-    profile was not unimodal on the search interval.
+    The flag records that the uniform pre-scan saw the objective rise again
+    after falling, i.e. the sampled profile was not unimodal on the search
+    interval.
 
-    The pre-scan, the membership breakpoints and the incumbent go out as one
-    request, since no candidate depends on another's value.  The
+    The pre-scan, the membership breakpoints and the incumbent go into one
+    kernel table, since no candidate depends on another's value.  The
     golden-section refinement looks ``_LOOKAHEAD`` steps ahead, none under
     the ``union`` denominator.  ``_lockstep_search`` is this search over
     arrays, for many nodes at once.
@@ -576,11 +577,14 @@ def _best_response_steps(i, env):
         return profile.s_min, False
     lo = max(profile.s_min, floor)
     hi = profile.s_max
-    if hi - lo <= params.br_tol:
+    if hi - lo <= _BR_TOL:
         return hi, False
 
+    def f(xs):
+        return env.utilities([i] * len(xs), xs).tolist()
+
     # Coarse uniform pre-scan, membership breakpoints, and the incumbent value
-    # as explicit candidates, all in one request; golden-section refinement
+    # as explicit candidates, all in one table; golden-section refinement
     # around the best one.
     scan_points = list(np.linspace(lo, hi, _PRESCAN_SAMPLES))
     candidates = list(scan_points)
@@ -593,7 +597,7 @@ def _best_response_steps(i, env):
     if lo <= incumbent <= hi:
         candidates.append(incumbent)
     candidates = sorted(set(candidates))
-    values = yield candidates
+    values = f(candidates)
     cache = dict(zip(candidates, values))
     nonunimodal = bool(_scan_nonunimodal(np.array([cache[x] for x in scan_points])))
     best_idx = int(np.argmax(values))
@@ -601,17 +605,16 @@ def _best_response_steps(i, env):
 
     bracket_lo = candidates[best_idx - 1] if best_idx > 0 else lo
     bracket_hi = candidates[best_idx + 1] if best_idx + 1 < len(candidates) else hi
-    if bracket_hi - bracket_lo > params.br_tol:
+    if bracket_hi - bracket_lo > _BR_TOL:
         lookahead = _LOOKAHEAD if params.ncr_denominator == "members" else 0
-        x_ref, v_ref = yield from _golden_section_max(bracket_lo, bracket_hi, params.br_tol,
-                                                      lookahead)
+        x_ref, v_ref = _golden_section_max(f, bracket_lo, bracket_hi, _BR_TOL, lookahead)
         if v_ref > best_val:
             best_x, best_val = x_ref, v_ref
     return float(best_x), nonunimodal
 
 
 def _lockstep_search(env, nodes):
-    """``_best_response_steps`` for every node of a lockstep group at once:
+    """``_best_response`` for every node of a lockstep group at once:
     (s* per node, how many flagged).
 
     Each step is one kernel call over the nodes still searching, and every
@@ -619,13 +622,15 @@ def _lockstep_search(env, nodes):
     same points, makes the same comparisons and returns the same value as
     alone.  The pre-scan is one ``linspace`` over the rows, bitwise the
     per-row calls.  The breakpoint and incumbent candidates pad their rows
-    with +inf; a stable sort puts the scan points first among equal values,
-    and each value's first copy goes to the kernel.  The bracket is the
-    first maximum's distinct neighbours, and the golden section holds its
-    state in arrays.
+    with +inf, and a stable sort puts the scan points first among equal
+    values.  Every finite candidate goes to the kernel, copies too: a row's
+    utility depends only on its node and value, so copies score bitwise
+    alike, and the first maximum and its distinct neighbours, the bracket,
+    are those of the scalar search's distinct candidates.  The golden
+    section holds its state in arrays.
     """
-    profile, params = env.profile, env.params
-    hi, tol = profile.s_max, params.br_tol
+    profile = env.profile
+    hi, tol = profile.s_max, _BR_TOL
     breakpoints, floors = zip(*(_search_floor(i, env) for i in nodes))
     lo = np.maximum(profile.s_min, floors)
     # the scalar search's early answers: s_min when infeasible, else hi
@@ -649,15 +654,9 @@ def _lockstep_search(env, nodes):
         np.where((lo <= incumbent) & (incumbent <= hi), incumbent, np.inf)])
     order = np.argsort(raw, axis=1, kind="stable")
     cand = np.take_along_axis(raw, order, axis=1)
-    first = np.isfinite(cand)
-    first[:, 1:] &= cand[:, 1:] != cand[:, :-1]
+    finite = np.isfinite(cand)
     values = np.full(cand.shape, -np.inf)
-    values[first] = env.utilities(np.repeat(nodes, first.sum(axis=1)), cand[first])
-    # A copy takes its first copy's utility: scan points can repeat each
-    # other in a range a few ulps wide.
-    columns = np.arange(cand.shape[1])
-    values = np.take_along_axis(values, np.maximum.accumulate(
-        np.where(first | ~np.isfinite(cand), columns, 0), axis=1), axis=1)
+    values[finite] = env.utilities(np.repeat(nodes, finite.sum(axis=1)), cand[finite])
     flagged = _scan_nonunimodal(values[order < _PRESCAN_SAMPLES].reshape(-1, _PRESCAN_SAMPLES))
 
     rows, best = np.arange(search.size), np.argmax(values, axis=1)
@@ -703,7 +702,7 @@ def best_response(i: int, profile: StrategyProfile, gains: np.ndarray, n0_mw: fl
                   params: GameParams) -> float:
     """Utility-maximizing power for node i against the rest of the profile."""
     env = _Environment(profile, gains, n0_mw, params, i)
-    return _respond(env, i)[0]
+    return _best_response(env, i)[0]
 
 
 def _per_node_feasible(profile, gains, n0_mw, params):
@@ -727,7 +726,7 @@ def _best_responses(env, nodes):
     alone returns."""
     if len(nodes) > 1:
         return _lockstep_search(env, nodes)
-    s_star, flagged = _respond(env, nodes[0])
+    s_star, flagged = _best_response(env, nodes[0])
     return [s_star], int(flagged)
 
 
@@ -755,7 +754,7 @@ def _sweep(profile, gains, n0_mw, params, respond):
 
 
 def _iterate(profile0, gains, n0_mw, params, respond) -> EquilibriumResult:
-    """Sweep until no node moves by convergence_tol or n_iter_max sweeps ran.
+    """Sweep until no node moves by ``_CONVERGENCE_TOL`` or n_iter_max sweeps ran.
 
     The driver of both the continuous and the discrete game: the exact
     potential makes sequential best responses ascend on either strategy set.
@@ -775,7 +774,7 @@ def _iterate(profile0, gains, n0_mw, params, respond) -> EquilibriumResult:
         trace.append(potential(new_profile, gains, n0_mw, params))
         profiles.append(np.array(new_profile.s))
         moved = float(np.max(np.abs(new_profile.s - current.s)))
-        converged = _decouples(params) or moved < params.convergence_tol
+        converged = _decouples(params) or moved < _CONVERGENCE_TOL
         current = new_profile
     return EquilibriumResult(
         profile=current,
@@ -790,7 +789,7 @@ def _iterate(profile0, gains, n0_mw, params, respond) -> EquilibriumResult:
 
 def solve(profile0: StrategyProfile, gains: np.ndarray, n0_mw: float,
           params: GameParams) -> EquilibriumResult:
-    """Iterate sweeps until the profile changes by less than convergence_tol.
+    """Iterate sweeps until the profile changes by less than ``_CONVERGENCE_TOL``.
 
     A decoupled game takes one lockstep pass (see ``_iterate``); a coupled
     game's non-convergence within n_iter_max sweeps is reported, not raised.
@@ -801,23 +800,29 @@ def solve(profile0: StrategyProfile, gains: np.ndarray, n0_mw: float,
 def verify_equilibrium(profile: StrategyProfile, gains: np.ndarray, n0_mw: float,
                        params: GameParams, epsilon: float = 1e-4,
                        grid_step: float = 0.05):
-    """Grid-scan every node's unilateral deviations.
+    """Grid-scan every node's unilateral deviations within its strategy set.
 
-    Every node's current value and whole grid go through one chunked kernel
-    table.  Returns (passed, worst_improvement): passed is True when no
-    deviation on the grid improves any node's utility by more than epsilon.
+    Node i's deviations are the grid points in [max(s_min, floor_i), s_max]
+    plus that lower end, where floor_i is the floor the best response
+    searches above (``_search_floor``); an infeasible node scans the whole
+    grid.  Every node's current value and deviations go through one chunked
+    kernel table.  Returns (passed, worst_improvement): passed is True when
+    no deviation improves any node's utility by more than epsilon.
     """
     if grid_step <= 0:
         raise ValueError("grid step must be positive")
     grid = np.arange(profile.s_min, profile.s_max, grid_step)
     if grid.size == 0 or grid[-1] < profile.s_max:
         grid = np.append(grid, profile.s_max)
-    n, cols = profile.n, grid.size + 1
-    xs = np.empty((n, cols))
-    xs[:, 0] = profile.s
-    xs[:, 1:] = grid
+    n = profile.n
     env = _Environment(profile, gains, n0_mw, params)
-    values = env.utilities(np.repeat(np.arange(n), cols), xs.ravel()).reshape(n, cols)
+    floors = np.array([_search_floor(i, env)[1] for i in range(n)])
+    lo = np.where(floors == INFEASIBLE, profile.s_min, floors)
+    xs = np.column_stack([profile.s, lo, np.broadcast_to(grid, (n, grid.size))])
+    scan = xs >= lo[:, None]
+    scan[:, 0] = True
+    values = np.full(xs.shape, -np.inf)
+    values[scan] = env.utilities(np.repeat(np.arange(n), scan.sum(axis=1)), xs[scan])
     # Rounding is monotone, so max(v) - base is bitwise max(v - base).
     worst = float(np.max(values[:, 1:].max(axis=1) - values[:, 0]))
     return worst <= epsilon, worst

@@ -82,7 +82,7 @@ def test_criterion_02_monotone_potential_steps():
                     prof = prof.with_power(i, game.best_response(i, prof, gains, N0, params))
                     pot_after = game.potential(prof, gains, N0, params)
                     worst_step = min(worst_step, pot_after - pot_before)
-                if float(np.max(np.abs(prof.s - before.s))) < params.convergence_tol:
+                if float(np.max(np.abs(prof.s - before.s))) < game._CONVERGENCE_TOL:
                     break
     ok = worst_step >= -STEP_TOL
     assert _report(2, "potential monotone per update", ok,
@@ -278,3 +278,21 @@ def test_criterion_11_byte_determinism(tmp_path):
     ok = identical and len(paths_a) == len(paths_b) == 15
     assert _report(11, "byte-identical repeated runs", ok,
                    f"{len(pairs)} files compared, all identical: {identical}")
+
+
+def test_criterion_12_default_scenario_verification(default_run):
+    # The default continuous result is an equilibrium of the game on its
+    # strategy sets: no node gains by moving within [max(s_min, floor), s_max].
+    report, _ = default_run
+    config = report.config
+    topo = config.build_topology()
+    gains = channel.build_gain_matrix(topo.positions, config.path_loss)
+    profile = report.sections["continuous"].result.profile
+    passed, worst = game.verify_equilibrium(profile, gains, config.noise.n0_mw,
+                                            config.game_params, epsilon=VERIFY_EPSILON,
+                                            grid_step=VERIFY_GRID)
+    ok = passed and worst <= VERIFY_EPSILON
+    assert _report(12, "default scenario continuous verification", ok,
+                   f"{profile.n} nodes, worst unilateral improvement {worst:.3e} "
+                   f"<= {VERIFY_EPSILON} at grid step {VERIFY_GRID}")
+

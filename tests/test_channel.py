@@ -316,6 +316,8 @@ def test_sinr_for_prr_round_trip():
         assert channel.prr(channel.ber(s), 25) == pytest.approx(target, rel=1e-9)
     # any non-negative SINR already gives PRR above a tiny enough target
     assert channel.sinr_for_prr(1e-300, 25) == 0.0
+    # only an infinite SINR gives a PRR of exactly 1
+    assert channel.sinr_for_prr(1.0, 25) == math.inf
     with pytest.raises(ValueError):
         channel.sinr_for_prr(0.0, 25)
 

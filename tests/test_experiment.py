@@ -1,8 +1,12 @@
+import contextlib
 import csv
 import filecmp
+import io
 import json
 import math
 import os
+import signal
+import tempfile
 
 import numpy as np
 import pytest
@@ -52,8 +56,12 @@ class TestScenarioConfig:
         draw = data.draw
         m = draw(st.integers(2, 12))
         seeds = st.integers(0, 2**31 - 1)
+        # at least one level in the transmit range [-24.5, 0] dB, and a
+        # register map that spans it
         levels = DiscreteLevelSet(tuple(float(v) for v in sorted(draw(
-            st.lists(st.integers(-25, 0), min_size=1, max_size=26, unique=True)))))
+            st.lists(st.integers(-25, 0), min_size=1, max_size=26, unique=True)
+            .filter(lambda v: v != [-25])))))
+        register_dbms = sorted({*levels.levels_dbm, -25.0, 0.0})
         id_start = draw(st.integers(0, 10))
         cfg = experiment.ScenarioConfig(
             topology_spec={"m": m, "area": (draw(st.floats(1.0, 1e3)), draw(st.floats(1.0, 1e3))),
@@ -63,16 +71,14 @@ class TestScenarioConfig:
                                             seed=draw(seeds)),
             noise=channel.NoiseFloor(draw(st.floats(1e-14, 1e-6))),
             game_params=game.GameParams(
-                epsilon_link=draw(st.floats(1e-6, 1.0)),
+                epsilon_link=draw(st.floats(1e-6, 1.0, exclude_max=True)),
                 degree_target=draw(st.integers(0, 8)),
                 degree_rule=draw(st.sampled_from(game.DEGREE_RULES)),
-                convergence_tol=draw(st.floats(1e-9, 1e-2)),
                 ncr_denominator=draw(st.sampled_from(game.NCR_DENOMINATORS)),
                 interference=draw(st.sampled_from(channel.INTERFERENCE_MODES)),
             ),
             levels=levels,
-            registers=RegisterMap(tuple((v, id_start + k)
-                                        for k, v in enumerate(levels.levels_dbm))),
+            registers=RegisterMap(tuple((v, id_start + k) for k, v in enumerate(register_dbms))),
             traffic=packetsim.TrafficConfig(messages_per_node=draw(st.integers(1, 500)),
                                             max_retries=draw(st.integers(0, 30)),
                                             seed=draw(seeds)),
@@ -144,8 +150,16 @@ class TestRunScenario:
         assert len(calls) <= len(modes) + 1
 
     def test_connectivity_checks_agree(self, desk_report):
+        # The run decides connectivity by BFS; the spectral check on each
+        # mode's adjacency agrees with it.
+        config = desk_config()
+        gains = channel.build_gain_matrix(config.build_topology().positions, config.path_loss)
+        params = config.game_params
         for sec in desk_report.sections.values():
-            assert sec.connected_bfs == sec.connected_spectral
+            mat = channel.prr_matrix(sec.result.profile.mw, gains, config.noise.n0_mw,
+                                     params.f_bytes, params.interference)
+            adj = topology.adjacency(mat, params.epsilon_link)
+            assert sec.connected_bfs == topology.is_connected_spectral(adj)
 
     def test_posthoc_is_rounded_continuous(self, desk_report):
         cont = desk_report.sections["continuous"].result.profile
@@ -255,8 +269,8 @@ class TestEmit:
         assert set(data["modes"]) == set(experiment.MODES)
         section = data["modes"]["continuous"]
         assert {"powers", "converged", "sweeps_used", "potential_trace",
-                "analytic_avg_prr", "metrics", "connected_bfs",
-                "connected_spectral"} <= set(section)
+                "analytic_avg_prr", "metrics", "connected_bfs"} <= set(section)
+        assert "connected_spectral" not in section
         assert len(section["powers"]) == DESK_M
 
     def test_two_runs_are_byte_identical(self, tmp_path):
@@ -407,12 +421,15 @@ class TestCli:
         assert not out.exists()
 
     @pytest.mark.parametrize("key, value", [("log_base", 10.0), ("prescan_samples", 64),
-                                            ("update_order", list(range(DESK_M)))],
-                             ids=["log_base", "prescan_samples", "update_order"])
+                                            ("update_order", list(range(DESK_M))),
+                                            ("br_tol", 1e-6), ("convergence_tol", 1e-4)],
+                             ids=["log_base", "prescan_samples", "update_order", "br_tol",
+                                  "convergence_tol"])
     def test_removed_game_keys_rejected(self, tmp_path, capsys, key, value):
-        # The benefit is always log10, the pre-scan always takes 64 samples
-        # and sweeps visit the nodes in index order; a config that still
-        # carries any of these knobs fails, naming it.
+        # The benefit is always log10, the pre-scan always takes 64 samples,
+        # sweeps visit the nodes in index order and the solver's tolerances
+        # are fixed; a config that still carries any of these knobs fails,
+        # naming it.
         data = desk_config().to_json_dict()
         assert key not in data["game"]
         data["game"][key] = value
@@ -525,3 +542,109 @@ class TestCli:
         assert message == "ok"
         name = {"game": "game_params"}.get(key, key)
         assert getattr(config, name) == getattr(experiment.ScenarioConfig(), name)
+
+
+@pytest.mark.parametrize("section, key, value, message", [
+    ("game", "epsilon_link", 1.0, "epsilon_link must lie in (0, 1)"),
+    ("registers", "registers", [{"dbm": -20.0, "id": 1}, {"dbm": 0.0, "id": 2}],
+     "does not cover the transmit range [-24.5, 0.0] dB"),
+    ("levels", "levels_dbm", [-25.0], "no level is representable"),
+], ids=["epsilon-link-one", "registers-short", "levels-unusable"])
+def test_config_that_run_rejects_fails_at_validate(tmp_path, capsys, section, key, value,
+                                                  message):
+    data = desk_config().to_json_dict()
+    data[section][key] = value
+    path = tmp_path / "config.json"
+    with open(path, "w") as fh:
+        json.dump(data, fh)
+    for argv in (["validate", "--config", str(path)],
+                 ["run", "--config", str(path), "--out", str(tmp_path / "out")]):
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert message in err and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_unusable_levels_pass_without_a_discretized_mode():
+    config, message = experiment.validate_config(desk_config(
+        levels=DiscreteLevelSet((-25.0,)), modes=("continuous", "full-power")).to_json_dict())
+    assert message == "ok"
+
+
+@st.composite
+def _config_dicts(draw):
+    """Small-M config dicts drawn as the round-trip test draws its configs,
+    but not all valid: epsilon_link up to 1, any level set, and register maps
+    that need not span the transmit range."""
+    seeds = st.integers(0, 2**31 - 1)
+    dbms = st.lists(st.integers(-25, 0), min_size=1, max_size=26, unique=True)
+    registers = set(draw(dbms))
+    if draw(st.booleans()):
+        registers |= {-25, 0}
+    registers = sorted(registers)
+    id_start = draw(st.integers(0, 10))
+    return {
+        "topology": {"m": draw(st.integers(2, 12)),
+                     "area": [draw(st.floats(1.0, 1e3)), draw(st.floats(1.0, 1e3))],
+                     "seed": draw(seeds)},
+        "path_loss": {"exponent": draw(st.floats(1.5, 5.0)),
+                      "shadowing_sigma_db": draw(st.floats(0.0, 8.0)), "seed": draw(seeds)},
+        "noise_floor": {"n0_mw": draw(st.floats(1e-14, 1e-6))},
+        "game": {"epsilon_link": draw(st.floats(1e-6, 1.0)),
+                 "degree_target": draw(st.integers(0, 8)),
+                 "degree_rule": draw(st.sampled_from(game.DEGREE_RULES)),
+                 "n_iter_max": draw(st.integers(1, 100)),
+                 "ncr_denominator": draw(st.sampled_from(game.NCR_DENOMINATORS)),
+                 "interference": draw(st.sampled_from(channel.INTERFERENCE_MODES))},
+        "levels": {"levels_dbm": [float(v) for v in sorted(draw(dbms))]},
+        "registers": {"registers": [{"dbm": float(v), "id": id_start + k}
+                                    for k, v in enumerate(registers)]},
+        "traffic": {"messages_per_node": draw(st.integers(1, 500)),
+                    "max_retries": draw(st.integers(0, 30)), "seed": draw(seeds)},
+        "modes": draw(st.lists(st.sampled_from(experiment.MODES), min_size=1, unique=True)),
+        "receiver_policy": draw(st.sampled_from(experiment.RECEIVER_POLICIES)),
+    }
+
+
+class _RunTimedOut(Exception):
+    pass
+
+
+def _cli(argv, seconds=None):
+    """(exit code, stderr) of one in-process command, within ``seconds`` of
+    wall time when given."""
+    def expire(signum, frame):
+        raise _RunTimedOut(f"{argv[0]} took more than {seconds} s")
+
+    err = io.StringIO()
+    previous = signal.signal(signal.SIGALRM, expire)
+    try:
+        if seconds:
+            signal.setitimer(signal.ITIMER_REAL, seconds)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    return code, err.getvalue()
+
+
+@settings(deadline=None, max_examples=60)
+@given(_config_dicts())
+def test_validate_accepts_exactly_what_runs(data):
+    # A config that validate accepts runs to an answer; one that it rejects
+    # makes both commands exit 2 with one line on stderr.  The draws run one
+    # after another, in this process.
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "config.json")
+        with open(path, "w") as fh:
+            json.dump(data, fh)
+        code, err = _cli(["validate", "--config", path])
+        run_code, run_err = _cli(["run", "--config", path, "--out", os.path.join(tmp, "out")],
+                                 seconds=30.0)
+    if code == 0:
+        assert run_code == 0, run_err
+    else:
+        assert code == run_code == 2
+        assert err.count("\n") == run_err.count("\n") == 1 and err.startswith("error: ")
+

@@ -86,6 +86,9 @@ class TestGameParams:
     def test_validation(self):
         with pytest.raises(ValueError):
             game.GameParams(epsilon_link=0.0)
+        # a PRR of 1 needs an infinite SINR: no receiver could ever join
+        with pytest.raises(ValueError, match="epsilon_link"):
+            game.GameParams(epsilon_link=1.0)
         with pytest.raises(ValueError):
             game.GameParams(degree_target=-1)
         with pytest.raises(ValueError):
@@ -421,7 +424,7 @@ def _random_game(draw, max_m, **params):
     model = channel.PathLossModel(shadowing_sigma_db=draw(st.sampled_from([0.0, 4.0])))
     gains = channel.build_gain_matrix(topo.positions, model)
     s_min = draw(st.floats(0.1, 24.0))
-    # a range at most br_tol wide sends every feasible node to s_max
+    # a range at most _BR_TOL wide sends every feasible node to s_max
     s_max = draw(st.floats(s_min, 25.0, exclude_min=True) | st.just(s_min + 5e-7))
     profile = game.StrategyProfile(rng.uniform(s_min, s_max, size=m), s_min=s_min, s_max=s_max)
     # degree targets up to m: at m no node can ever meet its floor
@@ -471,9 +474,11 @@ class TestLockstep:
         s_max = s_min + 1.5e-13
         assert np.any(np.diff(np.linspace(s_min, s_max, game._PRESCAN_SAMPLES)) == 0)
         profile = game.StrategyProfile(np.full(30, s_max), s_min=s_min, s_max=s_max)
-        params = game.GameParams(degree_target=0, br_tol=1e-13)
-        lockstep, lockstep_flags = game._sweep(profile, gains, N0, params, game._best_responses)
-        alone, alone_flags = _one_node_sweep(profile, gains, params, game._best_responses)
+        params = game.GameParams(degree_target=0)
+        with mock.patch.object(game, "_BR_TOL", 1e-13):
+            lockstep, lockstep_flags = game._sweep(profile, gains, N0, params,
+                                                   game._best_responses)
+            alone, alone_flags = _one_node_sweep(profile, gains, params, game._best_responses)
         assert lockstep.s.tobytes() == alone.s.tobytes()
         assert lockstep_flags == alone_flags
 
@@ -495,8 +500,16 @@ class TestLockstep:
         grid = np.arange(profile.s_min, profile.s_max, 1.0)
         if grid[-1] < profile.s_max:
             grid = np.append(grid, profile.s_max)
-        worst = max(max(_reference_row_and_utility(i, profile, gains, params, x)[1]
-                        for x in grid) - utils[i] for i in range(m))
+        worst = -math.inf
+        for i in range(m):
+            # node i's strategy set: from its degree floor up, or the whole
+            # range when it is infeasible
+            floor = topology.min_power_for_degree(i, profile, gains, N0, params.f_bytes,
+                                                  params.epsilon_link, k, params.interference)
+            lo = profile.s_min if floor == topology.INFEASIBLE else floor
+            best = max(_reference_row_and_utility(i, profile, gains, params, x)[1]
+                       for x in [lo, *grid[grid >= lo]])
+            worst = max(worst, best - utils[i])
         assert game.verify_equilibrium(profile, gains, N0, params, grid_step=1.0) == (
             worst <= 1e-4, worst)
 
@@ -514,17 +527,16 @@ class _Probe(float):
         return float(self) >= float(other)
 
 
-def _drive(search, f):
-    """Run a ``_golden_section_max`` coroutine on the objective f; returns
-    (result, requests, the compared points in order)."""
+def _drive(f):
+    """A batch objective for ``_golden_section_max`` that scores each point
+    by f and records its calls; returns (objective, the lists of points it
+    was called with, the compared points in order)."""
     requests, log = [], []
-    try:
-        xs = search.send(None)
-        while True:
-            requests.append(xs)
-            xs = search.send([_Probe(f(x), x, log) for x in xs])
-    except StopIteration as stop:
-        return stop.value, requests, log
+
+    def objective(xs):
+        requests.append(xs)
+        return [_Probe(f(x), x, log) for x in xs]
+    return objective, requests, log
 
 
 @st.composite
@@ -554,10 +566,12 @@ class TestGoldenSection:
         tol = data.draw(st.sampled_from([1e-9, 1e-6, 1e-2, 1.0]))
         # widths near tol, some narrower, where the search stops early or at once
         hi = lo + data.draw(st.floats(0.0, 2.0 * tol) | st.floats(0.0, 200.0))
-        plain, plain_requests, plain_log = _drive(game._golden_section_max(lo, hi, tol, 0), f)
+        objective, plain_requests, plain_log = _drive(f)
+        plain = game._golden_section_max(objective, lo, hi, tol, 0)
         steps = len(plain_requests) - 1
         for lookahead in range(5):
-            result, requests, log = _drive(game._golden_section_max(lo, hi, tol, lookahead), f)
+            objective, requests, log = _drive(f)
+            result = game._golden_section_max(objective, lo, hi, tol, lookahead)
             assert log == plain_log
             assert (result[0].hex(), float(result[1]).hex()) == (
                 plain[0].hex(), float(plain[1]).hex())
@@ -645,7 +659,7 @@ class TestDynamics:
         again = game.solve(result.profile, gains, N0, params)
         assert again.converged
         assert again.sweeps_used == 1
-        assert np.allclose(again.profile.s, result.profile.s, atol=params.convergence_tol)
+        assert np.allclose(again.profile.s, result.profile.s, atol=game._CONVERGENCE_TOL)
 
     def test_single_node_value_fixed_in_first_sweep(self):
         prof = game.StrategyProfile(np.array([25.0]))
@@ -660,7 +674,7 @@ class TestDynamics:
     def test_decoupled_game_is_one_pass(self, data):
         # A node's answer depends on the rest of the profile only through its
         # incumbent, so after the one lockstep pass a further sweep confirms
-        # it: the continuous sweep moves no node by convergence_tol, and the
+        # it: the continuous sweep moves no node by _CONVERGENCE_TOL, and the
         # discrete sweep moves no node at all.
         draw = data.draw
         m = draw(st.integers(2, 40))
@@ -678,7 +692,7 @@ class TestDynamics:
         result = game.solve(start, gains, N0, params)
         assert result.sweeps_used == 1 and result.converged
         again, _ = game._sweep(result.profile, gains, N0, params, game._best_responses)
-        assert np.max(np.abs(again.s - result.profile.s)) < params.convergence_tol
+        assert np.max(np.abs(again.s - result.profile.s)) < game._CONVERGENCE_TOL
         levels = DiscreteLevelSet()
         discrete = solve_discrete(start, gains, N0, params, levels)
         assert discrete.sweeps_used == 1 and discrete.converged
