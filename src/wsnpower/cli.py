@@ -26,15 +26,21 @@ def _cmd_generate_topology(args) -> int:
     return 0
 
 
+def _reject_constant(name):
+    raise ValueError(f"config holds the non-finite number {name}; every number must be finite")
+
+
 def _load_config(path) -> dict:
+    """The config file's JSON, without the NaN and +-Infinity literals that
+    Python's ``json`` accepts by default."""
     with open(path) as fh:
-        return json.load(fh)
+        return json.load(fh, parse_constant=_reject_constant)
 
 
 def _cmd_validate(args) -> int:
     try:
         data = _load_config(args.config)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     config, message = experiment.validate_config(data)
@@ -48,7 +54,7 @@ def _cmd_validate(args) -> int:
 def _cmd_run(args) -> int:
     try:
         data = _load_config(args.config)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.modes:

@@ -31,26 +31,21 @@ and the equilibrium check evaluate every node against its fixed profile as
 one chunked table in either mode.
 
 A best response evaluates its pre-scan, membership-breakpoint and incumbent
-candidates in one table, then refines around the best of them by
-golden-section search to within ``_BR_TOL``.  The size of the sweep group
-picks how.  A lockstep group runs one array search over all its nodes
-(``_lockstep_search``): one kernel call for every node's candidates, then
-one per golden-section step for the nodes still searching.  A single node
-(the coupled game and the public ``best_response``) runs the scalar search
-``_best_response``, whose golden-section tables are speculative: a step's
-new point depends only on the bracket and one comparison, so the points the
-next few steps could ask for form a small binary tree that is known before
-any of them is evaluated.  One kernel table then covers four steps instead
-of one, and the search replays its steps from the returned values.  Both
-searches visit the same points, make the same comparisons and return the
-same result.  The discrete game scores every node's usable levels in one
-(nodes x levels) table for any group.
+candidates in one kernel table, then refines the bracket around the best of
+them by block search (Avriel & Wilde, *Management Science* 1966): each round
+scores P + 2 evenly spaced points inside every still-open bracket in one
+table and narrows it to the best point's two neighbours, until it is within
+``_BR_TOL``.  One array search (``_best_responses``) answers a sweep group
+of any size; a lone node (the coupled game and the public
+``best_response``) is its one-row case.  P depends on the game's parameters
+alone, never on the group, so a node answers the same in a group as alone.
+The discrete game scores every node's usable levels in one (nodes x levels)
+table for any group.
 """
 
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import repeat
 
 import numpy as np
 
@@ -72,8 +67,6 @@ from .topology import (
     _membership_breakpoints,
     smallworld_threshold,
 )
-
-_INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 DEGREE_RULES = ("fixed-k", "smallworld")
 NCR_DENOMINATORS = ("members", "union")
@@ -100,7 +93,7 @@ class StrategyProfile:
         arr = np.asarray(self.s, dtype=float)
         if arr.ndim != 1 or arr.shape[0] < 1:
             raise ValueError("strategy vector must be one-dimensional and non-empty")
-        if np.any(arr < self.s_min - 1e-12) or np.any(arr > self.s_max + 1e-12):
+        if not np.all((self.s_min - 1e-12 <= arr) & (arr <= self.s_max + 1e-12)):
             raise ValueError("strategy values must lie within the profile bounds")
         object.__setattr__(self, "s", _read_only(np.clip(arr, self.s_min, self.s_max).copy()))
 
@@ -124,7 +117,7 @@ class StrategyProfile:
         arr = self.s.copy()
         arr[i] = value
         x = arr[i]
-        if x < self.s_min - 1e-12 or x > self.s_max + 1e-12:
+        if not (self.s_min - 1e-12 <= x <= self.s_max + 1e-12):
             raise ValueError("strategy values must lie within the profile bounds")
         arr[i] = min(max(x, self.s_min), self.s_max)
         profile = object.__new__(type(self))
@@ -160,9 +153,9 @@ class GameParams:
     interference: str = "none"
 
     def __post_init__(self):
-        if self.ncr_scale <= 0 or self.cost_denominator <= 0:
-            raise ValueError("utility constants must be positive")
-        if int(self.f_bytes) != self.f_bytes or self.f_bytes < 1:
+        if not all(math.isfinite(v) and v > 0 for v in (self.ncr_scale, self.cost_denominator)):
+            raise ValueError("utility constants must be positive and finite")
+        if not (float(self.f_bytes).is_integer() and self.f_bytes >= 1):
             raise ValueError("payload bytes must be a positive integer")
         if not (0.0 < self.epsilon_link < 1.0):
             raise ValueError(f"epsilon_link must lie in (0, 1), got {self.epsilon_link!r}")
@@ -172,8 +165,8 @@ class GameParams:
             raise ValueError(f"degree rule must be one of {DEGREE_RULES}")
         if self.degree_rule == "smallworld" and not (self.smallworld_delta > 0):
             raise ValueError("smallworld delta must be positive")
-        if self.n_iter_max < 1:
-            raise ValueError("need at least one sweep")
+        if not (float(self.n_iter_max).is_integer() and self.n_iter_max >= 1):
+            raise ValueError(f"need a whole number of sweeps, at least one, got {self.n_iter_max!r}")
         if self.ncr_denominator not in NCR_DENOMINATORS:
             raise ValueError(f"ncr denominator must be one of {NCR_DENOMINATORS}")
         if self.interference not in INTERFERENCE_MODES:
@@ -230,16 +223,18 @@ _CHUNK_CELLS = 1 << 15
 _CANDIDATE_MARGIN = 1e-6
 # Evenly spaced strategy values a best response's pre-scan evaluates.
 _PRESCAN_SAMPLES = 64
-# Bracket width at which a best response's golden section stops, and the
+# Bracket width at which a best response's refinement stops, and the
 # largest move of a sweep that counts as converged.
 _BR_TOL = 1e-6
 _CONVERGENCE_TOL = 1e-4
-# Golden-section steps a one-node best response evaluates ahead of need:
-# each of its kernel tables then holds 2^(L+1) - 1 points (15) instead of one.
-# The ``union`` denominator looks 0 steps ahead: under interference each of
-# its rows builds an M x M PRR matrix, and with speculative rows its solves
-# ran 22-34% slower (coupled and clear channel, 30 and 40 nodes, 2-vCPU VM).
-_LOOKAHEAD = 3
+# P: each refinement round scores P + 2 evenly spaced points inside a
+# bracket and cuts it to 2 / (P + 3) of its width.  The coupled ``members``
+# game answers one node at a time with cheap rows, so few wide tables serve
+# it best; a lockstep group already shares each table among its nodes, and
+# a ``union`` row under interference builds an M x M PRR matrix, so both
+# take narrower ones.
+_REFINE_POINTS_ALONE = 63
+_REFINE_POINTS = 15
 
 
 def _decouples(params) -> bool:
@@ -305,18 +300,16 @@ class _Environment:
     rows and the denominators.
 
     Per chunk of rows, each a pair (node, strategy value), one unchecked
-    ``channel._prr_table`` call builds a (rows x K) table, reduced without a
-    per-row loop.  Every value is bitwise what dense ``_prr_rows`` rows give
-    one at a time: strategies go to mW in one array, as ``StrategyProfile.mw``
-    does; columns stay in ascending order and ``_row_sums`` sums members as
-    ``.mean()`` does; and ``math.log10`` and Python's ``pow`` score each row,
-    since numpy's ``log10`` and squaring differ in the last bit on some
-    inputs.
+    ``channel._prr_table`` call builds a (rows x K) table, reduced and scored
+    without a per-row loop.  Every PRR, degree and NCR is bitwise what dense
+    ``_prr_rows`` rows give one at a time: strategies go to mW in one array,
+    as ``StrategyProfile.mw`` does, and columns stay in ascending order, where
+    ``_row_sums`` sums members as ``.mean()`` does.
 
     A row's value depends only on its node and strategy value, never on the
-    other rows of its call, so a search may batch its rows as it likes: one
-    node's speculative steps (``_golden_section_max``) or one step of every
-    node of a lockstep group (``_lockstep_search``).
+    other rows of its call, so a search may batch its rows as it likes: every
+    node of a sweep group, and any number of points per node, in one call of
+    ``utilities``.
     """
 
     def __init__(self, profile, gains, n0_mw, params, senders=slice(None)):
@@ -418,11 +411,8 @@ class _Environment:
         parts = []
         for part_nodes, part_xs, mw, table in self._tables(nodes, xs):
             ncr_values, degree = self.ncr_and_degree(part_nodes, mw, table)
-            n = part_xs.size
-            benefit = np.fromiter(map(math.log10, (1.0 + params.ncr_scale * ncr_values).tolist()),
-                                  float, n)
-            cost = np.fromiter(map(pow, (part_xs / params.cost_denominator).tolist(), repeat(2)),
-                               float, n)
+            benefit = np.log10(1.0 + params.ncr_scale * ncr_values)
+            cost = np.square(part_xs / params.cost_denominator)
             parts.append(np.where(degree >= self.required_k, benefit - cost, -cost))
         return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
@@ -478,69 +468,6 @@ def exact_potential_residual(profile: StrategyProfile, i: int, s_prime: float,
     return float(abs(du - dv))
 
 
-def _golden_step(a, b, c, d, left):
-    """One golden-section step from the bracket [a, b] with interior points
-    c < d: keep [a, d] when ``left`` (f(c) >= f(d)), else [c, b].  Returns
-    the new (a, b, c, d) and its one new point."""
-    if left:
-        b, d = d, c
-        c = b - _INV_GOLDEN * (b - a)
-        return (a, b, c, d), c
-    a, c = c, d
-    d = a + _INV_GOLDEN * (b - a)
-    return (a, b, c, d), d
-
-
-def _speculate(state, tol, depth):
-    """{node: point} for every point the next ``depth`` steps from ``state``
-    can ask for, in breadth-first order.
-
-    A step's new point depends only on the bracket and one comparison, so
-    these points form a binary tree: ``state`` is node 1, and node n's step
-    leads to node 2n when f(c) >= f(d) and to node 2n + 1 otherwise.  It holds
-    at most 2^(depth+1) - 2 points, pruned where the bracket is within ``tol``
-    and the search stops.
-    """
-    tree, level = {}, [(1, state)]
-    for _ in range(depth):
-        below = []
-        for node, (a, b, c, d) in level:
-            if b - a > tol:
-                for left in (True, False):
-                    child = 2 * node + (not left)
-                    after, tree[child] = _golden_step(a, b, c, d, left)
-                    below.append((child, after))
-        level = below
-    return tree
-
-
-def _golden_section_max(f, lo: float, hi: float, tol: float, lookahead: int):
-    """Golden-section search for a maximum on [lo, hi] of the batch objective
-    f, which maps a list of points to the list of their values; returns
-    (x, f(x)).
-
-    With ``lookahead`` L > 0 each call of f also holds every point the next L
-    steps could ask for (``_speculate``), so one kernel table covers L + 1
-    steps.  The search replays its steps from the returned values: it makes
-    the same comparisons on the same points as with L = 0, and only the
-    number of calls changes.
-    """
-    state = (lo, hi, hi - _INV_GOLDEN * (hi - lo), lo + _INV_GOLDEN * (hi - lo))
-    tree = _speculate(state, tol, lookahead)
-    fc, fd, *values = f([state[2], state[3], *tree.values()])
-    known, node = dict(zip(tree, values)), 1
-    while state[1] - state[0] > tol:
-        left = fc >= fd
-        state, x = _golden_step(*state, left)
-        node = 2 * node + (not left)
-        if node not in known:
-            tree = _speculate(state, tol, lookahead)
-            fx, *values = f([x, *tree.values()])
-            known, node = {1: fx, **dict(zip(tree, values))}, 1
-        fc, fd = (known[node], fc) if left else (fd, known[node])
-    return (state[2], fc) if fc >= fd else (state[3], fd)
-
-
 def _scan_nonunimodal(values, atol: float = 1e-12):
     """Per row of sampled values (last axis): whether it rises again after
     having fallen.  A step cannot both fall and rise, so a rise counts when
@@ -557,86 +484,37 @@ def _search_floor(i, env):
                                       lambda: env.degrees([i], [env.profile.s_max])[0])
 
 
-def _best_response(env, i):
-    """Maximize node i's utility over its strategy set: (s_star, flagged).
+def _best_responses(env, nodes):
+    """Maximize each node's utility over its strategy set, for every node of
+    a sweep group at once: (s* per node, how many flagged).
 
-    The flag records that the uniform pre-scan saw the objective rise again
-    after falling, i.e. the sampled profile was not unimodal on the search
-    interval.
+    A node flags when its uniform pre-scan saw the objective rise again after
+    falling, i.e. the sampled profile was not unimodal on its interval.
 
-    The pre-scan, the membership breakpoints and the incumbent go into one
-    kernel table, since no candidate depends on another's value.  The
-    golden-section refinement looks ``_LOOKAHEAD`` steps ahead, none under
-    the ``union`` denominator.  ``_lockstep_search`` is this search over
-    arrays, for many nodes at once.
-    """
-    profile, params = env.profile, env.params
-    breakpoints, floor = _search_floor(i, env)
-    if floor == INFEASIBLE:
-        # Cost-only branch everywhere: spend as little as allowed.
-        return profile.s_min, False
-    lo = max(profile.s_min, floor)
-    hi = profile.s_max
-    if hi - lo <= _BR_TOL:
-        return hi, False
-
-    def f(xs):
-        return env.utilities([i] * len(xs), xs).tolist()
-
-    # Coarse uniform pre-scan, membership breakpoints, and the incumbent value
-    # as explicit candidates, all in one table; golden-section refinement
-    # around the best one.
-    scan_points = list(np.linspace(lo, hi, _PRESCAN_SAMPLES))
-    candidates = list(scan_points)
-    for b in breakpoints:
-        if lo < b < hi:
-            candidates.append(b)
-            if b - 1e-9 > lo:
-                candidates.append(b - 1e-9)
-    incumbent = float(profile.s[i])
-    if lo <= incumbent <= hi:
-        candidates.append(incumbent)
-    candidates = sorted(set(candidates))
-    values = f(candidates)
-    cache = dict(zip(candidates, values))
-    nonunimodal = bool(_scan_nonunimodal(np.array([cache[x] for x in scan_points])))
-    best_idx = int(np.argmax(values))
-    best_x, best_val = candidates[best_idx], values[best_idx]
-
-    bracket_lo = candidates[best_idx - 1] if best_idx > 0 else lo
-    bracket_hi = candidates[best_idx + 1] if best_idx + 1 < len(candidates) else hi
-    if bracket_hi - bracket_lo > _BR_TOL:
-        lookahead = _LOOKAHEAD if params.ncr_denominator == "members" else 0
-        x_ref, v_ref = _golden_section_max(f, bracket_lo, bracket_hi, _BR_TOL, lookahead)
-        if v_ref > best_val:
-            best_x, best_val = x_ref, v_ref
-    return float(best_x), nonunimodal
-
-
-def _lockstep_search(env, nodes):
-    """``_best_response`` for every node of a lockstep group at once:
-    (s* per node, how many flagged).
-
-    Each step is one kernel call over the nodes still searching, and every
-    array operation is the scalar one per element, so each node visits the
-    same points, makes the same comparisons and returns the same value as
-    alone.  The pre-scan is one ``linspace`` over the rows, bitwise the
-    per-row calls.  The breakpoint and incumbent candidates pad their rows
+    One kernel call scores every node's candidates: the pre-scan, the
+    membership breakpoints (and points 1e-9 below them) and the incumbent,
+    since none depends on another's value.  The pre-scan is one ``linspace``
+    over the rows.  The breakpoint and incumbent candidates pad their rows
     with +inf, and a stable sort puts the scan points first among equal
     values.  Every finite candidate goes to the kernel, copies too: a row's
     utility depends only on its node and value, so copies score bitwise
     alike, and the first maximum and its distinct neighbours, the bracket,
-    are those of the scalar search's distinct candidates.  The golden
-    section holds its state in arrays.
+    do not depend on them.
+
+    Each refinement round is then one kernel call over the nodes whose
+    bracket is still wider than ``_BR_TOL``: it scores P + 2 evenly spaced
+    points inside each bracket, keeps the best value seen, and narrows the
+    bracket to the neighbours of the round's best point.  Every array
+    operation acts row by row, so each node returns what it returns alone.
     """
     profile = env.profile
-    hi, tol = profile.s_max, _BR_TOL
+    hi = profile.s_max
     breakpoints, floors = zip(*(_search_floor(i, env) for i in nodes))
     lo = np.maximum(profile.s_min, floors)
-    # the scalar search's early answers: s_min when infeasible, else hi
-    # when the range is within tol
+    # Infeasible: the cost-only branch everywhere, so spend as little as
+    # allowed.  A range within _BR_TOL answers its top.
     s_star = np.where(lo == INFEASIBLE, profile.s_min, hi)
-    search = np.flatnonzero(hi - lo > tol)
+    search = np.flatnonzero(hi - lo > _BR_TOL)
     if search.size == 0:
         return s_star, 0
     nodes, lo = np.asarray(nodes)[search], lo[search]
@@ -664,45 +542,30 @@ def _lockstep_search(env, nodes):
     # lo and hi are always candidates, so they bound the neighbours
     a = np.maximum(np.where(cand < x[:, None], cand, -np.inf).max(axis=1), lo)
     b = np.minimum(np.where(cand > x[:, None], cand, np.inf).min(axis=1), hi)
-    refine = np.flatnonzero(b - a > tol)
-    if refine.size:
-        x_ref, v_ref = _lockstep_golden_section(env, nodes[refine], a[refine], b[refine], tol)
-        better = v_ref > v[refine]
-        x[refine[better]] = x_ref[better]
+    params = env.params
+    alone = params.ncr_denominator == "members" and params.interference != "none"
+    n_points = (_REFINE_POINTS_ALONE if alone else _REFINE_POINTS) + 2
+    steps = np.linspace(0.0, 1.0, n_points + 2)
+    live = np.flatnonzero(b - a > _BR_TOL)
+    while live.size:
+        grid = a[live, None] + (b - a)[live, None] * steps
+        scores = env.utilities(np.repeat(nodes[live], n_points),
+                               grid[:, 1:-1].ravel()).reshape(live.size, n_points)
+        rows, top = np.arange(live.size), scores.argmax(axis=1)
+        best = scores[rows, top]
+        better = best > v[live]
+        x[live[better]], v[live[better]] = grid[rows, top + 1][better], best[better]
+        a[live], b[live] = grid[rows, top], grid[rows, top + 2]
+        live = live[b[live] - a[live] > _BR_TOL]
     s_star[search] = x
     return s_star, int(np.count_nonzero(flagged))
-
-
-def _lockstep_golden_section(env, nodes, a, b, tol):
-    """``_golden_section_max`` on the brackets [a, b] of several nodes, its
-    (a, b, c, d, fc, fd) state held in arrays: one kernel call per step for
-    the nodes whose bracket is still wider than tol.  Returns (x, f(x)) per
-    node.  It looks no step ahead: the nodes already share each step's
-    table, and speculative rows made lockstep solves slower when timed
-    (``default-80`` median job 0.29 -> 0.35 s, 2-vCPU VM)."""
-    c = b - _INV_GOLDEN * (b - a)
-    d = a + _INV_GOLDEN * (b - a)
-    fc, fd = env.utilities(np.repeat(nodes, 2), np.column_stack([c, d]).ravel()).reshape(-1, 2).T
-    while (live := np.flatnonzero(b - a > tol)).size:
-        left = fc[live] >= fd[live]
-        lt, rt = live[left], live[~left]
-        # as _golden_step: left keeps [a, d], right keeps [c, b]
-        b[lt], d[lt] = d[lt], c[lt]
-        c[lt] = b[lt] - _INV_GOLDEN * (b[lt] - a[lt])
-        a[rt], c[rt] = c[rt], d[rt]
-        d[rt] = a[rt] + _INV_GOLDEN * (b[rt] - a[rt])
-        fx = env.utilities(nodes[live], np.where(left, c[live], d[live]))
-        fc[lt], fd[lt] = fx[left], fc[lt]
-        fc[rt], fd[rt] = fd[rt], fx[~left]
-    top = fc >= fd
-    return np.where(top, c, d), np.where(top, fc, fd)
 
 
 def best_response(i: int, profile: StrategyProfile, gains: np.ndarray, n0_mw: float,
                   params: GameParams) -> float:
     """Utility-maximizing power for node i against the rest of the profile."""
     env = _Environment(profile, gains, n0_mw, params, i)
-    return _best_response(env, i)[0]
+    return float(_best_responses(env, [i])[0][0])
 
 
 def _per_node_feasible(profile, gains, n0_mw, params):
@@ -717,17 +580,6 @@ def _per_node_feasible(profile, gains, n0_mw, params):
     env = _Environment(profile, gains, n0_mw, params)
     degree = env.degrees(np.arange(profile.n), np.full(profile.n, profile.s_max))
     return [d >= k for d in degree.tolist()]
-
-
-def _best_responses(env, nodes):
-    """The continuous game's answers of a sweep group: (s* per node, how
-    many flagged).  A lone node runs the speculative scalar search, a
-    lockstep group the array search; both return what each node's search
-    alone returns."""
-    if len(nodes) > 1:
-        return _lockstep_search(env, nodes)
-    s_star, flagged = _best_response(env, nodes[0])
-    return [s_star], int(flagged)
 
 
 def _sweep(profile, gains, n0_mw, params, respond):

@@ -565,6 +565,27 @@ def test_config_that_run_rejects_fails_at_validate(tmp_path, capsys, section, ke
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("section, key, value, literal", [
+    ("path_loss", "shadowing_sigma_db", math.inf, "Infinity"),
+    ("game", "ncr_scale", math.nan, "NaN"),
+    ("game", "n_iter_max", -math.inf, "-Infinity"),
+])
+def test_non_finite_literal_exits_2(tmp_path, capsys, section, key, value, literal):
+    # Python's json writes and reads these literals; a config may not hold them.
+    data = desk_config().to_json_dict()
+    data[section][key] = value
+    path = tmp_path / "config.json"
+    with open(path, "w") as fh:
+        json.dump(data, fh)
+    assert f": {literal}" in path.read_text()
+    for argv in (["validate", "--config", str(path)],
+                 ["run", "--config", str(path), "--out", str(tmp_path / "out")]):
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"non-finite number {literal};" in err and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
 def test_unusable_levels_pass_without_a_discretized_mode():
     config, message = experiment.validate_config(desk_config(
         levels=DiscreteLevelSet((-25.0,)), modes=("continuous", "full-power")).to_json_dict())
@@ -574,8 +595,8 @@ def test_unusable_levels_pass_without_a_discretized_mode():
 @st.composite
 def _config_dicts(draw):
     """Small-M config dicts drawn as the round-trip test draws its configs,
-    but not all valid: epsilon_link up to 1, any level set, and register maps
-    that need not span the transmit range."""
+    but not all valid: epsilon_link up to 1, any level set, register maps
+    that need not span the transmit range, and non-finite numbers."""
     seeds = st.integers(0, 2**31 - 1)
     dbms = st.lists(st.integers(-25, 0), min_size=1, max_size=26, unique=True)
     registers = set(draw(dbms))
@@ -583,7 +604,7 @@ def _config_dicts(draw):
         registers |= {-25, 0}
     registers = sorted(registers)
     id_start = draw(st.integers(0, 10))
-    return {
+    data = {
         "topology": {"m": draw(st.integers(2, 12)),
                      "area": [draw(st.floats(1.0, 1e3)), draw(st.floats(1.0, 1e3))],
                      "seed": draw(seeds)},
@@ -604,6 +625,14 @@ def _config_dicts(draw):
         "modes": draw(st.lists(st.sampled_from(experiment.MODES), min_size=1, unique=True)),
         "receiver_policy": draw(st.sampled_from(experiment.RECEIVER_POLICIES)),
     }
+    # one draw in five puts a NaN or an infinity in one number, which json
+    # writes as a bare literal
+    if draw(st.integers(0, 4)) == 0:
+        section, key = draw(st.sampled_from([
+            ("path_loss", "shadowing_sigma_db"), ("noise_floor", "n0_mw"),
+            ("game", "ncr_scale"), ("game", "cost_denominator"), ("game", "n_iter_max")]))
+        data[section][key] = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+    return data
 
 
 class _RunTimedOut(Exception):

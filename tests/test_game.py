@@ -39,6 +39,14 @@ class TestStrategyProfile:
             game.StrategyProfile(np.array([1.0]), s_min=0.0)
         with pytest.raises(ValueError):
             game.StrategyProfile(np.array([1.0]), s_min=5.0, s_max=4.0)
+        # every comparison with NaN is false, so the check must not pass it
+        with pytest.raises(ValueError, match="within the profile bounds"):
+            game.StrategyProfile(np.array([math.nan, 3.0]))
+
+    def test_with_power_rejects_nan(self):
+        prof = game.StrategyProfile(np.array([1.0, 3.0]))
+        with pytest.raises(ValueError, match="within the profile bounds"):
+            prof.with_power(0, math.nan)
 
     def test_views_and_updates(self):
         prof = game.StrategyProfile(np.array([0.5, 10.0, 25.0]))
@@ -97,6 +105,14 @@ class TestGameParams:
             game.GameParams(ncr_denominator="median")
         with pytest.raises(ValueError):
             game.GameParams(interference="collisions")
+
+    @pytest.mark.parametrize("key, value", [
+        ("ncr_scale", math.nan), ("ncr_scale", math.inf), ("cost_denominator", math.nan),
+        ("cost_denominator", math.inf), ("n_iter_max", math.nan), ("n_iter_max", math.inf),
+        ("n_iter_max", 2.5), ("f_bytes", math.inf)])
+    def test_non_finite_or_fractional_rejected(self, key, value):
+        with pytest.raises(ValueError):
+            game.GameParams(**{key: value})
 
     def test_required_degree_rules(self):
         assert game.GameParams(degree_target=6).required_degree(80) == 6
@@ -218,6 +234,16 @@ class TestPotential:
                 assert res <= 1e-9
 
 
+def _score(x, ncr_value, params, feasible=True):
+    """One row's utility as the kernel scores it: numpy's ``log10`` and a
+    product for the square, which differ in the last bit from ``math.log10``
+    and ``** 2`` on some inputs."""
+    c = float(x) / params.cost_denominator
+    if not feasible:
+        return -(c * c)
+    return float(np.log10(np.array([1.0 + params.ncr_scale * ncr_value]))[0]) - c * c
+
+
 def _reference_row_and_utility(i, profile, gains, params, x):
     """Node i's PRR row and utility at x, one candidate at a time: a
     one-element mW conversion, a 1-D PRR row, ``.mean()`` over the members,
@@ -228,9 +254,8 @@ def _reference_row_and_utility(i, profile, gains, params, x):
     row[i] = 0.0
     members = row >= params.epsilon_link
     degree = int(np.count_nonzero(members))
-    cost = (float(x) / params.cost_denominator) ** 2
     if degree < params.required_degree(profile.n):
-        return row, -cost
+        return row, _score(x, 0.0, params, feasible=False)
     if degree == 0:
         ncr_value = 0.0
     elif params.ncr_denominator == "members":
@@ -244,7 +269,7 @@ def _reference_row_and_utility(i, profile, gains, params, x):
                 int(j), powers[j], powers, gains, N0, params.f_bytes, params.epsilon_link,
                 params.interference)).tolist())
         ncr_value = min(1.0, float(row[members].sum()) / len(union)) if union else 0.0
-    return row, math.log10(1.0 + params.ncr_scale * ncr_value) - cost
+    return row, _score(x, ncr_value, params)
 
 
 def _candidates(env, i):
@@ -279,9 +304,7 @@ def _dense_reference(env, nodes, xs):
         ncr_value = float(np.add.reduce(row[member])) / size if degree and size else 0.0
         if params.ncr_denominator == "union":
             ncr_value = min(1.0, ncr_value)
-        cost = (float(x) / params.cost_denominator) ** 2
-        utilities.append(math.log10(1.0 + params.ncr_scale * ncr_value) - cost
-                         if degree >= k else -cost)
+        utilities.append(_score(x, ncr_value, params, feasible=degree >= k))
         degrees.append(degree)
     return np.array(utilities), np.array(degrees, dtype=np.intp)
 
@@ -447,10 +470,8 @@ class TestLockstep:
     @settings(deadline=None, max_examples=30)
     @given(st.data())
     def test_decoupled_sweep_equals_one_node_groups(self, data):
-        # A lockstep group runs the array search and a lone node the scalar
-        # search with game._LOOKAHEAD > 0, so this checks the one against the
-        # other.  Up to 90 nodes, lockstep tables 8 or more columns wide with
-        # many distinct degrees are common.
+        # Up to 90 nodes, lockstep tables 8 or more columns wide with many
+        # distinct degrees are common.
         gains, profile, params = _random_game(
             data.draw, 90, epsilon_link=data.draw(st.sampled_from([0.01, 0.5, 0.9])))
         assert game._decouples(params)
@@ -514,74 +535,6 @@ class TestLockstep:
             worst <= 1e-4, worst)
 
 
-class _Probe(float):
-    """An objective value that logs the points of every comparison it is in."""
-
-    def __new__(cls, value, x, log):
-        probe = super().__new__(cls, value)
-        probe.x, probe.log = x, log
-        return probe
-
-    def __ge__(self, other):
-        self.log.append((self.x.hex(), other.x.hex()))
-        return float(self) >= float(other)
-
-
-def _drive(f):
-    """A batch objective for ``_golden_section_max`` that scores each point
-    by f and records its calls; returns (objective, the lists of points it
-    was called with, the compared points in order)."""
-    requests, log = [], []
-
-    def objective(xs):
-        requests.append(xs)
-        return [_Probe(f(x), x, log) for x in xs]
-    return objective, requests, log
-
-
-@st.composite
-def _objectives(draw):
-    """Pure-Python objectives: smooth, monotone or flat, optionally rounded
-    onto a grid coarse enough to make plateaus and ties."""
-    peak = draw(st.floats(-120.0, 120.0))
-    freq = draw(st.floats(0.01, 30.0))
-    base = draw(st.sampled_from([
-        lambda x: -(x - peak) ** 2,
-        lambda x: math.sin(freq * x + peak),
-        lambda x: x,
-        lambda x: -x,
-        lambda x: math.floor(freq * x),
-        lambda x: 1.0,
-    ]))
-    grid = draw(st.sampled_from([0.0, 1e-9, 1e-3, 0.25, 4.0]))
-    return (lambda x: round(base(x) / grid) * grid) if grid else base
-
-
-class TestGoldenSection:
-    @settings(deadline=None, max_examples=200)
-    @given(st.data())
-    def test_lookahead_replays_the_plain_search(self, data):
-        f = data.draw(_objectives())
-        lo = data.draw(st.floats(-100.0, 100.0))
-        tol = data.draw(st.sampled_from([1e-9, 1e-6, 1e-2, 1.0]))
-        # widths near tol, some narrower, where the search stops early or at once
-        hi = lo + data.draw(st.floats(0.0, 2.0 * tol) | st.floats(0.0, 200.0))
-        objective, plain_requests, plain_log = _drive(f)
-        plain = game._golden_section_max(objective, lo, hi, tol, 0)
-        steps = len(plain_requests) - 1
-        for lookahead in range(5):
-            objective, requests, log = _drive(f)
-            result = game._golden_section_max(objective, lo, hi, tol, lookahead)
-            assert log == plain_log
-            assert (result[0].hex(), float(result[1]).hex()) == (
-                plain[0].hex(), float(plain[1]).hex())
-            assert len(requests[0]) <= 2 ** (lookahead + 1) + 1
-            assert all(len(xs) <= 2 ** (lookahead + 1) for xs in requests[1:])
-            # the first request covers `lookahead` steps, every later one
-            # `lookahead` + 1
-            assert len(requests) == 1 + -(-max(0, steps - lookahead) // (lookahead + 1))
-
-
 class TestBestResponse:
     def test_infeasible_floor_falls_to_minimum(self):
         gains = np.zeros((3, 3))
@@ -608,36 +561,75 @@ class TestBestResponse:
         u_br = game.utility(0, prof.with_power(0, br), gains, N0, params)
         assert u_br >= max(utils) - 1e-9
 
-    def test_never_below_prescan_maximum(self):
-        rng = np.random.default_rng(7)
-        params = game.GameParams()
-        for seed in DESK_SEEDS:
-            _, gains = build_desk(seed)
-            prof = random_profile(rng, 10)
-            i = int(rng.integers(0, 10))
-            br = game.best_response(i, prof, gains, N0, params)
-            floor = topology.min_power_for_degree(
-                i, prof, gains, N0, params.f_bytes, params.epsilon_link,
-                params.required_degree(10))
-            lo = max(prof.s_min, floor)
-            samples = np.linspace(lo, prof.s_max, game._PRESCAN_SAMPLES)
-            u_scan = max(game.utility(i, prof.with_power(i, x), gains, N0, params)
-                         for x in samples)
-            u_br = game.utility(i, prof.with_power(i, br), gains, N0, params)
-            assert u_br >= u_scan - 1e-12
+    @settings(deadline=None, max_examples=40)
+    @given(st.data())
+    def test_never_below_prescan_maximum(self, data):
+        gains, profile, params = _random_game(
+            data.draw, 12, interference=data.draw(st.sampled_from(["none", "full"])),
+            ncr_denominator=data.draw(st.sampled_from(["members", "union"])))
+        i = data.draw(st.integers(0, profile.n - 1))
+        br = game.best_response(i, profile, gains, N0, params)
+        floor = topology.min_power_for_degree(
+            i, profile, gains, N0, params.f_bytes, params.epsilon_link,
+            params.required_degree(profile.n), params.interference)
+        if floor == topology.INFEASIBLE:
+            assert br == profile.s_min
+            return
+        lo = max(profile.s_min, floor)
+        if profile.s_max - lo <= game._BR_TOL:
+            assert br == profile.s_max
+            return
+        samples = np.linspace(lo, profile.s_max, game._PRESCAN_SAMPLES)
+        u_scan = max(game.utility(i, profile.with_power(i, x), gains, N0, params)
+                     for x in samples)
+        u_br = game.utility(i, profile.with_power(i, br), gains, N0, params)
+        assert lo <= br <= profile.s_max
+        assert u_br >= u_scan - 1e-12
+
+    @settings(deadline=None, max_examples=40)
+    @given(st.data())
+    def test_kernel_calls_per_best_response(self, data):
+        # One kernel call scores every node's candidates, and each refinement
+        # round one more, of P + 2 points per open bracket, for any group
+        # size.  The first bracket spans at most two pre-scan intervals, and a
+        # round cuts it to 2 / (P + 3) of its width.
+        gains, profile, params = _random_game(
+            data.draw, 12, interference=data.draw(st.sampled_from(["none", "full"])),
+            ncr_denominator=data.draw(st.sampled_from(["members", "union"])))
+        nodes = [data.draw(st.integers(0, profile.n - 1))]
+        senders = nodes[0]
+        if game._decouples(params) and data.draw(st.booleans()):
+            nodes, senders = list(range(profile.n)), slice(None)
+        env = game._Environment(profile, gains, N0, params, senders)
+        with mock.patch.object(env, "utilities", wraps=env.utilities) as utilities:
+            game._best_responses(env, nodes)
+        alone = params.ncr_denominator == "members" and params.interference != "none"
+        points = game._REFINE_POINTS_ALONE if alone else game._REFINE_POINTS
+        width = 2.0 * (profile.s_max - profile.s_min) / (game._PRESCAN_SAMPLES - 1)
+        rounds = max(0, math.ceil(math.log(width * (1 + 1e-9) / game._BR_TOL)
+                                  / math.log((points + 3) / 2)))
+        assert utilities.call_count <= 1 + rounds
+        for call in utilities.call_args_list[1:]:
+            assert len(call.args[1]) % (points + 2) == 0
+            assert 0 < len(call.args[1]) <= len(nodes) * (points + 2)
 
 
 class TestDynamics:
-    def test_sweep_is_sequential_best_response(self):
+    @pytest.mark.parametrize("interference", ["none", "full"], ids=["decoupled", "coupled"])
+    def test_sweep_is_sequential_best_response(self, interference):
+        # The decoupled sweep answers in one group, the coupled one node by
+        # node; either equals best_response node after node, bitwise.  Some
+        # nodes search an interior answer, not the s_min of an infeasible one.
         rng = np.random.default_rng(8)
         _, gains = build_desk(3)
-        params = game.GameParams()
+        params = game.GameParams(interference=interference, degree_target=1)
         prof = random_profile(rng, 10)
         swept, _ = game._sweep(prof, gains, N0, params, game._best_responses)
         manual = prof
         for i in range(10):
             manual = manual.with_power(i, game.best_response(i, manual, gains, N0, params))
-        assert np.array_equal(swept.s, manual.s)
+        assert swept.s.tobytes() == manual.s.tobytes()
+        assert np.count_nonzero(swept.s > prof.s_min) >= 2
 
     def test_solve_converges_on_desk(self, desk0_solution):
         result, gains, params = desk0_solution
@@ -707,25 +699,6 @@ class TestDynamics:
             br = game.best_response(i, final, gains, N0, params)
             assert abs(br - final.s[i]) <= 1e-3
 
-
-    @settings(deadline=None, max_examples=30)
-    @given(st.data())
-    def test_coupled_solve_equals_lookahead_zero(self, data):
-        gains, profile, params = _random_game(data.draw, 8, interference="full",
-                                              n_iter_max=8)
-        # the whole strategy range and low degree floors, so that most nodes
-        # run a long search rather than give up
-        profile = game.StrategyProfile.full_power(profile.n)
-        params = dataclasses.replace(params, degree_target=data.draw(st.integers(0, 2)))
-        assert not game._decouples(params)
-        speculative = game.solve(profile, gains, N0, params)
-        with mock.patch.object(game, "_LOOKAHEAD", 0):
-            plain = game.solve(profile, gains, N0, params)
-        assert speculative.profile.s.tobytes() == plain.profile.s.tobytes()
-        assert speculative.nonunimodal_events == plain.nonunimodal_events
-        assert (np.array(speculative.potential_trace).tobytes()
-                == np.array(plain.potential_trace).tobytes())
-        assert speculative.sweeps_used == plain.sweeps_used
 
 
 class TestVerification:
