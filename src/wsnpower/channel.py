@@ -13,7 +13,6 @@ import hashlib
 import math
 import struct
 from dataclasses import dataclass
-from itertools import repeat
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -119,11 +118,7 @@ def build_gain_matrix(positions, model: PathLossModel) -> np.ndarray:
     the path (and any shadowing draw) is a property of the unordered pair.
 
     The upper triangle is filled in blocks of rows, each one array pass over
-    its pairs (i, j > i).  ``math.hypot``, ``math.log10`` and Python's
-    ``pow`` take the distances, logarithms and powers of ten through ``map``,
-    since numpy's ``hypot``, ``log10`` and ``power`` differ from them in the
-    last bit on some inputs; the clamp, the scaling and the sums are exact
-    IEEE array operations, so every gain is bitwise the per-pair formula.
+    its pairs (i, j > i), so the working memory stays bounded at any M.
     """
     pos = np.asarray(positions, dtype=float)
     if pos.ndim != 2 or pos.shape[1] != 2:
@@ -142,16 +137,14 @@ def build_gain_matrix(positions, model: PathLossModel) -> np.ndarray:
         last = min(m - 1, first + max(1, _GAIN_PAIRS // (m - 1 - first)))
         rows, cols = np.nonzero(np.arange(m) > np.arange(first, last)[:, None])
         rows += first
-        n = rows.size
         diff = pos[cols] - pos[rows]
-        d = np.fromiter(map(math.hypot, diff[:, 0].tolist(), diff[:, 1].tolist()), float, n)
-        ratio = np.maximum(d, d0) / d0
-        gain_db = model.reference_gain_db - slope * np.fromiter(
-            map(math.log10, ratio.tolist()), float, n)
+        d = np.hypot(diff[:, 0], diff[:, 1])
+        gain_db = model.reference_gain_db - slope * np.log10(np.maximum(d, d0) / d0)
         if model.shadowing_sigma_db > 0.0:
             gain_db += np.fromiter((_pair_shadowing_db(model, points[i], points[j])
-                                    for i, j in zip(rows.tolist(), cols.tolist())), float, n)
-        g = np.fromiter(map(pow, repeat(10.0), (gain_db / 10.0).tolist()), float, n)
+                                    for i, j in zip(rows.tolist(), cols.tolist())),
+                                   float, rows.size)
+        g = 10.0 ** (gain_db / 10.0)
         h[rows, cols] = g
         h[cols, rows] = g
         first = last

@@ -139,13 +139,14 @@ def testbed_default() -> ScenarioConfig:
 
 
 def validate_config(data: dict):
-    """(config, message): parse a config dict, and load the layout file it
-    names, without running anything.  An invalid dict or layout gives
-    (None, the error's type and text)."""
+    """(config, message): parse a config dict, load the layout file it names
+    and evaluate the degree rule at the node count, without running anything.
+    An invalid dict or layout gives (None, the error's type and text)."""
     try:
         config = ScenarioConfig.from_json_dict(data)
-        if "file" in config.topology_spec:
-            config.build_topology()
+        spec = config.topology_spec
+        m = config.build_topology().node_count if "file" in spec else int(spec["m"])
+        config.game_params.required_degree(m)
         return config, "ok"
     except (ValueError, TypeError, KeyError) as exc:
         return None, f"{type(exc).__name__}: {exc}"

@@ -63,7 +63,7 @@ from .channel import (
 )
 from .topology import (
     INFEASIBLE,
-    _degree_floor,
+    _degree_floors,
     _membership_breakpoints,
     smallworld_threshold,
 )
@@ -159,12 +159,14 @@ class GameParams:
             raise ValueError("payload bytes must be a positive integer")
         if not (0.0 < self.epsilon_link < 1.0):
             raise ValueError(f"epsilon_link must lie in (0, 1), got {self.epsilon_link!r}")
-        if self.degree_target < 0:
-            raise ValueError("degree target must be >= 0")
+        if not (float(self.degree_target).is_integer() and self.degree_target >= 0):
+            raise ValueError(f"degree target must be a whole number >= 0, "
+                             f"got {self.degree_target!r}")
         if self.degree_rule not in DEGREE_RULES:
             raise ValueError(f"degree rule must be one of {DEGREE_RULES}")
-        if self.degree_rule == "smallworld" and not (self.smallworld_delta > 0):
-            raise ValueError("smallworld delta must be positive")
+        if self.degree_rule == "smallworld" and not (0 < self.smallworld_delta < math.inf):
+            raise ValueError(f"smallworld delta must be positive and finite, "
+                             f"got {self.smallworld_delta!r}")
         if not (float(self.n_iter_max).is_integer() and self.n_iter_max >= 1):
             raise ValueError(f"need a whole number of sweeps, at least one, got {self.n_iter_max!r}")
         if self.ncr_denominator not in NCR_DENOMINATORS:
@@ -175,7 +177,7 @@ class GameParams:
     def required_degree(self, m: int) -> int:
         """Degree floor: the fixed target, or the small-world rule's d > m + Np."""
         if self.degree_rule == "fixed-k":
-            return self.degree_target
+            return int(self.degree_target)
         params = smallworld_threshold(m, self.smallworld_delta)
         return params.degree_requirement()
 
@@ -294,10 +296,11 @@ class _Environment:
     The kernel sees only each node's candidate receivers: the columns j != i
     whose SINR at s_max + ``_CANDIDATE_MARGIN`` reaches the epsilon-PRR
     threshold (every column when that is 0).  PRR rises with own power, so
-    no other column holds a member in range.  One node keeps a 1-D index, a
-    group an (M x K) index padded with each node's own column, whose entries
-    are forced to 0.  The inputs are checked once here, over the full gain
-    rows and the denominators.
+    no other column holds a member in range, nor a breakpoint (``floors``)
+    at or below s_max.  One node keeps a 1-D index, a group an (M x K) index
+    padded with each node's own column, whose PRRs are forced to 0; its zero
+    gain puts its breakpoint at +inf.  The inputs are checked once here, over
+    the full gain rows and the denominators.
 
     Per chunk of rows, each a pair (node, strategy value), one unchecked
     ``channel._prr_table`` call builds a (rows x K) table, reduced and scored
@@ -338,18 +341,20 @@ class _Environment:
             self.column_denominators = (np.take_along_axis(d, self.columns, 1) if d.ndim == 2
                                         else d[:1])
 
-    def denominator_row(self, i):
-        d = self.denominators
-        return d if d.ndim == 1 else d[i]
-
-    def prr_table(self, nodes, xs):
-        """(own mW per row, rows x K PRR table over the rows' candidate columns)."""
-        mw = strategy_to_mw(xs)
+    def _column_rows(self, nodes):
+        """(Gains, denominators) of the rows' candidate columns, as
+        ``channel._prr_table`` and ``_membership_breakpoints`` broadcast them."""
         gains, denominators = self.column_gains, self.column_denominators
         if gains.ndim == 2:
             gains = gains[nodes]
             if denominators.ndim == 2:
                 denominators = denominators[nodes]
+        return gains, denominators
+
+    def prr_table(self, nodes, xs):
+        """(own mW per row, rows x K PRR table over the rows' candidate columns)."""
+        mw = strategy_to_mw(xs)
+        gains, denominators = self._column_rows(nodes)
         table = _prr_table(gains, mw, denominators, self.params.f_bytes)
         if self.pads is not None:
             table[self.pads[nodes]] = 0.0
@@ -422,16 +427,17 @@ class _Environment:
         return np.concatenate([np.add.reduce(table >= eps, axis=1)
                                for *_, table in self._tables(nodes, xs)])
 
-    def membership_breakpoints(self, i):
-        """Strategy values at which each candidate receiver enters node i's
-        neighbor set; exact because PRR is monotone in own power.  Only a
-        candidate's breakpoint can lie at or below s_max."""
-        columns = self.columns
-        if columns.ndim == 2:
-            columns = columns[i] if self.pads is None else columns[i][~self.pads[i]]
+    def floors(self, nodes):
+        """(Each node's membership breakpoints over its candidate columns,
+        sorted, one row per node padded with +inf; each node's degree floor,
+        as ``topology.min_power_for_degree`` gives it)."""
+        nodes = np.asarray(nodes, dtype=np.intp)
+        gains, denominators = self._column_rows(nodes)
         s_eps = sinr_for_prr(self.params.epsilon_link, self.params.f_bytes)
-        return _membership_breakpoints(s_eps, self.denominator_row(i)[columns],
-                                       self.gains[i, columns])
+        points = np.atleast_2d(_membership_breakpoints(s_eps, denominators, gains))
+        points.sort(axis=1)
+        return points, _degree_floors(self.profile, self.required_k, points, lambda rows: (
+            self.degrees(nodes[rows], np.full(rows.size, self.profile.s_max))))
 
 
 def utility(i: int, profile: StrategyProfile, gains: np.ndarray, n0_mw: float,
@@ -477,13 +483,6 @@ def _scan_nonunimodal(values, atol: float = 1e-12):
     return (fell & (cur > prev + atol)).any(axis=-1)
 
 
-def _search_floor(i, env):
-    """(Node i's sorted membership breakpoints, its degree floor)."""
-    breakpoints = sorted(env.membership_breakpoints(i))
-    return breakpoints, _degree_floor(env.profile, env.required_k, breakpoints,
-                                      lambda: env.degrees([i], [env.profile.s_max])[0])
-
-
 def _best_responses(env, nodes):
     """Maximize each node's utility over its strategy set, for every node of
     a sweep group at once: (s* per node, how many flagged).
@@ -493,13 +492,13 @@ def _best_responses(env, nodes):
 
     One kernel call scores every node's candidates: the pre-scan, the
     membership breakpoints (and points 1e-9 below them) and the incumbent,
-    since none depends on another's value.  The pre-scan is one ``linspace``
-    over the rows.  The breakpoint and incumbent candidates pad their rows
-    with +inf, and a stable sort puts the scan points first among equal
-    values.  Every finite candidate goes to the kernel, copies too: a row's
-    utility depends only on its node and value, so copies score bitwise
-    alike, and the first maximum and its distinct neighbours, the bracket,
-    do not depend on them.
+    since none depends on another's value.  One ``_Environment.floors`` call
+    gives the whole group's breakpoints and floors.  The breakpoint and
+    incumbent candidates pad their rows with +inf, and a stable sort puts the
+    scan points first among equal values.  Every finite candidate goes to
+    the kernel, copies too: a row's utility depends only on its node and
+    value, so copies score bitwise alike, and the first maximum and its
+    distinct neighbours, the bracket, do not depend on them.
 
     Each refinement round is then one kernel call over the nodes whose
     bracket is still wider than ``_BR_TOL``: it scores P + 2 evenly spaced
@@ -509,7 +508,8 @@ def _best_responses(env, nodes):
     """
     profile = env.profile
     hi = profile.s_max
-    breakpoints, floors = zip(*(_search_floor(i, env) for i in nodes))
+    nodes = np.asarray(nodes, dtype=np.intp)
+    points, floors = env.floors(nodes)
     lo = np.maximum(profile.s_min, floors)
     # Infeasible: the cost-only branch everywhere, so spend as little as
     # allowed.  A range within _BR_TOL answers its top.
@@ -517,16 +517,16 @@ def _best_responses(env, nodes):
     search = np.flatnonzero(hi - lo > _BR_TOL)
     if search.size == 0:
         return s_star, 0
-    nodes, lo = np.asarray(nodes)[search], lo[search]
-    breakpoints = [breakpoints[r] for r in search.tolist()]
-    points = np.full((search.size, max(map(len, breakpoints))), np.inf)
-    for row, b in enumerate(breakpoints):
-        points[row, :len(b)] = b
+    nodes, lo, points = nodes[search], lo[search], points[search]
+    # np.linspace(lo, hi, _PRESCAN_SAMPLES, axis=1) bitwise, less its overhead
+    step = (hi - lo) / (_PRESCAN_SAMPLES - 1)
+    scan = lo[:, None] + np.arange(_PRESCAN_SAMPLES) * step[:, None]
+    scan[:, -1] = hi
     inside = (lo[:, None] < points) & (points < hi)
     below = points - 1e-9
     incumbent = profile.s[nodes]
     raw = np.column_stack([
-        np.linspace(lo, hi, _PRESCAN_SAMPLES, axis=1),
+        scan,
         np.where(inside, points, np.inf),
         np.where(inside & (below > lo[:, None]), below, np.inf),
         np.where((lo <= incumbent) & (incumbent <= hi), incumbent, np.inf)])
@@ -656,9 +656,9 @@ def verify_equilibrium(profile: StrategyProfile, gains: np.ndarray, n0_mw: float
 
     Node i's deviations are the grid points in [max(s_min, floor_i), s_max]
     plus that lower end, where floor_i is the floor the best response
-    searches above (``_search_floor``); an infeasible node scans the whole
-    grid.  Every node's current value and deviations go through one chunked
-    kernel table.  Returns (passed, worst_improvement): passed is True when
+    searches above (one ``_Environment.floors`` call gives every node's); an
+    infeasible node scans the whole grid.  Every node's current value and
+    deviations go through one chunked kernel table.  Returns (passed, worst_improvement): passed is True when
     no deviation improves any node's utility by more than epsilon.
     """
     if grid_step <= 0:
@@ -668,7 +668,7 @@ def verify_equilibrium(profile: StrategyProfile, gains: np.ndarray, n0_mw: float
         grid = np.append(grid, profile.s_max)
     n = profile.n
     env = _Environment(profile, gains, n0_mw, params)
-    floors = np.array([_search_floor(i, env)[1] for i in range(n)])
+    floors = env.floors(np.arange(n))[1]
     lo = np.where(floors == INFEASIBLE, profile.s_min, floors)
     xs = np.column_stack([profile.s, lo, np.broadcast_to(grid, (n, grid.size))])
     scan = xs >= lo[:, None]

@@ -157,16 +157,11 @@ def delivery_ratio(log: TransmissionLog) -> float:
 
 
 def relative_energy(log: TransmissionLog) -> float:
-    """Mean linear transmit power per attempt, normalized to the 0 dBm anchor.
-
-    Bitwise the per-message loop: Python's float power per distinct tx_dbm
-    (numpy's array power can differ in the last bit), summed in log order.
-    """
+    """Mean linear transmit power per attempt, normalized to the 0 dBm anchor:
+    the attempt-weighted mean of each message's power in mW."""
     if log.sender.size == 0:
         raise ValueError("empty transmission log")
-    dbm, inverse = np.unique(log.tx_dbm, return_inverse=True)
-    mw = np.array([10.0 ** (d / 10.0) for d in dbm.tolist()])[inverse]
-    return float(np.add.accumulate(log.attempts_used * mw)[-1]) / int(log.attempts_used.sum())
+    return float(np.dot(log.attempts_used, 10.0 ** (log.tx_dbm / 10.0)) / log.attempts_used.sum())
 
 
 GOOD_PRR = 0.8

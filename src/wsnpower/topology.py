@@ -120,23 +120,23 @@ def degree_at_power(i: int, s_value: float, profile, gains, n0_mw, f_bytes,
 
 
 def _membership_breakpoints(s_eps, denominators, gains):
-    """Strategy values at which each receiver with a positive gain enters a
-    sender's neighbor set: 25 + 10 log10(s_eps * denom_j / h_j), where s_eps
-    is the SINR at which the PRR equals epsilon_link.  ``denominators`` and
-    ``gains`` are the sender's entries for some of its receivers, never
-    itself.
+    """Strategy values at which each receiver enters a sender's neighbor set:
+    25 + 10 log10(s_eps * denom_j / h_j), where s_eps is the SINR at which the
+    PRR equals epsilon_link.  ``denominators`` and ``gains`` are arrays that
+    broadcast together, with the entries of some receivers of each sender
+    (one row per sender), never the sender itself.  A receiver with zero gain
+    never enters: its breakpoint is +inf.
 
     When s_eps is 0 every receiver is a member at any power, so all
     breakpoints are -inf.  The sender's degree at power s is the number of
     breakpoints below s, up to the last bits of the PRR at a breakpoint.
-    Each value goes through ``math.log10``; ``np.log10`` differs from it in
-    the last bit for a few percent of inputs.
     """
+    shape = np.broadcast_shapes(np.shape(denominators), np.shape(gains))
     if s_eps == 0.0:
-        return [-math.inf] * gains.size
-    reachable = gains > 0.0
-    needed = s_eps * denominators[reachable] / gains[reachable]
-    return [25.0 + 10.0 * math.log10(v) for v in needed.tolist()]
+        return np.full(shape, -np.inf)
+    needed = np.divide(s_eps * denominators, gains, out=np.full(shape, np.inf),
+                       where=gains > 0.0)
+    return 25.0 + 10.0 * np.log10(needed)
 
 
 def rgg_degree_threshold(n: int) -> float:
@@ -171,6 +171,9 @@ def smallworld_threshold(m: int, delta: float) -> SmallWorldParams:
     if not (delta > 0.0):
         raise ValueError("delta must be positive")
     raw = (1.0 + delta) * math.sqrt(2.0 * math.log(m))
+    # the requirement adds ceil(raw) to raw, at most 2 raw + 1
+    if not math.isfinite(2.0 * raw + 1.0):
+        raise ValueError(f"smallworld delta {delta!r} overflows the degree requirement")
     return SmallWorldParams(delta=delta, m_nearest=int(math.ceil(raw)),
                             shortcut_expectation=raw)
 
@@ -185,32 +188,35 @@ def min_power_for_degree(i: int, profile, gains: np.ndarray, n0_mw: float, f_byt
     lower bound when k == 0 and INFEASIBLE when b_(k) lies above the maximum
     power or node i has fewer than k potential receivers.  When b_(k) lies
     within the slack below the maximum power, the degree there decides:
-    the maximum power if it meets k, else INFEASIBLE.
+    the maximum power if it meets k, else INFEASIBLE.  It is the one-row case
+    of ``_degree_floors``.
     """
     others = np.arange(gains.shape[0]) != i
     denom = _denominators(i, profile.mw, gains, n0_mw, interference)
-    points = sorted(_membership_breakpoints(sinr_for_prr(epsilon_link, f_bytes), denom[others],
-                                            gains[i, others]))
-    return _degree_floor(profile, k, points, lambda: degree_at_power(
-        i, profile.s_max, profile, gains, n0_mw, f_bytes, epsilon_link, interference))
+    points = np.sort(_membership_breakpoints(sinr_for_prr(epsilon_link, f_bytes), denom[others],
+                                             gains[i, others]))
+    return float(_degree_floors(profile, k, points[None], lambda rows: np.array([degree_at_power(
+        i, profile.s_max, profile, gains, n0_mw, f_bytes, epsilon_link, interference)]))[0])
 
 
-def _degree_floor(profile, k, points, degree_at_s_max):
-    """``min_power_for_degree`` given the node's sorted membership
-    breakpoints ``points``, for callers that already built them.
-    ``degree_at_s_max()`` is called only when b_(k) lies within the slack
-    below s_max, where the k-th link's PRR at s_max can fall a few ulps short
-    of epsilon_link: the degree count that decides feasibility decides."""
+def _degree_floors(profile, k, points, degrees_at_s_max):
+    """``min_power_for_degree`` for every row of ``points``, a (rows x K)
+    array of sorted membership breakpoints padded with +inf.
+    ``degrees_at_s_max(rows)`` gives the degree at s_max of the rows whose
+    b_(k) lies within the slack below s_max, where the k-th link's PRR at
+    s_max can fall a few ulps short of epsilon_link: the degree count that
+    decides feasibility decides.  It is called only when such rows exist."""
     if k < 0:
         raise ValueError("required degree must be >= 0")
-    if k == 0:
-        return profile.s_min
-    if k > len(points) or points[k - 1] > profile.s_max:
-        return INFEASIBLE
-    floor = points[k - 1] + _BREAKPOINT_SLACK
-    if floor > profile.s_max:
-        return profile.s_max if degree_at_s_max() >= k else INFEASIBLE
-    return max(profile.s_min, floor)
+    if k == 0 or k > points.shape[1]:
+        return np.full(points.shape[0], profile.s_min if k == 0 else INFEASIBLE)
+    b = points[:, k - 1]
+    floor = b + _BREAKPOINT_SLACK
+    floors = np.where(b > profile.s_max, INFEASIBLE, np.maximum(profile.s_min, floor))
+    edge = np.flatnonzero((b <= profile.s_max) & (floor > profile.s_max))
+    if edge.size:
+        floors[edge] = np.where(degrees_at_s_max(edge) >= k, profile.s_max, INFEASIBLE)
+    return floors
 
 
 def adjacency(prr_mat: np.ndarray, epsilon_link: float) -> np.ndarray:

@@ -586,6 +586,26 @@ def test_non_finite_literal_exits_2(tmp_path, capsys, section, key, value, liter
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("game_keys, field", [
+    ({"degree_target": 2.5}, "degree target"),
+    ({"degree_rule": "smallworld", "smallworld_delta": 1e308}, "smallworld delta"),
+])
+def test_degree_rule_that_cannot_run_exits_2_at_validate(tmp_path, capsys, game_keys, field):
+    # a fractional target, and a finite delta whose requirement overflows at
+    # the node count: validate exits 2 and names it, as run does
+    data = desk_config().to_json_dict()
+    data["game"].update(game_keys)
+    path = tmp_path / "config.json"
+    with open(path, "w") as fh:
+        json.dump(data, fh)
+    for argv in (["validate", "--config", str(path)],
+                 ["run", "--config", str(path), "--out", str(tmp_path / "out")]):
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert field in err and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
 def test_unusable_levels_pass_without_a_discretized_mode():
     config, message = experiment.validate_config(desk_config(
         levels=DiscreteLevelSet((-25.0,)), modes=("continuous", "full-power")).to_json_dict())
@@ -625,6 +645,12 @@ def _config_dicts(draw):
         "modes": draw(st.lists(st.sampled_from(experiment.MODES), min_size=1, unique=True)),
         "receiver_policy": draw(st.sampled_from(experiment.RECEIVER_POLICIES)),
     }
+    # one draw in five puts a fractional degree target in, and one in five
+    # a small-world delta whose degree requirement overflows
+    if draw(st.integers(0, 4)) == 0:
+        data["game"]["degree_target"] = draw(st.integers(0, 7)) + 0.5
+    if draw(st.integers(0, 4)) == 0:
+        data["game"].update(degree_rule="smallworld", smallworld_delta=1e308)
     # one draw in five puts a NaN or an infinity in one number, which json
     # writes as a bare literal
     if draw(st.integers(0, 4)) == 0:

@@ -109,10 +109,19 @@ class TestGameParams:
     @pytest.mark.parametrize("key, value", [
         ("ncr_scale", math.nan), ("ncr_scale", math.inf), ("cost_denominator", math.nan),
         ("cost_denominator", math.inf), ("n_iter_max", math.nan), ("n_iter_max", math.inf),
-        ("n_iter_max", 2.5), ("f_bytes", math.inf)])
+        ("n_iter_max", 2.5), ("f_bytes", math.inf), ("degree_target", math.nan),
+        ("degree_target", math.inf), ("degree_target", 2.5)])
     def test_non_finite_or_fractional_rejected(self, key, value):
         with pytest.raises(ValueError):
             game.GameParams(**{key: value})
+
+    @pytest.mark.parametrize("delta", [math.inf, math.nan])
+    def test_non_finite_smallworld_delta_rejected(self, delta):
+        with pytest.raises(ValueError, match="smallworld delta"):
+            game.GameParams(degree_rule="smallworld", smallworld_delta=delta)
+
+    def test_whole_float_degree_target_is_an_int(self):
+        assert type(game.GameParams(degree_target=6.0).required_degree(80)) is int
 
     def test_required_degree_rules(self):
         assert game.GameParams(degree_target=6).required_degree(80) == 6
@@ -413,13 +422,18 @@ class TestKernel:
         top = _reference_row_and_utility(i, profile, gains, params, profile.s_max)[0]
         assert np.all(np.delete(top, columns) < params.epsilon_link)
         assert np.array(env.utilities(nodes, xs)).tobytes() == np.array(want).tobytes()
-        # the breakpoints are those of the candidate columns; every other
-        # receiver enters above s_max
+        # the breakpoints are those of the candidate columns, sorted, within
+        # 1e-12 of the one-at-a-time formula (``np.log10`` on an array may
+        # differ from ``math.log10`` in the last bit), then pads of +inf;
+        # every other receiver enters above s_max
         s_eps = channel.sinr_for_prr(params.epsilon_link, params.f_bytes)
         denom = channel._denominators(i, profile.mw, gains, N0, params.interference)
         breakpoints = {j: 25.0 + 10.0 * math.log10(s_eps * denom[j] / gains[i, j])
                        for j in range(m) if j != i and gains[i, j] > 0.0}
-        assert env.membership_breakpoints(i) == [breakpoints[j] for j in columns.tolist()]
+        points = env.floors([i])[0][0]
+        want = sorted(breakpoints[j] for j in columns.tolist())
+        assert points[:columns.size] == pytest.approx(want, rel=0.0, abs=1e-12)
+        assert np.all(points[columns.size:] == np.inf)
         assert all(b > profile.s_max for j, b in breakpoints.items() if j not in columns)
 
     def test_rows_with_more_than_128_members(self):

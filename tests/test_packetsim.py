@@ -213,14 +213,16 @@ class TestMetrics:
         assert packetsim.relative_energy(log) == pytest.approx(total / attempts, rel=1e-15)
 
     def test_relative_energy_is_the_sequential_python_sum(self):
-        # dBm values where numpy's SIMD array power can miss Python's float power
-        # by an ulp; the sum runs in log order, not pairwise
+        # dBm values where numpy's SIMD array power can miss Python's float
+        # power by an ulp, and a dot product that need not add in log order:
+        # within 1e-13 of the per-message loop
         rows = [(0, 1, -23.7, 2, True), (1, 0, -13.1, 1, True), (2, 1, -9.4, 3, False),
                 (3, 1, -0.6, 1, True)] * 3
         total = 0.0
         for _, _, d, a, _ in rows:
             total += a * 10.0 ** (d / 10.0)
-        assert packetsim.relative_energy(synth_log(rows)) == total / sum(r[3] for r in rows)
+        assert packetsim.relative_energy(synth_log(rows)) == pytest.approx(
+            total / sum(r[3] for r in rows), rel=1e-13)
 
     def test_link_cdf_classes(self):
         out = packetsim.link_cdf({(0, 1): 0.9, (1, 2): 0.5, (2, 0): 0.1})
@@ -296,7 +298,9 @@ def reference_packet_stage(profile, gains, traffic, links, interference):
 @settings(deadline=None, max_examples=300)
 @given(st.data())
 def test_array_log_matches_per_record_reference(data):
-    # repr comparisons: bitwise floats, Python scalar types and key order
+    # repr comparisons: bitwise floats, Python scalar types and key order;
+    # relative_energy, an array power and a dot product, within 1e-13 of the
+    # per-record sum
     draw = data.draw
     m, n = draw(st.integers(2, 12)), draw(st.integers(1, 50))
     interference = draw(st.sampled_from(["none", "full"]))
@@ -322,6 +326,7 @@ def test_array_log_matches_per_record_reference(data):
     assert log.empty_senders == empty
     metrics = packetsim.build_metrics(log)
     assert metrics.empty_neighborhood_senders == empty
+    assert metrics.relative_energy == pytest.approx(expect.pop("relative_energy"), rel=1e-13)
     for name, value in expect.items():
         assert repr(getattr(metrics, name)) == repr(value), name
 

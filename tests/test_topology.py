@@ -109,6 +109,11 @@ def test_smallworld_threshold_values():
         topology.smallworld_threshold(1, 0.1)
     with pytest.raises(ValueError):
         topology.smallworld_threshold(80, -0.2)
+    # a finite delta whose requirement overflows
+    with pytest.raises(ValueError, match="overflows"):
+        topology.smallworld_threshold(80, 1e308)
+    with pytest.raises(ValueError, match="overflows"):
+        topology.smallworld_threshold(2, 1e308)  # finite raw, overflowing requirement
 
 
 def test_min_power_for_degree_bisection(desk0):
@@ -350,3 +355,44 @@ def test_floor_is_the_kth_breakpoint_on_random_layouts(data):
         topo.positions, channel.PathLossModel(shadowing_sigma_db=sigma, seed=seed))
     profile = random_profile(np.random.default_rng(seed), m=m)
     _check_floors(profile, gains, eps, interference)
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.data())
+def test_group_floors_equal_per_node_floor(data):
+    # ``_Environment.floors`` over every node in any order, and over one
+    # node in its own environment, bitwise the one-row min_power_for_degree.
+    # In most draws node f's first k links enter just under s_max, where its
+    # degree at s_max decides the floor.
+    draw = data.draw
+    m = draw(st.integers(2, 12), label="m")
+    k = draw(st.integers(0, m + 1), label="k")
+    eps = draw(st.sampled_from([0.01, 0.5, 1e-62]), label="eps")
+    interference = draw(st.sampled_from(["none", "full"]), label="interference")
+    seed = draw(st.integers(0, 2**16), label="seed")
+    topo = topology.random_topology(m, area=(draw(st.floats(10.0, 200.0)),) * 2, seed=seed)
+    gains = channel.build_gain_matrix(topo.positions, channel.PathLossModel(seed=seed))
+    profile = (game.StrategyProfile.full_power(m) if draw(st.booleans())
+               else random_profile(np.random.default_rng(seed), m=m))
+    s_eps = channel.sinr_for_prr(eps, 25)
+    forced = 1 <= k <= m - 1 and s_eps > 0.0 and draw(st.integers(0, 3), label="forced") > 0
+    if forced:
+        f = draw(st.integers(0, m - 1), label="f")
+        offset = draw(st.sampled_from([SLACK / 2, 1e-12, 1e-14, 2e-15, 0.0, -2e-15]))
+        # node f's own power never enters its receivers' denominators
+        others = np.arange(m) != f
+        denom = channel._denominators(f, profile.mw, gains, N0, interference)[others]
+        g = s_eps * denom / channel.strategy_to_mw(profile.s_max - offset)
+        g[k:] *= 1e-3
+        gains[f, others] = gains[others, f] = g
+    params = game.GameParams(epsilon_link=eps, interference=interference, degree_target=k)
+    want = [topology.min_power_for_degree(i, profile, gains, N0, 25, eps, k, interference)
+            for i in range(m)]
+    nodes = draw(st.permutations(range(m)))
+    floors = game._Environment(profile, gains, N0, params).floors(nodes)[1]
+    assert floors.tolist() == [want[i] for i in nodes]
+    for i in nodes:
+        alone = game._Environment(profile, gains, N0, params, i)
+        assert alone.floors([i])[1].tolist() == [want[i]]
+    if forced and offset == SLACK / 2:
+        assert want[f] == profile.s_max
