@@ -62,6 +62,13 @@ class NoiseFloor:
         return float(10.0 * math.log10(self.n0_mw))
 
 
+def _is_number(value, integral=False) -> bool:
+    """A finite real number, integral when asked; bools and strings do not count."""
+    if isinstance(value, (float, np.floating)):
+        return bool(float(value).is_integer() if integral else np.isfinite(value))
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class PathLossModel:
     """Log-distance path loss with optional log-normal shadowing.
@@ -88,6 +95,8 @@ class PathLossModel:
             raise ValueError("path loss exponent must be positive")
         if self.shadowing_sigma_db < 0.0:
             raise ValueError("shadowing sigma must be >= 0 dB")
+        if not _is_number(self.seed, integral=True):
+            raise ValueError(f"path loss seed must be a whole number, got {self.seed!r}")
 
 
 def _pair_shadowing_db(model: PathLossModel, a, b) -> float:

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import channel, game, packetsim, topology
+from .channel import _is_number
 from .quantize import (DiscreteLevelSet, RegisterMap, _usable_levels, discretize_profile,
                        solve_discrete, to_register)
 
@@ -95,13 +96,6 @@ class ScenarioConfig:
             if key in data:
                 kwargs[f.name] = _from_json(f.type, data[key])
         return cls(**kwargs)
-
-
-def _is_number(value, integral=False) -> bool:
-    """A finite real number, integral when asked; bools and strings do not count."""
-    if isinstance(value, (float, np.floating)):
-        return bool(float(value).is_integer() if integral else np.isfinite(value))
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def _to_json(value):

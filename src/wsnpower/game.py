@@ -39,8 +39,8 @@ table and narrows it to the best point's two neighbours, until it is within
 of any size; a lone node (the coupled game and the public
 ``best_response``) is its one-row case.  P depends on the game's parameters
 alone, never on the group, so a node answers the same in a group as alone.
-The discrete game scores every node's usable levels in one (nodes x levels)
-table for any group.
+The discrete game scores every node's usable levels at or above its floor
+in one (nodes x levels) table for any group.
 """
 
 import math
@@ -244,31 +244,12 @@ def _decouples(params) -> bool:
     return params.interference == "none" and params.ncr_denominator == "members"
 
 
-def _row_sums(table, member, counts):
-    """Per row of ``table``, the sum of its counts[r] ``member`` entries,
-    bitwise ``np.add.reduce`` over those entries alone.
-
-    Below 8 terms numpy adds one term after another (its pairwise summation
-    starts at 8), so a table narrower than 8 is summed with its non-members
-    set to 0.  A wider one gathers the members of its rows, stably sorted by
-    count, into one array in which the rows of each count form a contiguous
-    (rows x count) block, whose last-axis reduction pairs the terms as the
-    1-D one does.  A masked sum would pair them differently, and so would
-    ``np.add.reduceat``.
-    """
-    if table.shape[1] < 8:
-        return np.add.reduce(np.where(member, table, 0.0), axis=1)
-    order = np.argsort(counts, kind="stable")
-    ordered, members = counts[order], table[order][member[order]]
-    bounds = [0, *(np.flatnonzero(ordered[1:] != ordered[:-1]) + 1).tolist(), counts.size]
-    sums = np.empty(counts.size)
-    start = 0
-    for a, b in zip(bounds, bounds[1:]):
-        count = int(ordered[a])
-        stop = start + (b - a) * count
-        sums[order[a:b]] = np.add.reduce(members[start:stop].reshape(b - a, count), axis=1)
-        start = stop
-    return sums
+def _row_sums(table, member):
+    """Per row of ``table``, the sum of its ``member`` entries, added from
+    left to right.  Each non-member adds an exact 0.0, which leaves a float
+    unchanged, so a row sums alike at any table width and in any group."""
+    sums = np.add.accumulate(np.where(member, table, 0.0), axis=1)
+    return sums[:, -1] if sums.shape[1] else np.zeros(sums.shape[0])
 
 
 def _padded_columns(candidate):
@@ -306,8 +287,8 @@ class _Environment:
     ``channel._prr_table`` call builds a (rows x K) table, reduced and scored
     without a per-row loop.  Every PRR, degree and NCR is bitwise what dense
     ``_prr_rows`` rows give one at a time: strategies go to mW in one array,
-    as ``StrategyProfile.mw`` does, and columns stay in ascending order, where
-    ``_row_sums`` sums members as ``.mean()`` does.
+    as ``StrategyProfile.mw`` does, and ``_row_sums`` adds each row's members
+    from left to right, so neither the pads nor the other rows move a sum.
 
     A row's value depends only on its node and strategy value, never on the
     other rows of its call, so a search may batch its rows as it likes: every
@@ -374,7 +355,7 @@ class _Environment:
         params = self.params
         member = table >= params.epsilon_link
         degree = np.add.reduce(member, axis=1)
-        totals = _row_sums(table, member, degree)
+        totals = _row_sums(table, member)
         if params.ncr_denominator == "members":
             return np.divide(totals, degree, out=np.zeros(degree.size), where=degree > 0), degree
         size = self._union_sizes(nodes, mw, member)
@@ -493,12 +474,12 @@ def _best_responses(env, nodes):
     One kernel call scores every node's candidates: the pre-scan, the
     membership breakpoints (and points 1e-9 below them) and the incumbent,
     since none depends on another's value.  One ``_Environment.floors`` call
-    gives the whole group's breakpoints and floors.  The breakpoint and
-    incumbent candidates pad their rows with +inf, and a stable sort puts the
-    scan points first among equal values.  Every finite candidate goes to
-    the kernel, copies too: a row's utility depends only on its node and
-    value, so copies score bitwise alike, and the first maximum and its
-    distinct neighbours, the bracket, do not depend on them.
+    gives the whole group's breakpoints and floors.  The unsorted table holds
+    the pre-scan in its first ``_PRESCAN_SAMPLES`` columns and pads the other
+    candidates' rows with +inf.  Every finite candidate goes to the kernel,
+    copies too, since copies score bitwise alike.  The answer is the least
+    candidate among a row's maxima and the bracket its nearest distinct
+    candidates either side, whatever the order of the columns.
 
     Each refinement round is then one kernel call over the nodes whose
     bracket is still wider than ``_BR_TOL``: it scores P + 2 evenly spaced
@@ -525,20 +506,18 @@ def _best_responses(env, nodes):
     inside = (lo[:, None] < points) & (points < hi)
     below = points - 1e-9
     incumbent = profile.s[nodes]
-    raw = np.column_stack([
+    cand = np.column_stack([
         scan,
         np.where(inside, points, np.inf),
         np.where(inside & (below > lo[:, None]), below, np.inf),
         np.where((lo <= incumbent) & (incumbent <= hi), incumbent, np.inf)])
-    order = np.argsort(raw, axis=1, kind="stable")
-    cand = np.take_along_axis(raw, order, axis=1)
     finite = np.isfinite(cand)
     values = np.full(cand.shape, -np.inf)
     values[finite] = env.utilities(np.repeat(nodes, finite.sum(axis=1)), cand[finite])
-    flagged = _scan_nonunimodal(values[order < _PRESCAN_SAMPLES].reshape(-1, _PRESCAN_SAMPLES))
+    flagged = _scan_nonunimodal(values[:, :_PRESCAN_SAMPLES])
 
-    rows, best = np.arange(search.size), np.argmax(values, axis=1)
-    x, v = cand[rows, best], values[rows, best]
+    v = values.max(axis=1)
+    x = np.where(values == v[:, None], cand, np.inf).min(axis=1)
     # lo and hi are always candidates, so they bound the neighbours
     a = np.maximum(np.where(cand < x[:, None], cand, -np.inf).max(axis=1), lo)
     b = np.minimum(np.where(cand > x[:, None], cand, np.inf).min(axis=1), hi)
@@ -570,16 +549,9 @@ def best_response(i: int, profile: StrategyProfile, gains: np.ndarray, n0_mw: fl
 
 def _per_node_feasible(profile, gains, n0_mw, params):
     """Whether each node can reach its degree floor at some power in range:
-    its degree at the maximum power meets the floor.  This is the count that
-    decides min_power_for_degree when b_(k) lies within the slack below
-    s_max, so the two agree, and one PRR table at s_max costs less than
-    every node's breakpoints."""
-    k = params.required_degree(profile.n)
-    if k == 0:
-        return [True] * profile.n
+    whether its ``_Environment.floors`` floor is finite."""
     env = _Environment(profile, gains, n0_mw, params)
-    degree = env.degrees(np.arange(profile.n), np.full(profile.n, profile.s_max))
-    return [d >= k for d in degree.tolist()]
+    return (env.floors(np.arange(profile.n))[1] != INFEASIBLE).tolist()
 
 
 def _sweep(profile, gains, n0_mw, params, respond):
@@ -610,9 +582,8 @@ def _iterate(profile0, gains, n0_mw, params, respond) -> EquilibriumResult:
 
     The driver of both the continuous and the discrete game: the exact
     potential makes sequential best responses ascend on either strategy set.
-    A decoupled game stops after its first sweep, converged: a node's answer
-    depends only on its own power and its incumbent, which is only one
-    candidate, so a second sweep could only confirm the first.
+    A decoupled game stops after its first sweep, converged: a second sweep
+    could only confirm the first (see ``_sweep``).
     """
     current = profile0
     trace = [potential(current, gains, n0_mw, params)]

@@ -10,6 +10,8 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
+from .channel import _is_number
+
 
 # Random cells one draw of ``simulate`` holds at most: a bound on its
 # temporaries at any node and message count.
@@ -26,10 +28,11 @@ class TrafficConfig:
     def __post_init__(self):
         if self.message_period_s <= 0:
             raise ValueError("message period must be positive")
-        if self.messages_per_node <= 0:
-            raise ValueError("messages per node must be positive")
-        if self.max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
+        for name, least in (("messages_per_node", 1), ("max_retries", 0), ("seed", 0)):
+            value = getattr(self, name)
+            if not (_is_number(value, integral=True) and value >= least):
+                raise ValueError(f"traffic {name} must be a whole number >= {least}, got {value!r}")
+            object.__setattr__(self, name, int(value))
 
     @classmethod
     def testbed(cls, **overrides) -> "TrafficConfig":

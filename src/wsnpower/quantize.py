@@ -2,8 +2,8 @@
 
 Two ways to reach a discrete operating point: round a continuous solution
 to the grid after the fact (``discretize_profile``), or play the game
-natively on the grid with an exhaustive per-node argmax (``solve_discrete``).
-They need not agree.
+natively on the grid with a per-node argmax over the levels of its strategy
+set (``solve_discrete``).  They need not agree.
 """
 
 from dataclasses import dataclass
@@ -42,15 +42,11 @@ def quantize(dbm, levels: DiscreteLevelSet):
     """
     arr = np.clip(np.asarray(dbm, dtype=float), DBM_FLOOR, DBM_CEIL)
     grid = np.asarray(levels.levels_dbm)
-    if grid.size == 1:
-        out = np.full_like(arr, grid[0])
-    else:
-        # searchsorted against midpoints; side="left" sends exact midpoints
-        # to the lower cell.  A midpoint that rounds onto the upper level
-        # (levels an ulp apart) is pulled below it, so each level keeps itself.
-        mids = np.minimum((grid[:-1] + grid[1:]) / 2.0, np.nextafter(grid[1:], -np.inf))
-        idx = np.searchsorted(mids, arr, side="left")
-        out = grid[idx]
+    # searchsorted against the midpoints (none for one level); side="left"
+    # sends exact midpoints to the lower cell.  A midpoint that rounds onto the
+    # upper level (levels an ulp apart) is pulled below it: each keeps itself.
+    mids = np.minimum((grid[:-1] + grid[1:]) / 2.0, np.nextafter(grid[1:], -np.inf))
+    out = grid[np.searchsorted(mids, arr, side="left")]
     if np.ndim(dbm) == 0:
         return float(out)
     return out
@@ -73,13 +69,20 @@ def discretize_profile(profile: StrategyProfile, levels: DiscreteLevelSet) -> St
 def _level_responses(usable):
     """The discrete game's answers of a sweep group, for ``game._sweep``:
     each node's usable level with the highest utility, ties to the lower
-    one, from one (nodes x levels) table; no non-unimodal flags."""
+    one, from one (nodes x levels) table; no non-unimodal flags.  A node
+    scores only the levels at or above its degree floor; one with no such
+    level (infeasible, or a floor above the top) scores them all and takes
+    the lowest, on the cost-only branch."""
     xs = np.array(usable) + DBM_OFFSET
 
     def respond(env, nodes):
-        values = env.utilities(np.repeat(nodes, xs.size), np.tile(xs, len(nodes)))
+        scored = xs >= env.floors(nodes)[1][:, None]
+        scored[~scored.any(axis=1)] = True
+        values = np.full(scored.shape, -np.inf)
+        values[scored] = env.utilities(np.repeat(nodes, scored.sum(axis=1)),
+                                       np.broadcast_to(xs, scored.shape)[scored])
         # argmax keeps each row's first maximum
-        return xs[np.argmax(values.reshape(len(nodes), xs.size), axis=1)], 0
+        return xs[np.argmax(values, axis=1)], 0
     return respond
 
 

@@ -296,3 +296,28 @@ def test_criterion_12_default_scenario_verification(default_run):
                    f"{profile.n} nodes, worst unilateral improvement {worst:.3e} "
                    f"<= {VERIFY_EPSILON} at grid step {VERIFY_GRID}")
 
+
+
+def test_criterion_13_discrete_game_meets_the_degree_floor(default_run):
+    # The discrete game plays on the same strategy sets as the continuous
+    # one: every node that can reach k neighbours at some power ends with at
+    # least k; only an infeasible node may end below.
+    report, _ = default_run
+    config = report.config
+    topo = config.build_topology()
+    gains = channel.build_gain_matrix(topo.positions, config.path_loss)
+    params, n0 = config.game_params, config.noise.n0_mw
+    profile = report.sections["discretized-game"].result.profile
+    k = params.required_degree(profile.n)
+    short, infeasible = [], 0
+    for i in range(profile.n):
+        floor = topology.min_power_for_degree(i, profile, gains, n0, params.f_bytes,
+                                              params.epsilon_link, k)
+        degree = topology.degree_at_power(i, profile.s[i], profile, gains, n0, params.f_bytes,
+                                          params.epsilon_link)
+        infeasible += floor == topology.INFEASIBLE
+        if floor != topology.INFEASIBLE and degree < k:
+            short.append(i)
+    assert _report(13, "discrete game meets the degree floor", not short,
+                   f"{len(short)} of {profile.n - infeasible} nodes with a finite floor "
+                   f"below k = {k} ({infeasible} infeasible)")

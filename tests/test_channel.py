@@ -54,6 +54,13 @@ def test_path_loss_validation():
         channel.PathLossModel(shadowing_sigma_db=-0.5)
     with pytest.raises(ValueError):
         channel.PathLossModel(reference_gain_db=3.0)
+    # a fractional seed would be drawn as its integer part
+    for seed in (1.5, True, "1"):
+        with pytest.raises(ValueError, match="path loss seed"):
+            channel.PathLossModel(seed=seed)
+    # a whole float draws as its integer
+    shadowed = [channel.PathLossModel(shadowing_sigma_db=4.0, seed=seed) for seed in (3.0, 3)]
+    assert channel.gain(shadowed[0], (0, 0), (5, 1)) == channel.gain(shadowed[1], (0, 0), (5, 1))
 
 
 def test_gain_reference_and_clamp():

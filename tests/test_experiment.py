@@ -606,6 +606,40 @@ def test_degree_rule_that_cannot_run_exits_2_at_validate(tmp_path, capsys, game_
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("section, key, value", [
+    ("traffic", "max_retries", 1.5), ("traffic", "messages_per_node", True),
+    ("traffic", "messages_per_node", 2.5), ("traffic", "seed", 1.5), ("traffic", "seed", -1),
+    ("path_loss", "seed", 1.5),
+])
+def test_traffic_and_seed_that_cannot_run_exit_2_at_validate(tmp_path, capsys, section, key,
+                                                             value):
+    # each passed validate before; run then crashed with a TypeError (exit
+    # 1), exited 2, or drew a fractional path-loss seed as its integer part
+    data = desk_config().to_json_dict()
+    data[section][key] = value
+    path = tmp_path / "config.json"
+    with open(path, "w") as fh:
+        json.dump(data, fh)
+    for argv in (["validate", "--config", str(path)],
+                 ["run", "--config", str(path), "--out", str(tmp_path / "out")]):
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"{section.replace('_', ' ')} {key} must be a whole number" in err
+        assert err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("key, value", [("max_retries", 2.0), ("messages_per_node", 5.0),
+                                        ("seed", 3.0)])
+def test_whole_float_traffic_values_run(tmp_path, key, value):
+    data = desk_config().to_json_dict()
+    data["traffic"][key] = value
+    path = tmp_path / "config.json"
+    with open(path, "w") as fh:
+        json.dump(data, fh)
+    assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+
+
 def test_unusable_levels_pass_without_a_discretized_mode():
     config, message = experiment.validate_config(desk_config(
         levels=DiscreteLevelSet((-25.0,)), modes=("continuous", "full-power")).to_json_dict())
@@ -616,7 +650,8 @@ def test_unusable_levels_pass_without_a_discretized_mode():
 def _config_dicts(draw):
     """Small-M config dicts drawn as the round-trip test draws its configs,
     but not all valid: epsilon_link up to 1, any level set, register maps
-    that need not span the transmit range, and non-finite numbers."""
+    that need not span the transmit range, fractional or negative traffic
+    values and seeds, and non-finite numbers."""
     seeds = st.integers(0, 2**31 - 1)
     dbms = st.lists(st.integers(-25, 0), min_size=1, max_size=26, unique=True)
     registers = set(draw(dbms))
@@ -651,6 +686,15 @@ def _config_dicts(draw):
         data["game"]["degree_target"] = draw(st.integers(0, 7)) + 0.5
     if draw(st.integers(0, 4)) == 0:
         data["game"].update(degree_rule="smallworld", smallworld_delta=1e308)
+    # one draw in five puts a traffic value or a seed in that is not a whole
+    # number in range, or one that is a whole float
+    if draw(st.integers(0, 4)) == 0:
+        section, key, value = draw(st.sampled_from([
+            ("traffic", "max_retries", 1.5), ("traffic", "max_retries", 2.0),
+            ("traffic", "messages_per_node", 5.0), ("traffic", "messages_per_node", True),
+            ("traffic", "messages_per_node", 2.5), ("traffic", "seed", 1.5),
+            ("traffic", "seed", 3.0), ("traffic", "seed", -1), ("path_loss", "seed", 1.5)]))
+        data[section][key] = value
     # one draw in five puts a NaN or an infinity in one number, which json
     # writes as a bare literal
     if draw(st.integers(0, 4)) == 0:

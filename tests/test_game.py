@@ -253,10 +253,21 @@ def _score(x, ncr_value, params, feasible=True):
     return float(np.log10(np.array([1.0 + params.ncr_scale * ncr_value]))[0]) - c * c
 
 
+def _left_to_right_sum(values):
+    """The sum of ``values`` added one after another, from the left.  Written
+    as a loop: numpy's reductions pair their terms, and Python 3.12's ``sum``
+    compensates."""
+    total = 0.0
+    for value in np.asarray(values, dtype=float).tolist():
+        total += value
+    return total
+
+
 def _reference_row_and_utility(i, profile, gains, params, x):
     """Node i's PRR row and utility at x, one candidate at a time: a
-    one-element mW conversion, a 1-D PRR row, ``.mean()`` over the members,
-    and the union denominator from the members' own reach rows."""
+    one-element mW conversion, a 1-D PRR row, the members' left-to-right
+    sum over their count, and the union denominator from the members' own
+    reach rows."""
     own_mw = channel.strategy_to_mw([x])[0]
     denom = channel._denominators(i, profile.mw, gains, N0, params.interference)
     row = channel.prr(channel.ber(gains[i, :] * float(own_mw) / denom), params.f_bytes)
@@ -268,7 +279,7 @@ def _reference_row_and_utility(i, profile, gains, params, x):
     if degree == 0:
         ncr_value = 0.0
     elif params.ncr_denominator == "members":
-        ncr_value = float(row[members].mean())
+        ncr_value = _left_to_right_sum(row[members]) / degree
     else:
         powers = profile.mw.copy()
         powers[i] = own_mw
@@ -277,7 +288,7 @@ def _reference_row_and_utility(i, profile, gains, params, x):
             union.update(np.flatnonzero(topology._reach(
                 int(j), powers[j], powers, gains, N0, params.f_bytes, params.epsilon_link,
                 params.interference)).tolist())
-        ncr_value = min(1.0, float(row[members].sum()) / len(union)) if union else 0.0
+        ncr_value = min(1.0, _left_to_right_sum(row[members]) / len(union)) if union else 0.0
     return row, _score(x, ncr_value, params)
 
 
@@ -310,7 +321,7 @@ def _dense_reference(env, nodes, xs):
             reach = channel.prr_matrix(powers, env.gains, env.n0_mw, params.f_bytes,
                                        params.interference) >= params.epsilon_link
             size = int(np.count_nonzero(reach[member].any(axis=0)))
-        ncr_value = float(np.add.reduce(row[member])) / size if degree and size else 0.0
+        ncr_value = _left_to_right_sum(row[member]) / size if degree and size else 0.0
         if params.ncr_denominator == "union":
             ncr_value = min(1.0, ncr_value)
         utilities.append(_score(x, ncr_value, params, feasible=degree >= k))
@@ -390,7 +401,8 @@ class TestKernel:
     @settings(deadline=None)
     @given(st.data())
     def test_utilities_bitwise_equal_one_at_a_time(self, data):
-        # Sizes reach past numpy's 8-term pairwise-summation block, and the
+        # Sizes reach past numpy's 8-term pairwise-summation block, where a
+        # pairwise row sum would differ from the left-to-right one, and the
         # candidates include uniform draws, on which a last-bit difference
         # between one-element and longer mW conversions would show.
         draw = data.draw
@@ -437,8 +449,8 @@ class TestKernel:
         assert all(b > profile.s_max for j, b in breakpoints.items() if j not in columns)
 
     def test_rows_with_more_than_128_members(self):
-        # Past 128 terms numpy's pairwise sum splits a row in halves; rows of
-        # equal degree are still summed as the row alone would be.
+        # Past 128 terms numpy's pairwise sum splits a row in halves; every
+        # row is still summed from left to right, as the row alone would be.
         topo = topology.random_topology(150, area=(30.0, 30.0), seed=11)
         gains = channel.build_gain_matrix(topo.positions, channel.PathLossModel())
         profile = random_profile(np.random.default_rng(12), m=150)

@@ -33,6 +33,21 @@ class TestTrafficConfig:
         with pytest.raises(ValueError):
             packetsim.TrafficConfig(max_retries=-1)
 
+    @pytest.mark.parametrize("name, value", [
+        ("max_retries", 1.5), ("max_retries", True), ("messages_per_node", 2.5),
+        ("messages_per_node", True), ("messages_per_node", "5"), ("seed", 1.5),
+        ("seed", -1), ("seed", None),
+    ])
+    def test_rejects_what_is_not_a_whole_number_in_range(self, name, value):
+        with pytest.raises(ValueError, match=f"traffic {name} must be a whole number"):
+            packetsim.TrafficConfig(**{name: value})
+
+    def test_whole_floats_are_stored_as_ints(self):
+        cfg = packetsim.TrafficConfig(messages_per_node=5.0, max_retries=np.float64(2.0),
+                                      seed=3.0)
+        assert (cfg.messages_per_node, cfg.max_retries, cfg.seed) == (5, 2, 3)
+        assert all(type(v) is int for v in (cfg.messages_per_node, cfg.max_retries, cfg.seed))
+
     def test_testbed_preset(self):
         cfg = packetsim.TrafficConfig.testbed()
         assert cfg.max_retries == 3

@@ -1,10 +1,11 @@
+import itertools
 import types
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wsnpower import experiment, game, quantize as quantize_mod
+from wsnpower import channel, experiment, game, quantize as quantize_mod, topology
 from wsnpower.quantize import (
     DiscreteLevelSet,
     RegisterMap,
@@ -94,6 +95,7 @@ class TestQuantize:
         levels = DiscreteLevelSet((-7.0,))
         assert quantize(-24.0, levels) == -7.0
         assert quantize(0.0, levels) == -7.0
+        assert quantize(np.array([-24.0, -7.0, 0.0]), levels).tolist() == [-7.0] * 3
 
 
 class TestDiscretizeProfile:
@@ -142,20 +144,51 @@ class TestDiscreteBestResponse:
         assert br == -24.0
 
     def test_matches_exhaustive_argmax(self):
+        # Each node's strategy set: the levels at or above its degree floor,
+        # or every level when none is (an infeasible node, or a floor above
+        # the top level, which the second level set stops at -5 dB).  Desk
+        # layouts reach k at any power; the sparse ones hold floors across
+        # the range and infeasible nodes.
         rng = np.random.default_rng(24)
+        sparse = [(topology.random_topology(16, area=(60.0, 60.0), seed=seed), 3)
+                  for seed in (0, 1, 2)]
+        cases = [(build_desk(seed)[0], 6) for seed in (0, 1, 2)] + sparse
+        for (topo, k), levels in itertools.product(cases, [
+                DiscreteLevelSet(), DiscreteLevelSet(tuple(float(v) for v in range(-24, -4)))]):
+            gains = channel.build_gain_matrix(topo.positions, channel.PathLossModel())
+            params = game.GameParams(degree_target=k)
+            prof = random_profile(rng, topo.node_count)
+            for i in range(topo.node_count):
+                floor = topology.min_power_for_degree(i, prof, gains, N0, params.f_bytes,
+                                                      params.epsilon_link, k)
+                strategy_set = ([v for v in levels.levels_dbm if v + 25.0 >= floor]
+                                or levels.levels_dbm)
+
+                def score(level):
+                    return game.utility(i, prof.with_power(i, level + 25.0), gains, N0, params)
+
+                # max keeps the first, lowest, of equal scores
+                assert discrete_best_response(i, prof, gains, params, levels) == max(
+                    strategy_set, key=score)
+
+    def test_never_takes_a_level_below_the_floor(self):
+        # Node 9 needs about -10 dBm for two neighbours.  Over every level it
+        # scores best at -24 dB, on the cost-only branch below its floor,
+        # which is what the discrete game answered when it scored them all.
+        topo = topology.random_topology(12, area=(40.0, 40.0), seed=0)
+        gains = channel.build_gain_matrix(topo.positions, channel.PathLossModel())
+        params = game.GameParams(degree_target=2)
+        prof = game.StrategyProfile.full_power(12)
         levels = DiscreteLevelSet()
-        params = game.GameParams()
-        for seed in (0, 1, 2):
-            _, gains = build_desk(seed)
-            prof = random_profile(rng, 10)
-            for i in range(10):
-                br = discrete_best_response(i, prof, gains, params, levels)
-                best_dbm, best_val = None, -np.inf
-                for level in levels.levels_dbm:
-                    val = game.utility(i, prof.with_power(i, level + 25.0), gains, N0, params)
-                    if val > best_val:
-                        best_dbm, best_val = level, val
-                assert br == best_dbm
+        floor = topology.min_power_for_degree(9, prof, gains, N0, 25, 0.01, 2)
+
+        def score(level):
+            return game.utility(9, prof.with_power(9, level + 25.0), gains, N0, params)
+
+        assert max(levels.levels_dbm, key=score) == -24.0 < floor - 25.0
+        br = discrete_best_response(9, prof, gains, params, levels)
+        assert br == max((v for v in levels.levels_dbm if v + 25.0 >= floor), key=score)
+        assert topology.degree_at_power(9, br + 25.0, prof, gains, N0, 25, 0.01) >= 2
 
 
 class TestSolveDiscrete:

@@ -248,8 +248,8 @@ def _check_floors(profile, gains, eps, interference):
     At the floor the degree is at least k, both by ``degree_at_power`` and by
     the game's PRR table; 2 * slack below a floor above s_min it is short of
     k; an INFEASIBLE floor leaves it short of k at s_max - 2 * slack.  And
-    ``_per_node_feasible``, which counts the degree at s_max, agrees with the
-    floor being finite.
+    ``_per_node_feasible``, the finiteness of the group's
+    ``_Environment.floors``, agrees with each per-node floor being finite.
     """
     m = gains.shape[0]
     for k in range(m + 1):
