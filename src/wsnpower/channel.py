@@ -12,7 +12,8 @@ so ``s = 25`` is 0 dBm which is 1 mW.
 import hashlib
 import math
 import struct
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, fields
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -42,6 +43,29 @@ def strategy_to_mw(s):
     return dbm_to_mw(strategy_to_dbm(s))
 
 
+def _number(value, name, integral=False):
+    """The one rule for what counts as a number in outside input: ``value``
+    if it is a finite real, as an ``int`` if ``integral`` asks for a whole
+    one; else a ``ValueError`` naming the field.  Bools and strings never are."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        if integral or abs(value) <= sys.float_info.max:
+            return int(value) if integral else value
+    elif isinstance(value, (float, np.floating)) and math.isfinite(value) and (
+            not integral or value.is_integer()):
+        return int(value) if integral else value
+    raise ValueError(f"{name} must be a {'whole' if integral else 'finite'} number, "
+                     f"got {value!r}")
+
+
+def _check_numbers(obj, section):
+    """Pass every ``int`` and ``float`` field of a frozen config dataclass
+    through ``_number``, named "<section> <field>", and store the result."""
+    for f in fields(obj):
+        if f.type in (int, float):
+            object.__setattr__(obj, f.name, _number(getattr(obj, f.name), f"{section} {f.name}",
+                                                    integral=f.type is int))
+
+
 @dataclass(frozen=True)
 class NoiseFloor:
     """Receiver noise floor in linear milliwatts.
@@ -54,19 +78,13 @@ class NoiseFloor:
     n0_mw: float = 1e-10
 
     def __post_init__(self):
-        if not (self.n0_mw > 0.0) or not math.isfinite(self.n0_mw):
+        _check_numbers(self, "noise floor")
+        if not (self.n0_mw > 0.0):
             raise ValueError(f"noise floor must be a positive finite mW value, got {self.n0_mw}")
 
     @property
     def dbm(self) -> float:
         return float(10.0 * math.log10(self.n0_mw))
-
-
-def _is_number(value, integral=False) -> bool:
-    """A finite real number, integral when asked; bools and strings do not count."""
-    if isinstance(value, (float, np.floating)):
-        return bool(float(value).is_integer() if integral else np.isfinite(value))
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -87,6 +105,7 @@ class PathLossModel:
     seed: int = 0
 
     def __post_init__(self):
+        _check_numbers(self, "path loss")
         if not (self.reference_distance_d0 > 0.0):
             raise ValueError("reference distance d0 must be positive")
         if self.reference_gain_db > 0.0:
@@ -95,15 +114,15 @@ class PathLossModel:
             raise ValueError("path loss exponent must be positive")
         if self.shadowing_sigma_db < 0.0:
             raise ValueError("shadowing sigma must be >= 0 dB")
-        if not _is_number(self.seed, integral=True):
-            raise ValueError(f"path loss seed must be a whole number, got {self.seed!r}")
+        if not -2**63 <= self.seed < 2**63:  # hashed as a signed 64-bit integer
+            raise ValueError(f"path loss seed must fit in 64 bits, got {self.seed!r}")
 
 
 def _pair_shadowing_db(model: PathLossModel, a, b) -> float:
     # One reproducible draw per unordered pair: hash the canonically ordered
     # endpoint coordinates together with the model seed.
     pa, pb = sorted([(float(a[0]), float(a[1])), (float(b[0]), float(b[1]))])
-    payload = struct.pack("<q4d", int(model.seed), *pa, *pb)
+    payload = struct.pack("<q4d", model.seed, *pa, *pb)
     digest = hashlib.blake2b(payload, digest_size=8).digest()
     rng = np.random.default_rng(int.from_bytes(digest, "little"))
     return float(rng.normal(0.0, model.shadowing_sigma_db))
@@ -220,7 +239,7 @@ def _prr(b, f_bytes):
 
 
 def _check_payload(f_bytes):
-    if int(f_bytes) != f_bytes or f_bytes < 1:
+    if _number(f_bytes, "payload size", integral=True) < 1:
         raise ValueError("payload size must be a positive integer byte count")
 
 

@@ -1,11 +1,11 @@
 """Command-line batch driver: topology generation, config validation,
 scenario runs, and mode-to-mode comparison.
 
-Exit codes: 0 success, 2 config/usage errors, 1 IO or unexpected failures.
+Exit codes: 0 success, 2 bad input (every check on a config, flag, layout
+file or report raises ``ValueError``), 1 IO failures writing outputs.
 """
 
 import argparse
-import dataclasses
 import json
 import sys
 
@@ -17,7 +17,7 @@ def _parse_modes(text):
 
 
 def _cmd_generate_topology(args) -> int:
-    topo = topology.random_topology(args.nodes, area=tuple(args.area), seed=args.seed)
+    topo = topology.random_topology(args.nodes, area=args.area, seed=args.seed)
     if args.out:
         topology.save_topology(topo, args.out)
         print(f"wrote {args.out}")
@@ -26,56 +26,52 @@ def _cmd_generate_topology(args) -> int:
     return 0
 
 
+def _read_json(path, **kwargs):
+    """An input file's JSON.  A file that cannot be read is bad input, like
+    one that does not parse: both raise ``ValueError``."""
+    try:
+        with open(path) as fh:
+            return json.load(fh, **kwargs)
+    except OSError as exc:
+        raise ValueError(exc) from None
+
+
 def _reject_constant(name):
     raise ValueError(f"config holds the non-finite number {name}; every number must be finite")
 
 
-def _load_config(path) -> dict:
-    """The config file's JSON, without the NaN and +-Infinity literals that
-    Python's ``json`` accepts by default."""
-    with open(path) as fh:
-        return json.load(fh, parse_constant=_reject_constant)
+def _load_config(args) -> experiment.ScenarioConfig:
+    """The checked config of ``--config``: a JSON object without the NaN and
+    +-Infinity literals that Python's ``json`` accepts by default.  ``run``'s
+    ``--modes`` and ``--seed-override`` are written into it first, so that
+    ``validate_config`` checks them with the rest."""
+    data = _read_json(args.config, parse_constant=_reject_constant)
+    if not isinstance(data, dict):
+        raise ValueError(f"config must be a JSON object, got {type(data).__name__}")
+    if args.modes:
+        data["modes"] = list(_parse_modes(args.modes))
+    if args.seed_override is not None:
+        # One switch re-seeds the whole scenario: layout, shadowing, traffic.
+        defaults = experiment.ScenarioConfig().to_json_dict()
+        for key in ("topology", "path_loss", "traffic"):
+            section = data.get(key, defaults[key])
+            if isinstance(section, dict) and "file" not in section:
+                data[key] = {**section, "seed": args.seed_override}
+    config, message = experiment.validate_config(data)
+    if config is None:
+        raise ValueError(message)
+    return config
 
 
 def _cmd_validate(args) -> int:
-    try:
-        data = _load_config(args.config)
-    except (OSError, ValueError) as exc:  # JSONDecodeError is a ValueError
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    config, message = experiment.validate_config(data)
-    if config is None:
-        print(f"error: {message}", file=sys.stderr)
-        return 2
-    print(message)
+    _load_config(args)
+    print("ok")
     return 0
 
 
 def _cmd_run(args) -> int:
-    try:
-        data = _load_config(args.config)
-    except (OSError, ValueError) as exc:  # JSONDecodeError is a ValueError
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if args.modes:
-        data["modes"] = list(_parse_modes(args.modes))
-    config, message = experiment.validate_config(data)
-    if config is None:
-        print(f"error: {message}", file=sys.stderr)
-        return 2
-    if args.seed_override is not None:
-        # One switch re-seeds the whole scenario: layout, shadowing, traffic.
-        spec = dict(config.topology_spec)
-        if "file" not in spec:
-            spec["seed"] = args.seed_override
-        config.topology_spec = spec
-        config.path_loss = dataclasses.replace(config.path_loss, seed=args.seed_override)
-        config.traffic = dataclasses.replace(config.traffic, seed=args.seed_override)
-    try:
-        report = experiment.run_scenario(config)
-    except ValueError as exc:  # e.g. a layout file that changed since it was validated
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    config = _load_config(args)
+    report = experiment.run_scenario(config)
     created = experiment.emit(report, args.out)
     if not report.full_power_connected:
         print("WARNING: full-power adjacency is disconnected; "
@@ -92,30 +88,28 @@ def _cmd_run(args) -> int:
 
 def _section_from_report(path, mode):
     """The (digest, analytic avg PRR, avg PRR, relative energy) of one mode."""
-    with open(path) as fh:
-        data = json.load(fh)
+    data = _read_json(path)
+    if not isinstance(data, dict):
+        raise ValueError(f"report {path} is not a JSON object")
     sections = data.get("modes", {})
     if mode not in sections:
         raise ValueError(f"report {path} has no mode {mode!r}; "
                          f"available: {sorted(sections)}")
     sec = sections[mode]
-    return (sec["topology_digest"], sec["analytic_avg_prr"], sec["metrics"]["avg_prr"],
-            sec["metrics"]["relative_energy"])
+    try:
+        return (sec["topology_digest"], sec["analytic_avg_prr"], sec["metrics"]["avg_prr"],
+                sec["metrics"]["relative_energy"])
+    except KeyError as exc:
+        raise ValueError(f"report {path} mode {mode!r} has no {exc} field") from None
 
 
 def _cmd_compare(args) -> int:
     modes = _parse_modes(args.modes)
     if len(modes) != 2:
-        print("error: --modes needs exactly two comma-separated mode names",
-              file=sys.stderr)
-        return 2
-    report_b = args.report_b or args.report
-    try:
-        deltas = experiment._mode_deltas(_section_from_report(args.report, modes[0]),
-                                         _section_from_report(report_b, modes[1]))
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise ValueError("--modes needs exactly two comma-separated mode names")
+    deltas = experiment._mode_deltas(_section_from_report(args.report, modes[0]),
+                                     _section_from_report(args.report_b or args.report,
+                                                          modes[1]))
     payload = json.dumps(deltas, indent=2, sort_keys=True)
     if args.out:
         with open(args.out, "w") as fh:
@@ -142,7 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="check a scenario config file")
     p.add_argument("--config", required=True)
-    p.set_defaults(func=_cmd_validate)
+    p.set_defaults(func=_cmd_validate, modes=None, seed_override=None)
 
     p = sub.add_parser("run", help="run a scenario and emit reports")
     p.add_argument("--config", required=True)
@@ -165,6 +159,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

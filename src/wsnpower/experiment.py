@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import channel, game, packetsim, topology
-from .channel import _is_number
 from .quantize import (DiscreteLevelSet, RegisterMap, _usable_levels, discretize_profile,
                        solve_discrete, to_register)
 
@@ -63,26 +62,20 @@ class ScenarioConfig:
         if {"discretized-posthoc", "discretized-game"} & set(self.modes):
             _usable_levels(self.levels, s_min, s_max)
         spec = self.topology_spec
-        if "file" not in spec:
-            if not {"m", "area", "seed"} <= set(spec):
-                raise ValueError("topology spec needs m/area/seed or a file path")
-            m, seed, area = spec["m"], spec["seed"], spec["area"]
-            if not (_is_number(m, integral=True) and m >= 2):
-                raise ValueError(f"topology m must be an integer >= 2, got {m!r}")
-            if not (_is_number(seed, integral=True) and seed >= 0):
-                raise ValueError(f"topology seed must be a non-negative integer, got {seed!r}")
-            if not (isinstance(area, (list, tuple, np.ndarray)) and len(area) == 2
-                    and all(_is_number(v) and v > 0 for v in area)):
-                raise ValueError(f"topology area must be two finite positive sides, got {area!r}")
-            self.topology_spec = {**spec, "area": tuple(float(v) for v in area)}
+        if "file" in spec:
+            if not isinstance(spec["file"], str):
+                raise ValueError(f"topology file must be a path string, got {spec['file']!r}")
+        elif not {"m", "area", "seed"} <= set(spec):
+            raise ValueError("topology spec needs m/area/seed or a file path")
+        else:
+            m, area, seed = topology._generated_layout(spec["m"], spec["area"], spec["seed"])
+            self.topology_spec = {**spec, "m": m, "area": area, "seed": seed}
 
     def build_topology(self) -> topology.Topology:
         spec = self.topology_spec
         if "file" in spec:
             return topology.load_topology(spec["file"])
-        return topology.random_topology(int(spec["m"]),
-                                        area=tuple(spec["area"]),
-                                        seed=int(spec["seed"]))
+        return topology.random_topology(spec["m"], area=spec["area"], seed=spec["seed"])
 
     def to_json_dict(self) -> dict:
         return {f.metadata.get("json", f.name): _to_json(getattr(self, f.name))
@@ -139,7 +132,7 @@ def validate_config(data: dict):
     try:
         config = ScenarioConfig.from_json_dict(data)
         spec = config.topology_spec
-        m = config.build_topology().node_count if "file" in spec else int(spec["m"])
+        m = config.build_topology().node_count if "file" in spec else spec["m"]
         config.game_params.required_degree(m)
         return config, "ok"
     except (ValueError, TypeError, KeyError) as exc:
@@ -199,7 +192,7 @@ class SimulationReport:
         }
 
 
-def _run_mode(mode, config, gains, digest, continuous_result=None):
+def _run_mode(mode, config, gains, digest, continuous_result, full_mat):
     params = config.game_params
     n0 = config.noise.n0_mw
     full = game.StrategyProfile.full_power(gains.shape[0])
@@ -228,9 +221,11 @@ def _run_mode(mode, config, gains, digest, continuous_result=None):
             profile_trace=[np.array(full.s)],
         )
 
-    # The mode's one analytic PRR matrix, shared by every stage below.
+    # The mode's one analytic PRR matrix (full power's from ``run_scenario``),
+    # shared by every stage below.
     profile = result.profile
-    mat = channel.prr_matrix(profile.mw, gains, n0, params.f_bytes, params.interference)
+    mat = full_mat if mode == "full-power" else channel.prr_matrix(
+        profile.mw, gains, n0, params.f_bytes, params.interference)
     best = mat.max(axis=1)  # each sender's best link; isolated senders count as 0
     avg = float(np.where(best >= params.epsilon_link, best, 0.0).mean())
     if config.receiver_policy == "round-robin":
@@ -264,17 +259,15 @@ def run_scenario(config: ScenarioConfig) -> SimulationReport:
     m = topo.node_count
 
     full = game.StrategyProfile.full_power(m)
-    adj_full = topology.adjacency(
-        channel.prr_matrix(full.mw, gains, n0, params.f_bytes, params.interference),
-        params.epsilon_link)
-    full_connected = topology.is_connected_bfs(adj_full)
+    full_mat = channel.prr_matrix(full.mw, gains, n0, params.f_bytes, params.interference)
+    full_connected = topology.is_connected_bfs(topology.adjacency(full_mat, params.epsilon_link))
 
     needs_continuous = {"continuous", "discretized-posthoc"} & set(config.modes)
     continuous_result = None
     if needs_continuous:
         continuous_result = game.solve(full, gains, n0, params)
 
-    sections = {mode: _run_mode(mode, config, gains, digest, continuous_result)
+    sections = {mode: _run_mode(mode, config, gains, digest, continuous_result, full_mat)
                 for mode in config.modes}
 
     deltas = {}

@@ -43,7 +43,6 @@ The discrete game scores every node's usable levels at or above its floor
 in one (nodes x levels) table for any group.
 """
 
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -54,6 +53,7 @@ from .channel import (
     INTERFERENCE_MODES,
     STRATEGY_MAX,
     _check_link_inputs,
+    _check_numbers,
     _denominators,
     _prr_table,
     prr,  # noqa: F401  not called here; bench/run.py looks up ``game.prr`` by name
@@ -153,31 +153,26 @@ class GameParams:
     interference: str = "none"
 
     def __post_init__(self):
-        if not all(math.isfinite(v) and v > 0 for v in (self.ncr_scale, self.cost_denominator)):
+        _check_numbers(self, "game")
+        if not (self.ncr_scale > 0 and self.cost_denominator > 0):
             raise ValueError("utility constants must be positive and finite")
-        if not (float(self.f_bytes).is_integer() and self.f_bytes >= 1):
-            raise ValueError("payload bytes must be a positive integer")
         if not (0.0 < self.epsilon_link < 1.0):
             raise ValueError(f"epsilon_link must lie in (0, 1), got {self.epsilon_link!r}")
-        if not (float(self.degree_target).is_integer() and self.degree_target >= 0):
-            raise ValueError(f"degree target must be a whole number >= 0, "
-                             f"got {self.degree_target!r}")
-        if self.degree_rule not in DEGREE_RULES:
-            raise ValueError(f"degree rule must be one of {DEGREE_RULES}")
-        if self.degree_rule == "smallworld" and not (0 < self.smallworld_delta < math.inf):
-            raise ValueError(f"smallworld delta must be positive and finite, "
-                             f"got {self.smallworld_delta!r}")
-        if not (float(self.n_iter_max).is_integer() and self.n_iter_max >= 1):
-            raise ValueError(f"need a whole number of sweeps, at least one, got {self.n_iter_max!r}")
-        if self.ncr_denominator not in NCR_DENOMINATORS:
-            raise ValueError(f"ncr denominator must be one of {NCR_DENOMINATORS}")
-        if self.interference not in INTERFERENCE_MODES:
-            raise ValueError(f"interference mode must be one of {INTERFERENCE_MODES}")
+        if self.degree_rule == "smallworld" and not (self.smallworld_delta > 0):
+            raise ValueError(f"smallworld delta must be positive, got {self.smallworld_delta!r}")
+        for name, least in (("f_bytes", 1), ("degree_target", 0), ("n_iter_max", 1)):
+            if getattr(self, name) < least:
+                raise ValueError(f"game {name} must be >= {least}, got {getattr(self, name)!r}")
+        for name, choices in (("degree_rule", DEGREE_RULES), ("ncr_denominator", NCR_DENOMINATORS),
+                              ("interference", INTERFERENCE_MODES)):
+            if getattr(self, name) not in choices:
+                raise ValueError(f"game {name} must be one of {choices}, "
+                                 f"got {getattr(self, name)!r}")
 
     def required_degree(self, m: int) -> int:
         """Degree floor: the fixed target, or the small-world rule's d > m + Np."""
         if self.degree_rule == "fixed-k":
-            return int(self.degree_target)
+            return self.degree_target
         params = smallworld_threshold(m, self.smallworld_delta)
         return params.degree_requirement()
 
@@ -580,10 +575,10 @@ def _sweep(profile, gains, n0_mw, params, respond):
 def _iterate(profile0, gains, n0_mw, params, respond) -> EquilibriumResult:
     """Sweep until no node moves by ``_CONVERGENCE_TOL`` or n_iter_max sweeps ran.
 
-    The driver of both the continuous and the discrete game: the exact
-    potential makes sequential best responses ascend on either strategy set.
-    A decoupled game stops after its first sweep, converged: a second sweep
-    could only confirm the first (see ``_sweep``).
+    Both the continuous and the discrete game sweep here.  A decoupled game
+    stops after its first sweep, converged: a second sweep could only
+    confirm the first (see ``_sweep``).  Only there does the exact potential
+    guarantee the ascent; a coupled game can cycle until n_iter_max.
     """
     current = profile0
     trace = [potential(current, gains, n0_mw, params)]

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .channel import _is_number
+from .channel import _check_numbers
 
 
 # Random cells one draw of ``simulate`` holds at most: a bound on its
@@ -26,13 +26,13 @@ class TrafficConfig:
     seed: int = 0
 
     def __post_init__(self):
+        _check_numbers(self, "traffic")
         if self.message_period_s <= 0:
             raise ValueError("message period must be positive")
         for name, least in (("messages_per_node", 1), ("max_retries", 0), ("seed", 0)):
-            value = getattr(self, name)
-            if not (_is_number(value, integral=True) and value >= least):
-                raise ValueError(f"traffic {name} must be a whole number >= {least}, got {value!r}")
-            object.__setattr__(self, name, int(value))
+            if getattr(self, name) < least:
+                raise ValueError(f"traffic {name} must be a whole number >= {least}, "
+                                 f"got {getattr(self, name)!r}")
 
     @classmethod
     def testbed(cls, **overrides) -> "TrafficConfig":

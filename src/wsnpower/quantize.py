@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import DBM_OFFSET
+from .channel import DBM_OFFSET, _number
 from .game import EquilibriumResult, GameParams, StrategyProfile, _iterate
 
 DBM_FLOOR = -25.0
@@ -24,7 +24,7 @@ class DiscreteLevelSet:
     levels_dbm: tuple = tuple(float(v) for v in range(-24, 1))
 
     def __post_init__(self):
-        levels = tuple(float(v) for v in self.levels_dbm)
+        levels = tuple(float(_number(v, "levels levels_dbm")) for v in self.levels_dbm)
         if len(levels) == 0:
             raise ValueError("level set must be non-empty")
         if any(b <= a for a, b in zip(levels, levels[1:])):
@@ -90,10 +90,10 @@ def solve_discrete(profile0: StrategyProfile, gains: np.ndarray, n0_mw: float,
                    params: GameParams, levels: DiscreteLevelSet) -> EquilibriumResult:
     """Sequential discrete best responses until no node changes level.
 
-    A finite strategy space plus the exact potential makes this terminate;
-    non-termination within n_iter_max sweeps is reported, not raised.  The
-    sweeps group the nodes as ``game.solve`` does: a decoupled game scores
-    every node's levels in one chunked table, in one pass.
+    A decoupled game has an exact potential and is answered in one pass,
+    every node's levels scored in one chunked table.  A coupled game has no
+    such guarantee and can cycle (its floors move with the other nodes'
+    powers): non-termination within n_iter_max sweeps is reported, not raised.
     """
     start = discretize_profile(profile0, levels)
     usable = _usable_levels(levels, start.s_min, start.s_max)
@@ -107,7 +107,8 @@ class RegisterMap:
     pairs: tuple
 
     def __post_init__(self):
-        pairs = tuple((float(d), int(r)) for d, r in self.pairs)
+        pairs = tuple((float(_number(d, "registers dbm")), _number(r, "registers id", integral=True))
+                      for d, r in self.pairs)
         if len(pairs) == 0:
             raise ValueError("register map must be non-empty")
         dbms = [d for d, _ in pairs]

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import _denominators, _prr_rows, sinr_for_prr, strategy_to_mw
+from .channel import _denominators, _number, _prr_rows, sinr_for_prr, strategy_to_mw
 
 #: Sentinel returned by min_power_for_degree when no power in range reaches k.
 INFEASIBLE = math.inf
@@ -31,9 +31,7 @@ class Topology:
         pos = np.asarray(self.positions, dtype=float)
         if pos.ndim != 2 or pos.shape[1] != 2 or pos.shape[0] < 2:
             raise ValueError("positions must be an (M, 2) array with M >= 2")
-        w, h = float(self.area[0]), float(self.area[1])
-        if not (w > 0.0 and h > 0.0):
-            raise ValueError("area sides must be positive")
+        w, h = _area(self.area)
         if not np.isfinite(pos).all():
             raise ValueError("positions must be finite")
         if np.any(pos < -1e-9) or np.any(pos[:, 0] > w + 1e-9) or np.any(pos[:, 1] > h + 1e-9):
@@ -48,11 +46,30 @@ class Topology:
         return self.positions.shape[0]
 
 
+def _area(area):
+    """A layout's (width, height): two finite positive numbers, as floats."""
+    if isinstance(area, (list, tuple, np.ndarray)) and len(area) == 2:
+        sides = tuple(float(_number(v, "topology area")) for v in area)
+        if min(sides) > 0.0:
+            return sides
+    raise ValueError(f"topology area must be two finite positive sides, got {area!r}")
+
+
+def _generated_layout(m, area, seed):
+    """The generated-layout rule: (m >= 2 nodes, two positive sides, a seed
+    >= 0), each a number by ``channel._number``, or a ``ValueError``."""
+    m = _number(m, "topology m", integral=True)
+    if m < 2:
+        raise ValueError(f"topology m must be an integer >= 2, got {m!r}")
+    seed = _number(seed, "topology seed", integral=True)
+    if seed < 0:
+        raise ValueError(f"topology seed must be a non-negative integer, got {seed!r}")
+    return m, _area(area), seed
+
+
 def random_topology(m: int, area=(100.0, 100.0), seed: int = 0) -> Topology:
     """Place m nodes uniformly at random in the area, reproducibly per seed."""
-    if m < 2:
-        raise ValueError("need at least 2 nodes")
-    w, h = float(area[0]), float(area[1])
+    m, (w, h), seed = _generated_layout(m, area, seed)
     rng = np.random.default_rng(seed)
     pos = rng.uniform([0.0, 0.0], [w, h], size=(m, 2))
     return Topology(positions=pos, area=(w, h), seed=seed)
@@ -75,19 +92,19 @@ def topology_from_json_dict(data: dict) -> Topology:
         area = data["area"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"topology JSON missing required field: {exc}") from exc
+    rows = []
     for k, node in enumerate(nodes):
         for key in ("id", "x", "y"):
             if key not in node:
                 name = f"id {node['id']}" if "id" in node else f"at index {k}"
                 raise ValueError(f"topology node {name} has no {key!r} field")
-    ids = [int(n["id"]) for n in nodes]
-    if sorted(ids) != list(range(len(nodes))):
+        rows.append([_number(node[key], f"topology node at index {k} {key}", integral=key == "id")
+                     for key in ("id", "x", "y")])
+    rows.sort()
+    if [row[0] for row in rows] != list(range(len(rows))):
         raise ValueError("node ids must be 0..M-1 without gaps")
-    pos = np.zeros((len(nodes), 2))
-    for n in nodes:
-        pos[int(n["id"])] = (float(n["x"]), float(n["y"]))
-    return Topology(positions=pos, area=(float(area[0]), float(area[1])),
-                    seed=int(data.get("seed", 0)))
+    return Topology(positions=[row[1:] for row in rows], area=area,
+                    seed=_number(data.get("seed", 0), "topology seed", integral=True))
 
 
 def save_topology(topo: Topology, path) -> None:

@@ -54,13 +54,35 @@ def test_path_loss_validation():
         channel.PathLossModel(shadowing_sigma_db=-0.5)
     with pytest.raises(ValueError):
         channel.PathLossModel(reference_gain_db=3.0)
-    # a fractional seed would be drawn as its integer part
-    for seed in (1.5, True, "1"):
+    # a fractional seed would be drawn as its integer part, and a seed
+    # past 64 bits cannot be hashed
+    for seed in (1.5, True, "1", 2**63):
         with pytest.raises(ValueError, match="path loss seed"):
             channel.PathLossModel(seed=seed)
     # a whole float draws as its integer
     shadowed = [channel.PathLossModel(shadowing_sigma_db=4.0, seed=seed) for seed in (3.0, 3)]
     assert channel.gain(shadowed[0], (0, 0), (5, 1)) == channel.gain(shadowed[1], (0, 0), (5, 1))
+
+
+@pytest.mark.parametrize("value, integral, expected", [
+    (3, False, 3), (3, True, 3), (2.5, False, 2.5), (4.0, True, 4), (np.int64(7), True, 7),
+    (np.float64(2.0), True, 2), (np.float32(0.5), False, np.float32(0.5)),
+    (True, False, None), (False, True, None), ("1", False, None), ("1.5", True, None),
+    (None, False, None), ([1], False, None), (2.5, True, None), (math.nan, False, None),
+    (math.inf, True, None), (np.float64(-math.inf), False, None), (np.bool_(True), False, None),
+    pytest.param(10**400, True, 10**400, id="huge-int-whole"),
+    pytest.param(10**400, False, None, id="huge-int-beyond-float"),
+])
+def test_number_rule(value, integral, expected):
+    # The one rule for outside input: a finite real, stored as an int when a
+    # whole one is asked for; a bool or a string never counts.
+    if expected is None:
+        kind = "whole" if integral else "finite"
+        with pytest.raises(ValueError, match=f"^game f_bytes must be a {kind} number, got "):
+            channel._number(value, "game f_bytes", integral=integral)
+    else:
+        got = channel._number(value, "game f_bytes", integral=integral)
+        assert got == expected and (type(got) is int if integral else got is value)
 
 
 def test_gain_reference_and_clamp():

@@ -381,6 +381,62 @@ class TestCli:
         assert cli.main(["compare", "--report", report,
                          "--modes", "full-power,continuous"]) == 2
 
+    def test_seed_override_is_checked_with_the_config(self, tmp_path, capsys):
+        # the flag is written into the config before it is validated: a
+        # negative seed exits 2 naming the field, and a layout file keeps its
+        # layout while shadowing and traffic take the seed
+        config = write_config(tmp_path, modes=("full-power",))
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", config, "--out", str(out),
+                         "--seed-override", "-1"]) == 2
+        assert capsys.readouterr().err == (
+            "error: ValueError: traffic seed must be a whole number >= 0, got -1\n")
+        assert not out.exists()
+        layout = str(tmp_path / "layout.json")
+        topology.save_topology(topology.random_topology(DESK_M, area=DESK_AREA, seed=0), layout)
+        config = write_config(tmp_path, modes=("full-power",), topology_spec={"file": layout})
+        assert cli.main(["run", "--config", config, "--out", str(out),
+                         "--seed-override", "4"]) == 0
+        capsys.readouterr()
+        with open(out / "report.json") as fh:
+            echoed = json.load(fh)["config"]
+        assert echoed["topology"] == {"file": layout}
+        assert echoed["path_loss"]["seed"] == echoed["traffic"]["seed"] == 4
+
+    def test_compare_rejects_malformed_report(self, tmp_path, capsys):
+        # a report that lacks a field, or is not a JSON object, exits 2
+        # naming the report and the field
+        config = write_config(tmp_path, modes=("full-power",))
+        out = str(tmp_path / "out")
+        assert cli.main(["run", "--config", config, "--out", out]) == 0
+        capsys.readouterr()
+        with open(os.path.join(out, "report.json")) as fh:
+            report = json.load(fh)
+        del report["modes"]["full-power"]["analytic_avg_prr"]
+        for k, (data, message) in enumerate([
+                (report, "mode 'full-power' has no 'analytic_avg_prr' field"),
+                ([report], "is not a JSON object")]):
+            path = tmp_path / f"report-{k}.json"
+            path.write_text(json.dumps(data))
+            assert cli.main(["compare", "--report", str(path),
+                             "--modes", "full-power,full-power"]) == 2
+            assert capsys.readouterr().err == f"error: report {path} {message}\n"
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--nodes", "1"], "topology m must be an integer >= 2, got 1"),
+        (["--area", "-1", "5"], "topology area must be two finite positive sides"),
+        (["--area", "nan", "5"], "topology area must be a finite number, got nan"),
+        (["--seed", "-1"], "topology seed must be a non-negative integer, got -1"),
+    ], ids=["one-node", "negative-side", "nan-side", "negative-seed"])
+    def test_generate_topology_checks_its_flags(self, tmp_path, capsys, argv, message):
+        # the generated-layout rule of a config's topology spec: each ended
+        # in a traceback before
+        out = tmp_path / "layout.json"
+        assert cli.main(["generate-topology", "--out", str(out)] + argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_compare_rejects_different_topologies(self, tmp_path, capsys):
         config_a = write_config(tmp_path, modes=("full-power",))
         out_a = str(tmp_path / "a")
@@ -484,13 +540,16 @@ class TestCli:
         assert not out.exists()
 
     @pytest.mark.parametrize("x, message", [
-        (math.nan, "positions must be finite"),
-        (math.inf, "positions must be finite"),
+        pytest.param(math.nan, "topology node at index 2 x must be a finite number, got nan",
+                     id="nan-node-x-not-finite"),
+        pytest.param(math.inf, "topology node at index 2 x must be a finite number, got inf",
+                     id="inf-node-x-not-finite"),
         (DESK_AREA[0] + 1.0, "positions must lie inside the area"),
     ])
     def test_bad_layout_fails_at_validate(self, tmp_path, capsys, x, message):
         # A layout with a node off the area, or not on the plane at all,
-        # exits 2 at validate as at run, with one stderr line.
+        # exits 2 at validate as at run, with one stderr line; a coordinate
+        # that is not a finite number is named.
         layout = tmp_path / "layout.json"
         topology.save_topology(topology.random_topology(DESK_M, area=DESK_AREA, seed=0), layout)
         with open(layout) as fh:
@@ -523,6 +582,31 @@ class TestCli:
         assert capsys.readouterr().err == (
             f"error: ValueError: topology node {node} has no '{key}' field\n")
         assert not out.exists()
+
+    @pytest.mark.parametrize("path, value, message", [
+        (("nodes", 1, "id"), 1.7, "topology node at index 1 id must be a whole number, got 1.7"),
+        (("nodes", 1, "x"), "1.5", "topology node at index 1 x must be a finite number, got '1.5'"),
+        (("nodes", 1, "y"), True, "topology node at index 1 y must be a finite number, got True"),
+        (("area", 0), str(DESK_AREA[0]), "topology area must be a finite number, got '4.0'"),
+        (("seed",), 2.9, "topology seed must be a whole number, got 2.9"),
+    ], ids=["fractional-id", "string-x", "bool-y", "string-area", "fractional-seed"])
+    def test_layout_file_numbers_checked(self, tmp_path, capsys, path, value, message):
+        # a layout file's numbers pass the config's number rule: before, a
+        # fractional id or seed was truncated, and a numeric string or a
+        # bool was read as its value
+        layout = tmp_path / "layout.json"
+        topology.save_topology(topology.random_topology(DESK_M, area=DESK_AREA, seed=0), layout)
+        with open(layout) as fh:
+            nodes = json.load(fh)
+        _put(nodes, path, value)
+        with open(layout, "w") as fh:
+            json.dump(nodes, fh)
+        config = write_config(tmp_path, topology_spec={"file": str(layout)})
+        for argv in (["validate", "--config", config],
+                     ["run", "--config", config, "--out", str(tmp_path / "out")]):
+            assert cli.main(argv) == 2
+            assert capsys.readouterr().err == f"error: ValueError: {message}\n"
+        assert not (tmp_path / "out").exists()
 
     def test_unknown_levels_key_rejected(self, tmp_path, capsys):
         data = desk_config().to_json_dict()
@@ -565,6 +649,50 @@ def test_config_that_run_rejects_fails_at_validate(tmp_path, capsys, section, ke
     assert not (tmp_path / "out").exists()
 
 
+def _put(data, path, value):
+    """Set the entry of nested JSON ``data`` that ``path`` (keys and indices) names."""
+    for key in path[:-1]:
+        data = data[key]
+    data[path[-1]] = value
+
+
+@pytest.mark.parametrize("path, value, message", [
+    (("game", "f_bytes"), True, "game f_bytes must be a whole number, got True"),
+    (("game", "n_iter_max"), True, "game n_iter_max must be a whole number, got True"),
+    (("game", "degree_target"), True, "game degree_target must be a whole number, got True"),
+    (("game", "ncr_scale"), True, "game ncr_scale must be a finite number, got True"),
+    (("traffic", "message_period_s"), True,
+     "traffic message_period_s must be a finite number, got True"),
+    (("noise_floor", "n0_mw"), True, "noise floor n0_mw must be a finite number, got True"),
+    (("path_loss", "exponent"), True, "path loss exponent must be a finite number, got True"),
+    (("levels", "levels_dbm"), ["-24", "0"],
+     "levels levels_dbm must be a finite number, got '-24'"),
+    (("registers", "registers", 1, "dbm"), "-15",
+     "registers dbm must be a finite number, got '-15'"),
+    (("registers", "registers", 0, "id"), 2.7, "registers id must be a whole number, got 2.7"),
+    (("game", "epsilon_link"), "0.5", "game epsilon_link must be a finite number, got '0.5'"),
+    (("topology",), {"file": 0}, "topology file must be a path string, got 0"),
+    (("topology",), {"file": True}, "topology file must be a path string, got True"),
+], ids=["f_bytes-true", "n_iter_max-true", "degree_target-true", "ncr_scale-true",
+        "message_period-true", "n0-true", "exponent-true", "levels-strings", "register-dbm-string",
+        "register-id-fraction", "epsilon-string", "file-zero", "file-true"])
+def test_not_a_number_exits_2_naming_the_field(tmp_path, capsys, path, value, message):
+    # Before, a bool passed as 0 or 1, a numeric string as its value, a
+    # fractional register id as its integer part, a topology file 0 read the
+    # layout from stdin, and a string epsilon_link raised a TypeError that
+    # named no field.
+    data = desk_config().to_json_dict()
+    _put(data, path, value)
+    config = tmp_path / "config.json"
+    with open(config, "w") as fh:
+        json.dump(data, fh)
+    for argv in (["validate", "--config", str(config)],
+                 ["run", "--config", str(config), "--out", str(tmp_path / "out")]):
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == f"error: ValueError: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("section, key, value, literal", [
     ("path_loss", "shadowing_sigma_db", math.inf, "Infinity"),
     ("game", "ncr_scale", math.nan, "NaN"),
@@ -587,7 +715,8 @@ def test_non_finite_literal_exits_2(tmp_path, capsys, section, key, value, liter
 
 
 @pytest.mark.parametrize("game_keys, field", [
-    ({"degree_target": 2.5}, "degree target"),
+    pytest.param({"degree_target": 2.5}, "game degree_target must be a whole number",
+                 id="fractional-target"),
     ({"degree_rule": "smallworld", "smallworld_delta": 1e308}, "smallworld delta"),
 ])
 def test_degree_rule_that_cannot_run_exits_2_at_validate(tmp_path, capsys, game_keys, field):
@@ -648,10 +777,11 @@ def test_unusable_levels_pass_without_a_discretized_mode():
 
 @st.composite
 def _config_dicts(draw):
-    """Small-M config dicts drawn as the round-trip test draws its configs,
-    but not all valid: epsilon_link up to 1, any level set, register maps
-    that need not span the transmit range, fractional or negative traffic
-    values and seeds, and non-finite numbers."""
+    """(config dict, planted): small-M config dicts drawn as the round-trip
+    test draws its configs, but not all valid: epsilon_link up to 1, any
+    level set, register maps that need not span the transmit range,
+    fractional or negative traffic values and seeds, non-finite numbers, and
+    (``planted``) values that are not numbers of their field's kind."""
     seeds = st.integers(0, 2**31 - 1)
     dbms = st.lists(st.integers(-25, 0), min_size=1, max_size=26, unique=True)
     registers = set(draw(dbms))
@@ -702,7 +832,37 @@ def _config_dicts(draw):
             ("path_loss", "shadowing_sigma_db"), ("noise_floor", "n0_mw"),
             ("game", "ncr_scale"), ("game", "cost_denominator"), ("game", "n_iter_max")]))
         data[section][key] = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
-    return data
+    # one draw in five puts in a value that is not a number of its field's
+    # kind, which validate must reject: a bool or a numeric string in a
+    # number field of any section, a fraction in a whole-number field or a
+    # register id, strings in levels_dbm, or a topology file that is not a
+    # path string
+    planted = draw(st.integers(0, 4)) == 0
+    if planted:
+        whole = [("topology", "m"), ("topology", "seed"), ("path_loss", "seed"),
+                 ("game", "f_bytes"), ("game", "degree_target"), ("game", "n_iter_max"),
+                 ("traffic", "messages_per_node"), ("traffic", "max_retries"),
+                 ("traffic", "seed"), ("registers", "registers", 0, "id")]
+        real = [("topology", "area", 0), ("path_loss", "exponent"),
+                ("path_loss", "reference_gain_db"), ("path_loss", "reference_distance_d0"),
+                ("path_loss", "shadowing_sigma_db"), ("noise_floor", "n0_mw"),
+                ("game", "ncr_scale"), ("game", "cost_denominator"), ("game", "epsilon_link"),
+                ("game", "smallworld_delta"), ("traffic", "message_period_s"),
+                ("levels", "levels_dbm", 0), ("registers", "registers", 0, "dbm")]
+        kind = draw(st.sampled_from(["bool", "string", "fraction", "levels", "file"]))
+        if kind == "bool":
+            path, value = draw(st.sampled_from(whole + real)), draw(st.booleans())
+        elif kind == "string":
+            path, value = draw(st.sampled_from(whole + real)), draw(st.sampled_from(["1", "0.5"]))
+        elif kind == "fraction":
+            path, value = draw(st.sampled_from(whole)), draw(st.integers(2, 9)) + 0.5
+        elif kind == "levels":
+            path, value = ("levels", "levels_dbm"), [str(v) for v in data["levels"]["levels_dbm"]]
+        else:
+            path, value = ("topology", "file"), draw(st.sampled_from(
+                [0, 1, True, 2.5, None, ["layout.json"], {}]))
+        _put(data, path, value)
+    return data, planted
 
 
 class _RunTimedOut(Exception):
@@ -730,10 +890,12 @@ def _cli(argv, seconds=None):
 
 @settings(deadline=None, max_examples=60)
 @given(_config_dicts())
-def test_validate_accepts_exactly_what_runs(data):
+def test_validate_accepts_exactly_what_runs(case):
     # A config that validate accepts runs to an answer; one that it rejects
-    # makes both commands exit 2 with one line on stderr.  The draws run one
-    # after another, in this process.
+    # makes both commands exit 2 with one line on stderr, as every config
+    # with a planted non-number does.  The draws run one after another, in
+    # this process.
+    data, planted = case
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "config.json")
         with open(path, "w") as fh:
@@ -741,6 +903,7 @@ def test_validate_accepts_exactly_what_runs(data):
         code, err = _cli(["validate", "--config", path])
         run_code, run_err = _cli(["run", "--config", path, "--out", os.path.join(tmp, "out")],
                                  seconds=30.0)
+    assert not (planted and code == 0), "validate accepted a value that is not a number"
     if code == 0:
         assert run_code == 0, run_err
     else:

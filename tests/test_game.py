@@ -117,7 +117,7 @@ class TestGameParams:
 
     @pytest.mark.parametrize("delta", [math.inf, math.nan])
     def test_non_finite_smallworld_delta_rejected(self, delta):
-        with pytest.raises(ValueError, match="smallworld delta"):
+        with pytest.raises(ValueError, match="game smallworld_delta must be a finite number"):
             game.GameParams(degree_rule="smallworld", smallworld_delta=delta)
 
     def test_whole_float_degree_target_is_an_int(self):
