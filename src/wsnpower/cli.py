@@ -10,6 +10,7 @@ import json
 import sys
 
 from . import experiment, topology
+from .channel import _number
 
 
 def _parse_modes(text):
@@ -86,21 +87,32 @@ def _cmd_run(args) -> int:
     return 0
 
 
+def _json_object(value, where):
+    if not isinstance(value, dict):
+        raise ValueError(f"{where} is not a JSON object")
+    return value
+
+
 def _section_from_report(path, mode):
-    """The (digest, analytic avg PRR, avg PRR, relative energy) of one mode."""
-    data = _read_json(path)
-    if not isinstance(data, dict):
-        raise ValueError(f"report {path} is not a JSON object")
-    sections = data.get("modes", {})
+    """The (digest, analytic avg PRR, avg PRR, relative energy) of one mode.
+    Each number passes the number rule, ``channel._number``, so a string, a
+    bool, or a NaN or Infinity literal is rejected naming its field."""
+    report = f"report {path}"
+    sections = _json_object(_json_object(_read_json(path), report).get("modes", {}),
+                            f"{report} modes")
     if mode not in sections:
-        raise ValueError(f"report {path} has no mode {mode!r}; "
-                         f"available: {sorted(sections)}")
-    sec = sections[mode]
+        raise ValueError(f"{report} has no mode {mode!r}; available: {sorted(sections)}")
+    where = f"{report} mode {mode!r}"
+    sec = _json_object(sections[mode], where)
     try:
-        return (sec["topology_digest"], sec["analytic_avg_prr"], sec["metrics"]["avg_prr"],
-                sec["metrics"]["relative_energy"])
+        metrics = _json_object(sec["metrics"], f"{where} metrics")
+        fields = (("analytic_avg_prr", sec["analytic_avg_prr"]),
+                  ("metrics avg_prr", metrics["avg_prr"]),
+                  ("metrics relative_energy", metrics["relative_energy"]))
+        digest = sec["topology_digest"]
     except KeyError as exc:
-        raise ValueError(f"report {path} mode {mode!r} has no {exc} field") from None
+        raise ValueError(f"{where} has no {exc} field") from None
+    return (digest, *(_number(value, f"{where} {name}") for name, value in fields))
 
 
 def _cmd_compare(args) -> int:

@@ -35,9 +35,13 @@ candidates in one kernel table, then refines the bracket around the best of
 them by block search (Avriel & Wilde, *Management Science* 1966): each round
 scores P + 2 evenly spaced points inside every still-open bracket in one
 table and narrows it to the best point's two neighbours, until it is within
-``_BR_TOL``.  One array search (``_best_responses``) answers a sweep group
-of any size; a lone node (the coupled game and the public
-``best_response``) is its one-row case.  P depends on the game's parameters
+``_BR_TOL``.  Two searches run it, and ``_respond`` picks one by group size:
+an array search (``_best_responses``) for a lockstep group, all its nodes in
+each table, and a scalar search (``_lone_response``) for a node that answers
+alone (every group of the coupled game, and the public ``best_response``),
+which spares a one-node group the array bookkeeping built for many rows.
+They score the same candidates and grids in the same kernel calls, so their
+answers and flags are bitwise equal.  P depends on the game's parameters
 alone, never on the group, so a node answers the same in a group as alone.
 The discrete game scores every node's usable levels at or above its floor
 in one (nodes x levels) table for any group.
@@ -59,7 +63,6 @@ from .channel import (
     prr,  # noqa: F401  not called here; bench/run.py looks up ``game.prr`` by name
     prr_matrix,
     sinr_for_prr,
-    strategy_to_mw,
 )
 from .topology import (
     INFEASIBLE,
@@ -226,12 +229,16 @@ _BR_TOL = 1e-6
 _CONVERGENCE_TOL = 1e-4
 # P: each refinement round scores P + 2 evenly spaced points inside a
 # bracket and cuts it to 2 / (P + 3) of its width.  The coupled ``members``
-# game answers one node at a time with cheap rows, so few wide tables serve
-# it best; a lockstep group already shares each table among its nodes, and
-# a ``union`` row under interference builds an M x M PRR matrix, so both
-# take narrower ones.
+# game answers one node at a time (by the scalar search) with cheap rows, so
+# few wide tables serve it best; a lockstep group already shares each table
+# among its nodes, and a ``union`` row under interference builds an M x M
+# PRR matrix, so both take narrower ones.  Either search takes the same P.
 _REFINE_POINTS_ALONE = 63
 _REFINE_POINTS = 15
+_STEPS_ALONE = np.linspace(0.0, 1.0, _REFINE_POINTS_ALONE + 4)
+_STEPS = np.linspace(0.0, 1.0, _REFINE_POINTS + 4)
+# The pre-scan's sample indices, as floats (an int index converts exactly).
+_SCAN_INDEX = np.arange(_PRESCAN_SAMPLES, dtype=float)
 
 
 def _decouples(params) -> bool:
@@ -302,9 +309,10 @@ class _Environment:
         _check_link_inputs(rows, d, params.f_bytes)
         self.required_k = params.required_degree(profile.n)
         one_node = not isinstance(senders, slice)
+        self.s_eps = sinr_for_prr(params.epsilon_link, params.f_bytes)
         # SINR at s_max + margin reaches the threshold, without an M x M temporary
         top_mw = 10.0 ** ((profile.s_max + _CANDIDATE_MARGIN - DBM_OFFSET) / 10.0)
-        candidate = rows >= sinr_for_prr(params.epsilon_link, params.f_bytes) / top_mw * d
+        candidate = rows >= self.s_eps / top_mw * d
         if one_node:
             candidate[senders] = False
             self.columns, self.pads = candidate.nonzero()[0], None
@@ -316,6 +324,8 @@ class _Environment:
             # On the clear channel every denominator is the one noise value.
             self.column_denominators = (np.take_along_axis(d, self.columns, 1) if d.ndim == 2
                                         else d[:1])
+        # rows per kernel table
+        self.chunk = max(1, min(_CHUNK_ROWS, _CHUNK_CELLS // max(1, self.columns.shape[-1])))
 
     def _column_rows(self, nodes):
         """(Gains, denominators) of the rows' candidate columns, as
@@ -329,21 +339,24 @@ class _Environment:
 
     def prr_table(self, nodes, xs):
         """(own mW per row, rows x K PRR table over the rows' candidate columns)."""
-        mw = strategy_to_mw(xs)
+        # StrategyProfile.mw's operations
+        mw = 10.0 ** ((np.asarray(xs, dtype=float) - DBM_OFFSET) / 10.0)
         gains, denominators = self._column_rows(nodes)
         table = _prr_table(gains, mw, denominators, self.params.f_bytes)
         if self.pads is not None:
             table[self.pads[nodes]] = 0.0
         return mw, table
 
-    def _tables(self, nodes, xs):
-        """(nodes, xs, own mW, PRR table) per chunk of the rows."""
+    def _by_chunk(self, score, nodes, xs):
+        """``score(nodes, xs)`` over chunks of at most ``chunk`` rows, joined:
+        one call, and no join, when the rows fit in one chunk."""
         nodes = np.asarray(nodes, dtype=np.intp)
         xs = np.asarray(xs, dtype=float)
-        step = max(1, min(_CHUNK_ROWS, _CHUNK_CELLS // max(1, self.columns.shape[-1])))
-        for a in range(0, xs.size, step):
-            part_nodes, part_xs = nodes[a:a + step], xs[a:a + step]
-            yield (part_nodes, part_xs, *self.prr_table(part_nodes, part_xs))
+        step = self.chunk
+        if xs.size <= step:
+            return score(nodes, xs)
+        return np.concatenate([score(nodes[a:a + step], xs[a:a + step])
+                               for a in range(0, xs.size, step)])
 
     def ncr_and_degree(self, nodes, mw, table):
         """Per row of a PRR table: NCR and degree."""
@@ -352,7 +365,8 @@ class _Environment:
         degree = np.add.reduce(member, axis=1)
         totals = _row_sums(table, member)
         if params.ncr_denominator == "members":
-            return np.divide(totals, degree, out=np.zeros(degree.size), where=degree > 0), degree
+            # a row without members sums to 0.0, and 0.0 / 1 is the 0 it scores
+            return totals / np.maximum(degree, 1), degree
         size = self._union_sizes(nodes, mw, member)
         ncr_values = np.divide(totals, size, out=np.zeros(degree.size), where=size > 0)
         return np.minimum(ncr_values, 1.0, out=ncr_values), degree
@@ -388,20 +402,22 @@ class _Environment:
 
     def utilities(self, nodes, xs) -> np.ndarray:
         """Utility of node nodes[r] at strategy value xs[r], for every row r."""
+        return self._by_chunk(self._utility_rows, nodes, xs)
+
+    def _utility_rows(self, nodes, xs):
         params = self.params
-        parts = []
-        for part_nodes, part_xs, mw, table in self._tables(nodes, xs):
-            ncr_values, degree = self.ncr_and_degree(part_nodes, mw, table)
-            benefit = np.log10(1.0 + params.ncr_scale * ncr_values)
-            cost = np.square(part_xs / params.cost_denominator)
-            parts.append(np.where(degree >= self.required_k, benefit - cost, -cost))
-        return parts[0] if len(parts) == 1 else np.concatenate(parts)
+        mw, table = self.prr_table(nodes, xs)
+        ncr_values, degree = self.ncr_and_degree(nodes, mw, table)
+        benefit = np.log10(1.0 + params.ncr_scale * ncr_values)
+        # The benefit is finite and >= 0: times False it is 0.0, and 0.0 - cost
+        # is -cost (or +0.0 for -0.0, equal to it, where the cost underflows).
+        return benefit * (degree >= self.required_k) - np.square(xs / params.cost_denominator)
 
     def degrees(self, nodes, xs) -> np.ndarray:
         """Degree of node nodes[r] at strategy value xs[r], for every row r."""
         eps = self.params.epsilon_link
-        return np.concatenate([np.add.reduce(table >= eps, axis=1)
-                               for *_, table in self._tables(nodes, xs)])
+        return self._by_chunk(lambda part_nodes, part_xs: np.add.reduce(
+            self.prr_table(part_nodes, part_xs)[1] >= eps, axis=1), nodes, xs)
 
     def floors(self, nodes):
         """(Each node's membership breakpoints over its candidate columns,
@@ -409,11 +425,20 @@ class _Environment:
         as ``topology.min_power_for_degree`` gives it)."""
         nodes = np.asarray(nodes, dtype=np.intp)
         gains, denominators = self._column_rows(nodes)
-        s_eps = sinr_for_prr(self.params.epsilon_link, self.params.f_bytes)
-        points = np.atleast_2d(_membership_breakpoints(s_eps, denominators, gains))
+        points = np.atleast_2d(_membership_breakpoints(self.s_eps, denominators, gains))
         points.sort(axis=1)
         return points, _degree_floors(self.profile, self.required_k, points, lambda rows: (
             self.degrees(nodes[rows], np.full(rows.size, self.profile.s_max))))
+
+    def strategy_sets(self, nodes):
+        """Each node's strategy set [lower, s_max], the one rule the searches
+        and checks play on: (``floors``' breakpoints; lower, the node's floor,
+        which is max(s_min, floor_i) already, or s_min for an infeasible node,
+        which plays the whole range; whether the node is feasible, i.e. its
+        floor is finite)."""
+        points, floors = self.floors(nodes)
+        feasible = floors != INFEASIBLE
+        return points, np.where(feasible, floors, self.profile.s_min), feasible
 
 
 def utility(i: int, profile: StrategyProfile, gains: np.ndarray, n0_mw: float,
@@ -459,6 +484,13 @@ def _scan_nonunimodal(values, atol: float = 1e-12):
     return (fell & (cur > prev + atol)).any(axis=-1)
 
 
+def _refine_steps(params):
+    """A refinement round's grid as fractions of the bracket: 0, P + 2
+    evenly spaced inner points, 1."""
+    alone = params.ncr_denominator == "members" and params.interference != "none"
+    return _STEPS_ALONE if alone else _STEPS
+
+
 def _best_responses(env, nodes):
     """Maximize each node's utility over its strategy set, for every node of
     a sweep group at once: (s* per node, how many flagged).
@@ -468,35 +500,38 @@ def _best_responses(env, nodes):
 
     One kernel call scores every node's candidates: the pre-scan, the
     membership breakpoints (and points 1e-9 below them) and the incumbent,
-    since none depends on another's value.  One ``_Environment.floors`` call
-    gives the whole group's breakpoints and floors.  The unsorted table holds
-    the pre-scan in its first ``_PRESCAN_SAMPLES`` columns and pads the other
-    candidates' rows with +inf.  Every finite candidate goes to the kernel,
-    copies too, since copies score bitwise alike.  The answer is the least
-    candidate among a row's maxima and the bracket its nearest distinct
-    candidates either side, whatever the order of the columns.
+    since none depends on another's value.  One ``_Environment.strategy_sets``
+    call gives the whole group's breakpoints and strategy sets.  The unsorted
+    table holds the pre-scan in its first ``_PRESCAN_SAMPLES`` columns and
+    pads the other candidates' rows with +inf.  Every finite candidate goes
+    to the kernel, copies too, since copies score bitwise alike.  The answer
+    is the least candidate among a row's maxima and the bracket its nearest
+    distinct candidates either side, whatever the order of the columns.
 
     Each refinement round is then one kernel call over the nodes whose
     bracket is still wider than ``_BR_TOL``: it scores P + 2 evenly spaced
     points inside each bracket, keeps the best value seen, and narrows the
     bracket to the neighbours of the round's best point.  Every array
     operation acts row by row, so each node returns what it returns alone.
+
+    This is the search of a lockstep group.  A group of one node takes
+    ``_lone_response``, the same search on scalars, without the per-row
+    bookkeeping that takes about a third of a lone node's time here (see
+    ``_respond``); this one, called on a one-node group, is its reference.
     """
     profile = env.profile
     hi = profile.s_max
     nodes = np.asarray(nodes, dtype=np.intp)
-    points, floors = env.floors(nodes)
-    lo = np.maximum(profile.s_min, floors)
+    points, lo, feasible = env.strategy_sets(nodes)
     # Infeasible: the cost-only branch everywhere, so spend as little as
     # allowed.  A range within _BR_TOL answers its top.
-    s_star = np.where(lo == INFEASIBLE, profile.s_min, hi)
-    search = np.flatnonzero(hi - lo > _BR_TOL)
+    s_star = np.where(feasible, hi, profile.s_min)
+    search = np.flatnonzero(feasible & (hi - lo > _BR_TOL))
     if search.size == 0:
         return s_star, 0
     nodes, lo, points = nodes[search], lo[search], points[search]
     # np.linspace(lo, hi, _PRESCAN_SAMPLES, axis=1) bitwise, less its overhead
-    step = (hi - lo) / (_PRESCAN_SAMPLES - 1)
-    scan = lo[:, None] + np.arange(_PRESCAN_SAMPLES) * step[:, None]
+    scan = lo[:, None] + _SCAN_INDEX * ((hi - lo) / (_PRESCAN_SAMPLES - 1))[:, None]
     scan[:, -1] = hi
     inside = (lo[:, None] < points) & (points < hi)
     below = points - 1e-9
@@ -516,10 +551,8 @@ def _best_responses(env, nodes):
     # lo and hi are always candidates, so they bound the neighbours
     a = np.maximum(np.where(cand < x[:, None], cand, -np.inf).max(axis=1), lo)
     b = np.minimum(np.where(cand > x[:, None], cand, np.inf).min(axis=1), hi)
-    params = env.params
-    alone = params.ncr_denominator == "members" and params.interference != "none"
-    n_points = (_REFINE_POINTS_ALONE if alone else _REFINE_POINTS) + 2
-    steps = np.linspace(0.0, 1.0, n_points + 2)
+    steps = _refine_steps(env.params)
+    n_points = steps.size - 2
     live = np.flatnonzero(b - a > _BR_TOL)
     while live.size:
         grid = a[live, None] + (b - a)[live, None] * steps
@@ -535,18 +568,70 @@ def _best_responses(env, nodes):
     return s_star, int(np.count_nonzero(flagged))
 
 
+def _lone_response(env, i):
+    """``_best_responses`` for the one-node group [i], step for step on
+    Python floats and 1-D arrays: (s*, 1 if flagged else 0), bitwise its
+    answer and flag.  It scores the same candidates, in the same order, and
+    the same refinement grids, in the same kernel calls."""
+    profile = env.profile
+    hi = profile.s_max
+    points, lo, feasible = env.strategy_sets([i])
+    lo = float(lo[0])
+    if not feasible[0]:
+        return profile.s_min, 0
+    if not hi - lo > _BR_TOL:
+        return hi, 0
+    scan = lo + _SCAN_INDEX * ((hi - lo) / (_PRESCAN_SAMPLES - 1))
+    scan[-1] = hi
+    points = points[0]
+    points = points[(lo < points) & (points < hi)]
+    below = points - 1e-9
+    incumbent = float(profile.s[i])
+    cand = np.concatenate([scan, points, below[below > lo],
+                           [incumbent] if lo <= incumbent <= hi else []])
+    values = env.utilities(np.full(cand.size, i), cand)
+    flagged = int(_scan_nonunimodal(values[:_PRESCAN_SAMPLES]))
+
+    v = values.max()
+    x = float(cand[values == v].min())
+    # every candidate lies in [lo, hi], and lo and hi are candidates
+    a = float(cand.max(initial=lo, where=cand < x))
+    b = float(cand.min(initial=hi, where=cand > x))
+    steps = _refine_steps(env.params)
+    rows = np.full(steps.size - 2, i)
+    while b - a > _BR_TOL:
+        grid = a + (b - a) * steps
+        scores = env.utilities(rows, grid[1:-1])
+        top = int(scores.argmax())
+        if scores[top] > v:
+            x, v = float(grid[top + 1]), scores[top]
+        a, b = float(grid[top]), float(grid[top + 2])
+    return x, flagged
+
+
+def _respond(env, nodes):
+    """The continuous game's answers of a sweep group, for ``_sweep``: the
+    scalar search for a group of one node (every group of a coupled game),
+    the array search for a lockstep group.  Both give bitwise the same
+    answers and flags; each is the faster at its own group size."""
+    if len(nodes) == 1:
+        s_star, flagged = _lone_response(env, nodes[0])
+        return [s_star], flagged
+    return _best_responses(env, nodes)
+
+
 def best_response(i: int, profile: StrategyProfile, gains: np.ndarray, n0_mw: float,
                   params: GameParams) -> float:
     """Utility-maximizing power for node i against the rest of the profile."""
     env = _Environment(profile, gains, n0_mw, params, i)
-    return float(_best_responses(env, [i])[0][0])
+    return float(_lone_response(env, i)[0])
 
 
 def _per_node_feasible(profile, gains, n0_mw, params):
-    """Whether each node can reach its degree floor at some power in range:
-    whether its ``_Environment.floors`` floor is finite."""
+    """Whether each node can reach its degree floor at some power in range,
+    as ``_Environment.strategy_sets`` decides it."""
     env = _Environment(profile, gains, n0_mw, params)
-    return (env.floors(np.arange(profile.n))[1] != INFEASIBLE).tolist()
+    return env.strategy_sets(np.arange(profile.n))[2].tolist()
 
 
 def _sweep(profile, gains, n0_mw, params, respond):
@@ -612,7 +697,7 @@ def solve(profile0: StrategyProfile, gains: np.ndarray, n0_mw: float,
     A decoupled game takes one lockstep pass (see ``_iterate``); a coupled
     game's non-convergence within n_iter_max sweeps is reported, not raised.
     """
-    return _iterate(profile0, gains, n0_mw, params, _best_responses)
+    return _iterate(profile0, gains, n0_mw, params, _respond)
 
 
 def verify_equilibrium(profile: StrategyProfile, gains: np.ndarray, n0_mw: float,
@@ -634,8 +719,7 @@ def verify_equilibrium(profile: StrategyProfile, gains: np.ndarray, n0_mw: float
         grid = np.append(grid, profile.s_max)
     n = profile.n
     env = _Environment(profile, gains, n0_mw, params)
-    floors = env.floors(np.arange(n))[1]
-    lo = np.where(floors == INFEASIBLE, profile.s_min, floors)
+    lo = env.strategy_sets(np.arange(n))[1]
     xs = np.column_stack([profile.s, lo, np.broadcast_to(grid, (n, grid.size))])
     scan = xs >= lo[:, None]
     scan[:, 0] = True

@@ -2,7 +2,6 @@
 
 import json
 import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -148,11 +147,11 @@ def _membership_breakpoints(s_eps, denominators, gains):
     breakpoints are -inf.  The sender's degree at power s is the number of
     breakpoints below s, up to the last bits of the PRR at a breakpoint.
     """
-    shape = np.broadcast_shapes(np.shape(denominators), np.shape(gains))
     if s_eps == 0.0:
-        return np.full(shape, -np.inf)
-    needed = np.divide(s_eps * denominators, gains, out=np.full(shape, np.inf),
-                       where=gains > 0.0)
+        return np.full(np.broadcast_shapes(np.shape(denominators), np.shape(gains)), -np.inf)
+    # a positive numerator over a zero gain is +inf
+    with np.errstate(divide="ignore"):
+        needed = s_eps * denominators / gains
     return 25.0 + 10.0 * np.log10(needed)
 
 
@@ -246,21 +245,16 @@ def adjacency(prr_mat: np.ndarray, epsilon_link: float) -> np.ndarray:
 
 
 def is_connected_bfs(adj: np.ndarray) -> bool:
-    """Breadth-first reachability from node 0."""
-    m = adj.shape[0]
-    if m == 0:
+    """Breadth-first reachability from node 0, one whole frontier per level:
+    the next frontier is every unseen node that a frontier row has an edge to."""
+    seen = np.zeros(adj.shape[0], dtype=bool)
+    if seen.size == 0:
         raise ValueError("empty adjacency")
-    if m == 1:
-        return True
-    seen = np.zeros(m, dtype=bool)
     seen[0] = True
-    queue = deque([0])
-    while queue:
-        u = queue.popleft()
-        for v in np.flatnonzero(adj[u]):
-            if not seen[v]:
-                seen[v] = True
-                queue.append(int(v))
+    frontier = seen.copy()
+    while frontier.any():
+        frontier = np.asarray(adj[frontier], dtype=bool).any(axis=0) & ~seen
+        seen |= frontier
     return bool(seen.all())
 
 

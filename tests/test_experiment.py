@@ -1,6 +1,8 @@
 import contextlib
+import copy
 import csv
 import filecmp
+import functools
 import io
 import json
 import math
@@ -404,23 +406,51 @@ class TestCli:
         assert echoed["path_loss"]["seed"] == echoed["traffic"]["seed"] == 4
 
     def test_compare_rejects_malformed_report(self, tmp_path, capsys):
-        # a report that lacks a field, or is not a JSON object, exits 2
-        # naming the report and the field
+        # a report that lacks a field, is not a JSON object, holds a list
+        # where an object is read, or holds a read value that is not a finite
+        # number, exits 2 naming the report and the field.  Strings, bools
+        # and lists ended in a traceback (exit 1) before, and NaN printed a
+        # NaN delta, which is not JSON; json writes NaN and Infinity literals.
         config = write_config(tmp_path, modes=("full-power",))
         out = str(tmp_path / "out")
         assert cli.main(["run", "--config", config, "--out", out]) == 0
         capsys.readouterr()
         with open(os.path.join(out, "report.json")) as fh:
             report = json.load(fh)
-        del report["modes"]["full-power"]["analytic_avg_prr"]
-        for k, (data, message) in enumerate([
-                (report, "mode 'full-power' has no 'analytic_avg_prr' field"),
-                ([report], "is not a JSON object")]):
+        mode = ("modes", "full-power")
+        number = "must be a finite number, got"
+        for k, (keys, value, message) in enumerate([
+                (mode + ("analytic_avg_prr",), None,
+                 "mode 'full-power' has no 'analytic_avg_prr' field"),
+                ((), [report], "is not a JSON object"),
+                (mode + ("analytic_avg_prr",), "0.5",
+                 f"mode 'full-power' analytic_avg_prr {number} '0.5'"),
+                (mode + ("metrics", "avg_prr"), math.nan,
+                 f"mode 'full-power' metrics avg_prr {number} nan"),
+                (mode + ("metrics", "relative_energy"), math.inf,
+                 f"mode 'full-power' metrics relative_energy {number} inf"),
+                (mode + ("metrics", "avg_prr"), True,
+                 f"mode 'full-power' metrics avg_prr {number} True"),
+                (mode + ("metrics",), [], "mode 'full-power' metrics is not a JSON object"),
+                (mode, [0.5], "mode 'full-power' is not a JSON object"),
+                (("modes",), [], "modes is not a JSON object")]):
+            data = copy.deepcopy(report)
+            if keys:
+                *parents, last = keys
+                section = functools.reduce(dict.__getitem__, parents, data)
+                if value is None:
+                    del section[last]
+                else:
+                    section[last] = value
+            else:
+                data = value
             path = tmp_path / f"report-{k}.json"
             path.write_text(json.dumps(data))
             assert cli.main(["compare", "--report", str(path),
                              "--modes", "full-power,full-power"]) == 2
-            assert capsys.readouterr().err == f"error: report {path} {message}\n"
+            captured = capsys.readouterr()
+            assert captured.err == f"error: report {path} {message}\n"
+            assert captured.out == ""
 
     @pytest.mark.parametrize("argv, message", [
         (["--nodes", "1"], "topology m must be an integer >= 2, got 1"),

@@ -612,6 +612,55 @@ class TestBestResponse:
         assert lo <= br <= profile.s_max
         assert u_br >= u_scan - 1e-12
 
+    @settings(deadline=None, max_examples=150)
+    @given(st.data())
+    def test_lone_search_equals_array_search(self, data):
+        # The scalar search of a one-node group against the array search on
+        # the same group as one row, its reference: bitwise the same s* and
+        # flag, on the clear channel and under interference, with either
+        # denominator, over ranges down to within _BR_TOL and with shadowing.
+        draw = data.draw
+        m = draw(st.integers(2, 10))
+        side = draw(st.floats(2.0, 80.0))
+        rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+        topo = topology.random_topology(m, area=(side, side), seed=int(rng.integers(2**31)))
+        model = channel.PathLossModel(shadowing_sigma_db=draw(st.sampled_from([0.0, 4.0])),
+                                      seed=int(rng.integers(2**31)))
+        gains = channel.build_gain_matrix(topo.positions, model)
+        s_min = draw(st.floats(0.1, 24.0))
+        s_max = draw(st.floats(s_min, 25.0, exclude_min=True)
+                     | st.sampled_from([s_min + 5e-7, s_min + 2e-6]).filter(lambda v: v <= 25.0))
+        profile = game.StrategyProfile(rng.uniform(s_min, s_max, size=m), s_min=s_min,
+                                       s_max=s_max)
+        params = game.GameParams(interference=draw(st.sampled_from(["none", "full"])),
+                                 ncr_denominator=draw(st.sampled_from(["members", "union"])),
+                                 degree_target=draw(st.integers(0, 3)))
+        i = draw(st.integers(0, m - 1))
+        env = game._Environment(profile, gains, N0, params, i)
+        s_star, flagged = game._lone_response(env, i)
+        [want], want_flagged = game._best_responses(env, [i])
+        assert isinstance(s_star, float)
+        assert np.float64(s_star).tobytes() == want.tobytes()
+        assert flagged == want_flagged
+
+    @pytest.mark.parametrize("interference", ["none", "full"], ids=["decoupled", "coupled"])
+    def test_solve_picks_the_search_by_group_size(self, interference):
+        # The decoupled game is one lockstep group, which the array search
+        # answers; every group of the coupled game is one node, which the
+        # scalar search answers.
+        _, gains = build_desk(3)
+        params = game.GameParams(interference=interference, degree_target=1, n_iter_max=3)
+        with mock.patch.object(game, "_lone_response", wraps=game._lone_response) as lone, \
+                mock.patch.object(game, "_best_responses", wraps=game._best_responses) as array:
+            result = game.solve(game.StrategyProfile.full_power(DESK_M), gains, N0, params)
+        if interference == "none":
+            assert lone.call_count == 0
+            assert [len(call.args[1]) for call in array.call_args_list] == [DESK_M]
+        else:
+            assert array.call_count == 0
+            assert [call.args[1] for call in lone.call_args_list] == (
+                list(range(DESK_M)) * result.sweeps_used)
+
     @settings(deadline=None, max_examples=40)
     @given(st.data())
     def test_kernel_calls_per_best_response(self, data):
@@ -627,17 +676,26 @@ class TestBestResponse:
         if game._decouples(params) and data.draw(st.booleans()):
             nodes, senders = list(range(profile.n)), slice(None)
         env = game._Environment(profile, gains, N0, params, senders)
-        with mock.patch.object(env, "utilities", wraps=env.utilities) as utilities:
-            game._best_responses(env, nodes)
+        searches = [game._best_responses]
+        if len(nodes) == 1:
+            searches.append(lambda env, nodes: game._lone_response(env, nodes[0]))
         alone = params.ncr_denominator == "members" and params.interference != "none"
         points = game._REFINE_POINTS_ALONE if alone else game._REFINE_POINTS
         width = 2.0 * (profile.s_max - profile.s_min) / (game._PRESCAN_SAMPLES - 1)
         rounds = max(0, math.ceil(math.log(width * (1 + 1e-9) / game._BR_TOL)
                                   / math.log((points + 3) / 2)))
-        assert utilities.call_count <= 1 + rounds
-        for call in utilities.call_args_list[1:]:
-            assert len(call.args[1]) % (points + 2) == 0
-            assert 0 < len(call.args[1]) <= len(nodes) * (points + 2)
+        calls = []
+        for search in searches:
+            with mock.patch.object(env, "utilities", wraps=env.utilities) as utilities:
+                search(env, nodes)
+            assert utilities.call_count <= 1 + rounds
+            for call in utilities.call_args_list[1:]:
+                assert len(call.args[1]) % (points + 2) == 0
+                assert 0 < len(call.args[1]) <= len(nodes) * (points + 2)
+            calls.append([np.asarray(call.args[1]).tobytes()
+                          for call in utilities.call_args_list])
+        # the two searches score the same rows in the same calls
+        assert calls[1:] in ([], calls[:1])
 
 
 class TestDynamics:

@@ -185,8 +185,34 @@ def test_connectivity_checks_agree_on_random_graphs():
         assert topology.is_connected_spectral(adj) == topology.is_connected_bfs(adj)
 
 
+@settings(deadline=None, max_examples=200)
+@given(st.data())
+def test_bfs_agrees_with_spectral_check(data):
+    # Random symmetric graphs from 1 node up, some with isolated nodes, and
+    # chains whose BFS needs one level per node.
+    draw = data.draw
+    m = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    if draw(st.booleans()):
+        adj = np.triu(rng.random((m, m)) < draw(st.floats(0.0, 1.0)), 1)
+    else:
+        adj = np.zeros((m, m), dtype=bool)
+        order = rng.permutation(m)
+        adj[order[:-1], order[1:]] = True
+    adj = adj | adj.T
+    isolated = draw(st.lists(st.integers(0, m - 1), max_size=2))
+    adj[isolated, :] = adj[:, isolated] = False
+    assert topology.is_connected_bfs(adj) == topology.is_connected_spectral(adj)
+    assert topology.is_connected_bfs(adj.astype(float)) == topology.is_connected_bfs(adj)
+
+
 def test_connectivity_edge_cases():
     assert topology.is_connected_spectral(np.zeros((1, 1)))
+    assert topology.is_connected_bfs(np.zeros((1, 1)))
+    assert not topology.is_connected_bfs(np.zeros((2, 2)))
+    assert topology.is_connected_bfs(np.ones((2, 2)) - np.eye(2))
+    with pytest.raises(ValueError, match="empty adjacency"):
+        topology.is_connected_bfs(np.zeros((0, 0)))
     disconnected = np.zeros((3, 3))
     disconnected[0, 1] = disconnected[1, 0] = 1.0
     assert not topology.is_connected_spectral(disconnected)
