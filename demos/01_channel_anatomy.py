@@ -16,9 +16,8 @@ for s in (0.5, 12.5, 25.0):
 model = channel.PathLossModel()
 print(f"\n== log-distance path loss (eta={model.exponent}, "
       f"{model.reference_gain_db:.0f} dB at {model.reference_distance_d0:.0f} m) ==")
-a = channel.Position(0.0, 0.0)
 for d in (1.0, 2.0, 5.0, 10.0, 20.0, 40.0):
-    g = channel.gain(model, a, channel.Position(d, 0.0))
+    g = channel.gain(model, (0.0, 0.0), (d, 0.0))
     print(f"d={d:5.1f} m  gain={10 * np.log10(g):8.2f} dB")
 
 n0 = channel.NoiseFloor()

@@ -44,6 +44,9 @@ prof = game.StrategyProfile(rng.uniform(0.5, 25.0, 10))
 for _ in range(3):
     i = int(rng.integers(0, 10))
     s_new = float(rng.uniform(0.5, 25.0))
-    res = game.exact_potential_residual(prof, i, s_new, gains, n0, params)
+    moved = prof.with_power(i, s_new)
+    du = game.utility(i, moved, gains, n0, params) - game.utility(i, prof, gains, n0, params)
+    dv = game.potential(moved, gains, n0, params) - game.potential(prof, gains, n0, params)
+    res = abs(du - dv)
     print(f"node {i} moves {prof.s[i]:.2f} -> {s_new:.2f}: "
           f"|delta u - delta V| = {res:.2e}")

@@ -14,7 +14,7 @@ import math
 import struct
 import sys
 from dataclasses import dataclass, fields
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -22,13 +22,6 @@ STRATEGY_MAX = 25.0
 DBM_OFFSET = 25.0
 
 INTERFERENCE_MODES = ("none", "full")
-
-
-class Position(NamedTuple):
-    """Planar node location in meters."""
-
-    x: float
-    y: float
 
 
 def strategy_to_dbm(s):
@@ -55,6 +48,13 @@ def _number(value, name, integral=False):
         return int(value) if integral else value
     raise ValueError(f"{name} must be a {'whole' if integral else 'finite'} number, "
                      f"got {value!r}")
+
+
+def _check_keys(data, allowed, where):
+    """Reject a key of a JSON object that ``allowed`` lacks, naming it."""
+    for key in data:
+        if key not in allowed:
+            raise ValueError(f"{where} has unknown key {key!r}")
 
 
 def _check_numbers(obj, section):
@@ -179,31 +179,6 @@ def build_gain_matrix(positions, model: PathLossModel) -> np.ndarray:
     return h
 
 
-def sinr(i: int, j: int, powers_mw, gains: np.ndarray, n0_mw: float) -> float:
-    """Signal-to-interference-plus-noise ratio of the link i -> j.
-
-    Every node other than the sender i and the receiver j contributes
-    interference at its own transmit power:
-
-        SINR_ij = H_ij p_i / (sum_{t != i, j} H_tj p_t + N0)
-    """
-    p = np.asarray(powers_mw, dtype=float)
-    if i == j:
-        raise ValueError("sender and receiver must differ")
-    m = p.shape[0]
-    if not (0 <= i < m and 0 <= j < m):
-        raise ValueError("node index out of range")
-    if np.any(p < 0.0) or not np.all(np.isfinite(p)):
-        raise ValueError("powers must be finite and non-negative")
-    if not (n0_mw > 0.0):
-        raise ValueError("noise floor must be positive")
-    mask = np.ones(m, dtype=bool)
-    mask[i] = False
-    mask[j] = False
-    interference = float(gains[mask, j] @ p[mask])
-    return float(gains[i, j] * p[i] / (interference + n0_mw))
-
-
 def ber(sinr_value):
     """Bit error rate 0.5 * (1 - sqrt(sinr / (1 + sinr))).
 
@@ -241,11 +216,6 @@ def _prr(b, f_bytes):
 def _check_payload(f_bytes):
     if _number(f_bytes, "payload size", integral=True) < 1:
         raise ValueError("payload size must be a positive integer byte count")
-
-
-def link_prr(i: int, j: int, powers_mw, gains: np.ndarray, n0_mw: float, f_bytes: int) -> float:
-    """Analytic packet reception ratio of the link i -> j at the given powers."""
-    return prr(ber(sinr(i, j, powers_mw, gains, n0_mw)), f_bytes)
 
 
 def sinr_for_prr(target_prr: float, f_bytes: int) -> float:

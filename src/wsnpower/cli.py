@@ -2,7 +2,8 @@
 scenario runs, and mode-to-mode comparison.
 
 Exit codes: 0 success, 2 bad input (every check on a config, flag, layout
-file or report raises ``ValueError``), 1 IO failures writing outputs.
+file or report raises ``ValueError``, as does one of those files that
+cannot be read), 1 IO failures writing outputs.
 """
 
 import argparse
@@ -27,16 +28,6 @@ def _cmd_generate_topology(args) -> int:
     return 0
 
 
-def _read_json(path, **kwargs):
-    """An input file's JSON.  A file that cannot be read is bad input, like
-    one that does not parse: both raise ``ValueError``."""
-    try:
-        with open(path) as fh:
-            return json.load(fh, **kwargs)
-    except OSError as exc:
-        raise ValueError(exc) from None
-
-
 def _reject_constant(name):
     raise ValueError(f"config holds the non-finite number {name}; every number must be finite")
 
@@ -46,7 +37,7 @@ def _load_config(args) -> experiment.ScenarioConfig:
     +-Infinity literals that Python's ``json`` accepts by default.  ``run``'s
     ``--modes`` and ``--seed-override`` are written into it first, so that
     ``validate_config`` checks them with the rest."""
-    data = _read_json(args.config, parse_constant=_reject_constant)
+    data = topology._read_json(args.config, parse_constant=_reject_constant)
     if not isinstance(data, dict):
         raise ValueError(f"config must be a JSON object, got {type(data).__name__}")
     if args.modes:
@@ -98,7 +89,7 @@ def _section_from_report(path, mode):
     Each number passes the number rule, ``channel._number``, so a string, a
     bool, or a NaN or Infinity literal is rejected naming its field."""
     report = f"report {path}"
-    sections = _json_object(_json_object(_read_json(path), report).get("modes", {}),
+    sections = _json_object(_json_object(topology._read_json(path), report).get("modes", {}),
                             f"{report} modes")
     if mode not in sections:
         raise ValueError(f"{report} has no mode {mode!r}; available: {sorted(sections)}")

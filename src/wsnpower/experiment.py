@@ -62,6 +62,8 @@ class ScenarioConfig:
         if {"discretized-posthoc", "discretized-game"} & set(self.modes):
             _usable_levels(self.levels, s_min, s_max)
         spec = self.topology_spec
+        channel._check_keys(spec, ("file",) if "file" in spec else ("m", "area", "seed"),
+                            "topology spec")
         if "file" in spec:
             if not isinstance(spec["file"], str):
                 raise ValueError(f"topology file must be a path string, got {spec['file']!r}")
@@ -83,12 +85,10 @@ class ScenarioConfig:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ScenarioConfig":
-        kwargs = {}
-        for f in dataclasses.fields(cls):
-            key = f.metadata.get("json", f.name)
-            if key in data:
-                kwargs[f.name] = _from_json(f.type, data[key])
-        return cls(**kwargs)
+        members = {f.metadata.get("json", f.name): f for f in dataclasses.fields(cls)}
+        channel._check_keys(data, members, "config")
+        return cls(**{f.name: _from_json(f.type, data[key]) for key, f in members.items()
+                      if key in data})
 
 
 def _to_json(value):

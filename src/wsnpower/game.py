@@ -462,19 +462,6 @@ def potential(profile: StrategyProfile, gains: np.ndarray, n0_mw: float,
     return float(sum(env.utilities(np.arange(profile.n), profile.s).tolist()))
 
 
-def exact_potential_residual(profile: StrategyProfile, i: int, s_prime: float,
-                             gains: np.ndarray, n0_mw: float, params: GameParams) -> float:
-    """|(u_i after - u_i before) - (V after - V before)| for a unilateral move.
-
-    Zero up to float roundoff under the clear-channel default, where only the
-    deviator's own term of the potential can change.
-    """
-    deviated = profile.with_power(i, s_prime)
-    du = utility(i, deviated, gains, n0_mw, params) - utility(i, profile, gains, n0_mw, params)
-    dv = potential(deviated, gains, n0_mw, params) - potential(profile, gains, n0_mw, params)
-    return float(abs(du - dv))
-
-
 def _scan_nonunimodal(values, atol: float = 1e-12):
     """Per row of sampled values (last axis): whether it rises again after
     having fallen.  A step cannot both fall and rise, so a rise counts when
@@ -707,10 +694,12 @@ def verify_equilibrium(profile: StrategyProfile, gains: np.ndarray, n0_mw: float
 
     Node i's deviations are the grid points in [max(s_min, floor_i), s_max]
     plus that lower end, where floor_i is the floor the best response
-    searches above (one ``_Environment.floors`` call gives every node's); an
-    infeasible node scans the whole grid.  Every node's current value and
-    deviations go through one chunked kernel table.  Returns (passed, worst_improvement): passed is True when
-    no deviation improves any node's utility by more than epsilon.
+    searches above (one ``_Environment.strategy_sets`` call gives every
+    node's); an infeasible node scans the whole grid.  Every node's current
+    value and deviations go through one chunked kernel table.
+
+    Returns (passed, worst_improvement): passed is True when no deviation
+    improves any node's utility by more than epsilon.
     """
     if grid_step <= 0:
         raise ValueError("grid step must be positive")

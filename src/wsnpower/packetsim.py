@@ -42,6 +42,7 @@ class TrafficConfig:
         return cls(**merged)
 
 
+# bench/tracing.py counts messages and attempts in ``TransmissionLog.records``.
 @dataclass(frozen=True)
 class Transmission:
     sender: int
@@ -70,7 +71,7 @@ class TransmissionLog:
         if bad.any():
             raise ValueError(f"attempts_used {self.attempts_used[bad][0]} outside [1, {cap}]")
 
-    @property
+    @property  # read by bench/tracing.py's ``packetsim.simulate`` hook
     def records(self) -> list:
         """One `Transmission` per message, built afresh on each access."""
         columns = (getattr(self, f.name).tolist() for f in fields(Transmission))

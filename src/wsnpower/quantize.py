@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import DBM_OFFSET, _number
+from .channel import DBM_OFFSET, _check_keys, _number
 from .game import EquilibriumResult, GameParams, StrategyProfile, _iterate
 
 DBM_FLOOR = -25.0
@@ -70,13 +70,13 @@ def _level_responses(usable):
     """The discrete game's answers of a sweep group, for ``game._sweep``:
     each node's usable level with the highest utility, ties to the lower
     one, from one (nodes x levels) table; no non-unimodal flags.  A node
-    scores only the levels at or above its degree floor; one with no such
-    level (infeasible, or a floor above the top) scores them all and takes
-    the lowest, on the cost-only branch."""
+    scores the levels in its strategy set (``_Environment.strategy_sets``),
+    all of them when it is infeasible; one whose floor lies above the top
+    level scores them all and takes the lowest, on the cost-only branch."""
     xs = np.array(usable) + DBM_OFFSET
 
     def respond(env, nodes):
-        scored = xs >= env.floors(nodes)[1][:, None]
+        scored = xs >= env.strategy_sets(nodes)[1][:, None]
         scored[~scored.any(axis=1)] = True
         values = np.full(scored.shape, -np.inf)
         values[scored] = env.utilities(np.repeat(nodes, scored.sum(axis=1)),
@@ -131,6 +131,9 @@ class RegisterMap:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "RegisterMap":
+        _check_keys(data, ("registers",), "registers")
+        for k, row in enumerate(data["registers"]):
+            _check_keys(row, ("dbm", "id"), f"registers row {k}")
         return cls(tuple((row["dbm"], row["id"]) for row in data["registers"]))
 
 

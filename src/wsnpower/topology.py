@@ -112,11 +112,22 @@ def save_topology(topo: Topology, path) -> None:
         fh.write("\n")
 
 
+def _read_json(path, **kwargs):
+    """An input file's JSON: a layout, a config or a report.  A file that
+    cannot be read is bad input, like one that does not parse: both raise
+    ``ValueError``, naming the file."""
+    try:
+        with open(path) as fh:
+            return json.load(fh, **kwargs)
+    except OSError as exc:
+        raise ValueError(exc) from None
+
+
 def load_topology(path) -> Topology:
-    with open(path) as fh:
-        return topology_from_json_dict(json.load(fh))
+    return topology_from_json_dict(_read_json(path))
 
 
+# bench/run.py counts calls of ``topology.degree_at_power``, which ``_reach`` serves.
 def _reach(i, own_mw, powers_mw, gains, n0_mw, f_bytes, epsilon_link, interference):
     """Receivers that node i reaches at ``own_mw`` with the others at ``powers_mw``.
 
@@ -153,14 +164,6 @@ def _membership_breakpoints(s_eps, denominators, gains):
     with np.errstate(divide="ignore"):
         needed = s_eps * denominators / gains
     return 25.0 + 10.0 * np.log10(needed)
-
-
-def rgg_degree_threshold(n: int) -> float:
-    """Average degree 5.1774 * ln(N) above which a random geometric graph
-    is asymptotically almost surely connected."""
-    if n < 2:
-        raise ValueError("need at least 2 nodes")
-    return 5.1774 * math.log(n)
 
 
 @dataclass(frozen=True)
@@ -256,29 +259,3 @@ def is_connected_bfs(adj: np.ndarray) -> bool:
         frontier = np.asarray(adj[frontier], dtype=bool).any(axis=0) & ~seen
         seen |= frontier
     return bool(seen.all())
-
-
-def algebraic_connectivity(adj: np.ndarray) -> float:
-    """Second-smallest eigenvalue of the combinatorial Laplacian D - A."""
-    a = np.asarray(adj, dtype=float)
-    if a.shape[0] < 2:
-        raise ValueError("need at least 2 nodes")
-    lap = np.diag(a.sum(axis=1)) - a
-    vals = np.linalg.eigvalsh(lap)
-    return float(vals[1])
-
-
-def is_connected_spectral(adj: np.ndarray, tol: float = 1e-8) -> bool:
-    """Connectivity via the Laplacian spectrum: connected iff lambda_2 > tol.
-
-    A zero-degree node short-circuits to False (its Laplacian row is zero,
-    so lambda_2 would vanish anyway).
-    """
-    m = adj.shape[0]
-    if m == 0:
-        raise ValueError("empty adjacency")
-    if m == 1:
-        return True
-    if np.any(np.asarray(adj).sum(axis=1) == 0):
-        return False
-    return algebraic_connectivity(adj) > tol

@@ -17,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 from wsnpower import channel, cli, experiment, game, packetsim, topology
 from wsnpower.quantize import DiscreteLevelSet, RegisterMap, discretize_profile
 from conftest import DESK_AREA, DESK_M
+import oracles
 
 
 def desk_config(**overrides):
@@ -161,7 +162,7 @@ class TestRunScenario:
             mat = channel.prr_matrix(sec.result.profile.mw, gains, config.noise.n0_mw,
                                      params.f_bytes, params.interference)
             adj = topology.adjacency(mat, params.epsilon_link)
-            assert sec.connected_bfs == topology.is_connected_spectral(adj)
+            assert sec.connected_bfs == oracles.is_connected_spectral(adj)
 
     def test_posthoc_is_rounded_continuous(self, desk_report):
         cont = desk_report.sections["continuous"].result.profile
@@ -594,6 +595,23 @@ class TestCli:
             assert capsys.readouterr().err == f"error: ValueError: {message}\n"
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    def test_unreadable_layout_file_exits_2(self, tmp_path, capsys, kind):
+        # a layout file that cannot be read is bad input, as a config file
+        # that cannot be read is: both commands exit 2 naming the file
+        # (before, they exited 1)
+        layout = tmp_path / "layout.json"
+        if kind == "directory":
+            layout.mkdir()
+        path = write_config(tmp_path, topology_spec={"file": str(layout)})
+        for argv in (["validate", "--config", path],
+                     ["run", "--config", path, "--out", str(tmp_path / "out")]):
+            assert cli.main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ValueError: [Errno ") and err.count("\n") == 1
+            assert repr(str(layout)) in err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("key", ["x", "y", "id"])
     def test_topology_file_node_missing_field_fails_at_run(self, tmp_path, capsys, key):
         # run exits 2 with one line naming the node and its missing field,
@@ -646,6 +664,29 @@ class TestCli:
             json.dump(data, fh)
         assert cli.main(["validate", "--config", str(path)]) == 2
         assert "step_db" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("path, value, message", [
+        (("noise",), {"n0_mw": 1e-9}, "config has unknown key 'noise'"),
+        (("topology", "nodes"), 40, "topology spec has unknown key 'nodes'"),
+        (("topology", "file"), "layout.json", "topology spec has unknown key 'm'"),
+        (("registers", "table"), "cc2420", "registers has unknown key 'table'"),
+        (("registers", "registers", 2, "name"), "-10 dBm",
+         "registers row 2 has unknown key 'name'"),
+    ], ids=["top-level-noise", "topology-nodes", "topology-file-and-m", "registers-key",
+            "register-row-key"])
+    def test_unknown_config_key_rejected(self, tmp_path, capsys, path, value, message):
+        # a key that no field reads exits 2 naming it; before, it was
+        # ignored and the field's default used
+        data = desk_config().to_json_dict()
+        _put(data, path, value)
+        config = tmp_path / "config.json"
+        with open(config, "w") as fh:
+            json.dump(data, fh)
+        for argv in (["validate", "--config", str(config)],
+                     ["run", "--config", str(config), "--out", str(tmp_path / "out")]):
+            assert cli.main(argv) == 2
+            assert capsys.readouterr().err == f"error: ValueError: {message}\n"
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("key", ["levels", "game", "traffic"])
     def test_empty_section_gives_defaults(self, key):

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from wsnpower import channel, game, topology
 from wsnpower.quantize import DiscreteLevelSet, _level_responses, solve_discrete
 from conftest import DESK_M, DESK_SEEDS, N0, build_desk, random_profile
+import oracles
 
 # log10(1 + 9 * 0.5) - (12.5 / 25)^2, high-precision reference
 UTILITY_HALF_NCR_MID_POWER = 0.49036268949424384554
@@ -227,7 +228,7 @@ class TestPotential:
     def test_residual_zero_for_null_move(self):
         _, gains = build_desk(2)
         prof = game.StrategyProfile.constant(10, 8.0)
-        res = game.exact_potential_residual(prof, 3, 8.0, gains, N0, game.GameParams())
+        res = oracles.exact_potential_residual(prof, 3, 8.0, gains, N0, game.GameParams())
         assert res == 0.0
 
     def test_residual_vanishes_for_unilateral_moves(self):
@@ -239,7 +240,7 @@ class TestPotential:
                 prof = random_profile(rng, 10)
                 i = int(rng.integers(0, 10))
                 s_prime = float(rng.uniform(0.5, 25.0))
-                res = game.exact_potential_residual(prof, i, s_prime, gains, N0, params)
+                res = oracles.exact_potential_residual(prof, i, s_prime, gains, N0, params)
                 assert res <= 1e-9
 
 
