@@ -250,8 +250,19 @@ def _denominators(senders, powers_mw, gains: np.ndarray, n0_mw: float, interfere
                          f"got {interference!r}")
     if interference == "none":
         return np.full(gains.shape[1], n0_mw)
-    received = gains * np.asarray(powers_mw, dtype=float)[:, None]  # [t, j] = H_tj p_t
-    return np.maximum(received.sum(axis=0) - received[senders], 0.0) + n0_mw
+    received, totals = _received(powers_mw, gains)
+    return _less_own(totals, received[senders], n0_mw)
+
+
+def _received(powers_mw, gains):
+    """(R, T): R[t, j] = H_tj p_t, what receiver j takes from sender t, and T its column totals."""
+    received = gains * np.asarray(powers_mw, dtype=float)[:, None]
+    return received, received.sum(axis=0)
+
+
+def _less_own(totals, own, n0_mw):
+    """The totals less the senders' own rows of R (clamped at 0), plus the noise floor."""
+    return np.maximum(totals - own, 0.0) + n0_mw
 
 
 def _check_link_inputs(gain_rows, denominators, f_bytes):

@@ -26,9 +26,10 @@ one candidate among many.  So all nodes answer in lockstep, with results
 identical to sequential Gauss-Seidel, and a second pass could only confirm
 the first: ``solve`` and ``solve_discrete`` answer a decoupled game in one
 pass.  The union denominator and concurrent interference keep one node at a
-time and sweep until no node moves.  The potential, the feasibility flags
-and the equilibrium check evaluate every node against its fixed profile as
-one chunked table in either mode.
+time and sweep until no node moves, keeping the interference totals of the
+profile until a node moves (``_sweep``).  The potential, the feasibility
+flags and the equilibrium check evaluate every node against its fixed
+profile as one chunked table in either mode.
 
 A best response evaluates its pre-scan, membership-breakpoint and incumbent
 candidates in one kernel table, then refines the bracket around the best of
@@ -39,7 +40,8 @@ table and narrows it to the best point's two neighbours, until it is within
 an array search (``_best_responses``) for a lockstep group, all its nodes in
 each table, and a scalar search (``_lone_response``) for a node that answers
 alone (every group of the coupled game, and the public ``best_response``),
-which spares a one-node group the array bookkeeping built for many rows.
+on flat arrays of the node's candidate columns; a node with fewer of them
+than k is infeasible and answers s_min without a table in either search.
 They score the same candidates and grids in the same kernel calls, so their
 answers and flags are bitwise equal.  P depends on the game's parameters
 alone, never on the group, so a node answers the same in a group as alone.
@@ -59,7 +61,9 @@ from .channel import (
     _check_link_inputs,
     _check_numbers,
     _denominators,
+    _less_own,
     _prr_table,
+    _received,
     prr,  # noqa: F401  not called here; bench/run.py looks up ``game.prr`` by name
     prr_matrix,
     sinr_for_prr,
@@ -114,15 +118,17 @@ class StrategyProfile:
         return _read_only(10.0 ** (self.dbm / 10.0))
 
     def with_power(self, i: int, value: float) -> "StrategyProfile":
-        """This profile with s_i set to ``value``.  Only the new entry is
-        checked and clipped: the others are in bounds already, where the
-        clip is the identity."""
+        """This profile with s_i set to ``value`` (itself if s_i keeps its
+        value).  Only the new entry is checked and clipped: the others are in
+        bounds already, where the clip is the identity."""
         arr = self.s.copy()
         arr[i] = value
         x = arr[i]
         if not (self.s_min - 1e-12 <= x <= self.s_max + 1e-12):
             raise ValueError("strategy values must lie within the profile bounds")
-        arr[i] = min(max(x, self.s_min), self.s_max)
+        arr[i] = x = min(max(x, self.s_min), self.s_max)
+        if x == self.s[i]:
+            return self
         profile = object.__new__(type(self))
         object.__setattr__(profile, "s", _read_only(arr))
         object.__setattr__(profile, "s_min", self.s_min)
@@ -299,21 +305,24 @@ class _Environment:
     """
 
     def __init__(self, profile, gains, n0_mw, params, senders=slice(None)):
-        self.profile = profile
-        self.gains = gains
-        self.n0_mw = n0_mw
-        self.params = params
-        self.denominators = d = _denominators(senders, profile.mw, gains, n0_mw,
-                                              params.interference)
-        rows = gains[senders]
-        _check_link_inputs(rows, d, params.f_bytes)
+        self.gains, self.n0_mw, self.params = gains, n0_mw, params
+        d = _denominators(senders, profile.mw, gains, n0_mw, params.interference)
+        _check_link_inputs(gains[senders], d, params.f_bytes)
         self.required_k = params.required_degree(profile.n)
-        one_node = not isinstance(senders, slice)
         self.s_eps = sinr_for_prr(params.epsilon_link, params.f_bytes)
-        # SINR at s_max + margin reaches the threshold, without an M x M temporary
+        # SINR at s_max + margin reaches s_eps where gain >= threshold * d
         top_mw = 10.0 ** ((profile.s_max + _CANDIDATE_MARGIN - DBM_OFFSET) / 10.0)
-        candidate = rows >= self.s_eps / top_mw * d
-        if one_node:
+        self.threshold = self.s_eps / top_mw
+        self._focus(profile, senders, d)
+
+    def _focus(self, profile, senders, d):
+        """Point the environment at ``senders`` of ``profile``, with checked
+        rows ``d``: what changes from one node of a coupled sweep to the next."""
+        self.profile, self.denominators = profile, d
+        self.__dict__.pop("_clear_reach", None)  # the last profile's reach
+        rows = self.gains[senders]
+        candidate = rows >= self.threshold * d
+        if not isinstance(senders, slice):
             candidate[senders] = False
             self.columns, self.pads = candidate.nonzero()[0], None
             self.column_gains, self.column_denominators = rows[self.columns], d[self.columns]
@@ -358,46 +367,36 @@ class _Environment:
         return np.concatenate([score(nodes[a:a + step], xs[a:a + step])
                                for a in range(0, xs.size, step)])
 
-    def ncr_and_degree(self, nodes, mw, table):
-        """Per row of a PRR table: NCR and degree."""
-        params = self.params
-        member = table >= params.epsilon_link
-        degree = np.add.reduce(member, axis=1)
-        totals = _row_sums(table, member)
-        if params.ncr_denominator == "members":
-            # a row without members sums to 0.0, and 0.0 / 1 is the 0 it scores
-            return totals / np.maximum(degree, 1), degree
-        size = self._union_sizes(nodes, mw, member)
-        ncr_values = np.divide(totals, size, out=np.zeros(degree.size), where=size > 0)
-        return np.minimum(ncr_values, 1.0, out=ncr_values), degree
-
     @cached_property
     def _clear_reach(self):
-        """Who reaches whom at the profile's powers on the clear channel,
-        where no one's reach depends on another's power: every row's union
-        size comes from this one matrix."""
-        params = self.params
-        return prr_matrix(self.profile.mw, self.gains, self.n0_mw,
-                          params.f_bytes) >= params.epsilon_link
+        """The PRR matrix at the profile's powers on the clear channel, where
+        no one's reach depends on another's power: it serves every row."""
+        return prr_matrix(self.profile.mw, self.gains, self.n0_mw, self.params.f_bytes)
 
     def _union_sizes(self, nodes, mw, member):
         """Per row, how many nodes its members reach between them: the
         printed formula's NCR denominator, which couples the nodes and is off
-        by default.  Under interference each row builds the PRR matrix of its
-        own power."""
+        by default.  Under interference a row builds its members' rows of the
+        PRR matrix at its own power, bitwise the M x M matrix's, after that
+        matrix's checks (every gain, and the noise floor under every row)."""
         params = self.params
+        if params.interference != "none" and member.any():
+            _check_link_inputs(self.gains, np.array([self.n0_mw]), params.f_bytes)
         sizes = np.zeros(member.shape[0], dtype=np.intp)
-        for r, (i, own_mw) in enumerate(zip(nodes.tolist(), mw.tolist())):
+        for r, (i, own_mw) in enumerate(zip(nodes, mw.tolist())):
             if member[r].any():
                 columns = self.columns if self.columns.ndim == 1 else self.columns[i]
+                senders = columns[member[r]]
                 if params.interference == "none":
-                    reach = self._clear_reach
+                    table = self._clear_reach[senders]
                 else:
                     powers = self.profile.mw.copy()
                     powers[i] = own_mw
-                    reach = prr_matrix(powers, self.gains, self.n0_mw, params.f_bytes,
-                                       params.interference) >= params.epsilon_link
-                sizes[r] = np.count_nonzero(reach[columns[member[r]]].any(axis=0))
+                    table = _prr_table(self.gains[senders], powers[senders], _denominators(
+                        senders, powers, self.gains, self.n0_mw, params.interference),
+                        params.f_bytes)
+                    table[np.arange(senders.size), senders] = 0.0
+                sizes[r] = np.count_nonzero((table >= params.epsilon_link).any(axis=0))
         return sizes
 
     def utilities(self, nodes, xs) -> np.ndarray:
@@ -405,13 +404,9 @@ class _Environment:
         return self._by_chunk(self._utility_rows, nodes, xs)
 
     def _utility_rows(self, nodes, xs):
-        params = self.params
         mw, table = self.prr_table(nodes, xs)
-        ncr_values, degree = self.ncr_and_degree(nodes, mw, table)
-        benefit = np.log10(1.0 + params.ncr_scale * ncr_values)
-        # The benefit is finite and >= 0: times False it is 0.0, and 0.0 - cost
-        # is -cost (or +0.0 for -0.0, equal to it, where the cost underflows).
-        return benefit * (degree >= self.required_k) - np.square(xs / params.cost_denominator)
+        return _utility_formula(table, xs, self.params, self.required_k,
+                                lambda member: self._union_sizes(nodes.tolist(), mw, member))
 
     def degrees(self, nodes, xs) -> np.ndarray:
         """Degree of node nodes[r] at strategy value xs[r], for every row r."""
@@ -439,6 +434,25 @@ class _Environment:
         points, floors = self.floors(nodes)
         feasible = floors != INFEASIBLE
         return points, np.where(feasible, floors, self.profile.s_min), feasible
+
+
+def _utility_formula(table, xs, params, k, union_sizes):
+    """The utility of each row of a PRR table at its strategy value xs[r], the
+    one formula of every search; ``union_sizes(member)`` gives union sizes."""
+    member = table >= params.epsilon_link
+    degree = np.add.reduce(member, axis=1)
+    totals = _row_sums(table, member)
+    if params.ncr_denominator == "members":
+        # a row without members sums to 0.0, and 0.0 / 1 is the 0 it scores
+        ncr_values = totals / np.maximum(degree, 1)
+    else:
+        size = union_sizes(member)
+        ncr_values = np.divide(totals, size, out=np.zeros(degree.size), where=size > 0)
+        np.minimum(ncr_values, 1.0, out=ncr_values)
+    benefit = np.log10(1.0 + params.ncr_scale * ncr_values)
+    # The benefit is finite and >= 0: times False it is 0.0, and 0.0 - cost
+    # is -cost (or +0.0 for -0.0, equal to it, where the cost underflows).
+    return benefit * (degree >= k) - np.square(xs / params.cost_denominator)
 
 
 def utility(i: int, profile: StrategyProfile, gains: np.ndarray, n0_mw: float,
@@ -556,27 +570,40 @@ def _best_responses(env, nodes):
 
 
 def _lone_response(env, i):
-    """``_best_responses`` for the one-node group [i], step for step on
-    Python floats and 1-D arrays: (s*, 1 if flagged else 0), bitwise its
-    answer and flag.  It scores the same candidates, in the same order, and
-    the same refinement grids, in the same kernel calls."""
-    profile = env.profile
-    hi = profile.s_max
-    points, lo, feasible = env.strategy_sets([i])
-    lo = float(lo[0])
-    if not feasible[0]:
+    """``_best_responses`` for the one-node group [i], step for step on floats
+    and node i's candidate columns as 1-D arrays: (s*, 1 if flagged else 0),
+    bitwise its answer and flag.  It scores the same rows in the same kernel
+    calls, by ``_utility_formula`` and ``_degree_floors``, with no node index
+    arrays or 2-D views.  With fewer candidate columns than k: s_min at once."""
+    profile, params, k = env.profile, env.params, env.required_k
+    if env.columns.size < k:
+        return profile.s_min, 0
+    hi, chunk = profile.s_max, env.chunk
+    gains, denominators = env.column_gains, env.column_denominators
+    def table(xs):
+        mw = 10.0 ** ((xs - DBM_OFFSET) / 10.0)  # StrategyProfile.mw's operations
+        return mw, _prr_table(gains, mw, denominators, params.f_bytes)
+    def utilities(xs):
+        if xs.size > chunk:  # the environment's bound on a table's memory
+            return np.concatenate([utilities(xs[a:a + chunk]) for a in range(0, xs.size, chunk)])
+        mw, rows = table(xs)
+        return _utility_formula(rows, xs, params, k,
+                                lambda member: env._union_sizes([i] * xs.size, mw, member))
+    points = np.sort(_membership_breakpoints(env.s_eps, denominators, gains))
+    lo = float(_degree_floors(profile, k, points, lambda rows: (
+        np.add.reduce(table(np.array([hi]))[1] >= params.epsilon_link, axis=1))))
+    if lo == INFEASIBLE:
         return profile.s_min, 0
     if not hi - lo > _BR_TOL:
         return hi, 0
     scan = lo + _SCAN_INDEX * ((hi - lo) / (_PRESCAN_SAMPLES - 1))
     scan[-1] = hi
-    points = points[0]
     points = points[(lo < points) & (points < hi)]
     below = points - 1e-9
     incumbent = float(profile.s[i])
     cand = np.concatenate([scan, points, below[below > lo],
                            [incumbent] if lo <= incumbent <= hi else []])
-    values = env.utilities(np.full(cand.size, i), cand)
+    values = utilities(cand)
     flagged = int(_scan_nonunimodal(values[:_PRESCAN_SAMPLES]))
 
     v = values.max()
@@ -584,11 +611,10 @@ def _lone_response(env, i):
     # every candidate lies in [lo, hi], and lo and hi are candidates
     a = float(cand.max(initial=lo, where=cand < x))
     b = float(cand.min(initial=hi, where=cand > x))
-    steps = _refine_steps(env.params)
-    rows = np.full(steps.size - 2, i)
+    steps = _refine_steps(params)
     while b - a > _BR_TOL:
         grid = a + (b - a) * steps
-        scores = env.utilities(rows, grid[1:-1])
+        scores = utilities(grid[1:-1])
         top = int(scores.argmax())
         if scores[top] > v:
             x, v = float(grid[top + 1]), scores[top]
@@ -630,17 +656,31 @@ def _sweep(profile, gains, n0_mw, params, respond):
     profile only through its own incumbent, which no earlier node of the
     sweep changes.  All nodes then answer the sweep's starting profile in
     one group, as they would in turn, and one sweep is the whole solve;
-    otherwise each node answers the profile its predecessors left.
+    otherwise each node answers the profile its predecessors left, in one
+    environment re-pointed at each node.  Under interference R and T
+    (``channel._received``) are rebuilt only after a node moves; a node's row
+    is ``channel._less_own`` of them, ``_denominators``' very operations.
     """
     order = list(range(profile.n))
-    groups = [(slice(None), order)] if _decouples(params) else [(i, [i]) for i in order]
-    flags = 0
-    for senders, nodes in groups:
-        env = _Environment(profile, gains, n0_mw, params, senders)
-        s_star, flagged = respond(env, nodes)
-        flags += flagged
-        for i, s in zip(nodes, np.asarray(s_star).tolist()):
+    if _decouples(params):
+        s_star, flags = respond(_Environment(profile, gains, n0_mw, params), order)
+        for i, s in zip(order, np.asarray(s_star).tolist()):
             profile = profile.with_power(i, s)
+        return profile, flags
+    # every row the sweep builds is at least the noise floor (or NaN): checked here
+    _check_link_inputs(gains, np.array([n0_mw]), params.f_bytes)
+    env = _Environment(profile, gains, n0_mw, params, 0)
+    d, received, flags = env.denominators, None, 0
+    for i in order:
+        if params.interference != "none":
+            if received is None:
+                received, totals = _received(profile.mw, gains)
+            d = _less_own(totals, received[i], n0_mw)
+        env._focus(profile, i, d)
+        [s_star], flagged = respond(env, [i])
+        flags += flagged
+        if (moved := profile.with_power(i, float(s_star))) is not profile:
+            profile, received = moved, None
     return profile, flags
 
 

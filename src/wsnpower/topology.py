@@ -6,7 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import _denominators, _number, _prr_rows, sinr_for_prr, strategy_to_mw
+from .channel import (_check_keys, _denominators, _number, _prr_rows, sinr_for_prr,
+                      strategy_to_mw)
 
 #: Sentinel returned by min_power_for_degree when no power in range reaches k.
 INFEASIBLE = math.inf
@@ -86,13 +87,18 @@ def topology_to_json_dict(topo: Topology) -> dict:
 
 
 def topology_from_json_dict(data: dict) -> Topology:
+    """A layout with exactly the keys ``topology_to_json_dict`` writes (``seed`` 0 if left out)."""
     try:
         nodes = data["nodes"]
         area = data["area"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"topology JSON missing required field: {exc}") from exc
+    _check_keys(data, ("nodes", "area", "seed"), "topology layout")
+    if not isinstance(nodes, list) or not all(isinstance(node, dict) for node in nodes):
+        raise ValueError("topology nodes must be a list of objects")
     rows = []
     for k, node in enumerate(nodes):
+        _check_keys(node, ("id", "x", "y"), f"topology node at index {k}")
         for key in ("id", "x", "y"):
             if key not in node:
                 name = f"id {node['id']}" if "id" in node else f"at index {k}"
@@ -220,21 +226,23 @@ def min_power_for_degree(i: int, profile, gains: np.ndarray, n0_mw: float, f_byt
 
 def _degree_floors(profile, k, points, degrees_at_s_max):
     """``min_power_for_degree`` for every row of ``points``, a (rows x K)
-    array of sorted membership breakpoints padded with +inf.
-    ``degrees_at_s_max(rows)`` gives the degree at s_max of the rows whose
-    b_(k) lies within the slack below s_max, where the k-th link's PRR at
-    s_max can fall a few ulps short of epsilon_link: the degree count that
-    decides feasibility decides.  It is called only when such rows exist."""
+    array of sorted membership breakpoints padded with +inf, or for the one
+    row of a 1-D ``points`` (a 0-d result).  ``degrees_at_s_max(rows)``
+    gives the degree at s_max of the rows whose b_(k) lies within the slack
+    below s_max, where the k-th link's PRR at s_max can fall a few ulps
+    short of epsilon_link: the degree count that decides feasibility
+    decides.  It is called only when such rows exist."""
     if k < 0:
         raise ValueError("required degree must be >= 0")
-    if k == 0 or k > points.shape[1]:
-        return np.full(points.shape[0], profile.s_min if k == 0 else INFEASIBLE)
-    b = points[:, k - 1]
+    if k == 0 or k > points.shape[-1]:
+        return np.full(points.shape[:-1], profile.s_min if k == 0 else INFEASIBLE)
+    b = points[..., k - 1]
     floor = b + _BREAKPOINT_SLACK
     floors = np.where(b > profile.s_max, INFEASIBLE, np.maximum(profile.s_min, floor))
-    edge = np.flatnonzero((b <= profile.s_max) & (floor > profile.s_max))
-    if edge.size:
-        floors[edge] = np.where(degrees_at_s_max(edge) >= k, profile.s_max, INFEASIBLE)
+    edge = (b <= profile.s_max) & (floor > profile.s_max)
+    if edge.any():
+        floors[edge] = np.where(degrees_at_s_max(np.flatnonzero(edge)) >= k, profile.s_max,
+                                INFEASIBLE)
     return floors
 
 

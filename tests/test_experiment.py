@@ -637,11 +637,19 @@ class TestCli:
         (("nodes", 1, "y"), True, "topology node at index 1 y must be a finite number, got True"),
         (("area", 0), str(DESK_AREA[0]), "topology area must be a finite number, got '4.0'"),
         (("seed",), 2.9, "topology seed must be a whole number, got 2.9"),
-    ], ids=["fractional-id", "string-x", "bool-y", "string-area", "fractional-seed"])
+        (("seeds",), 3, "topology layout has unknown key 'seeds'"),
+        (("nodes", 1, "z"), 0.0, "topology node at index 1 has unknown key 'z'"),
+        (("nodes",), {"0": {"id": 0, "x": 1.0, "y": 1.0}},
+         "topology nodes must be a list of objects"),
+    ], ids=["fractional-id", "string-x", "bool-y", "string-area", "fractional-seed",
+            "misspelled-seed", "node-z", "nodes-object"])
     def test_layout_file_numbers_checked(self, tmp_path, capsys, path, value, message):
         # a layout file's numbers pass the config's number rule: before, a
         # fractional id or seed was truncated, and a numeric string or a
-        # bool was read as its value
+        # bool was read as its value.  It holds only the keys save_topology
+        # writes: before, a misspelled seed was ignored (seed 0 when the
+        # file had no other), a node's z was dropped, and nodes given as an
+        # object failed with a TypeError that named no field
         layout = tmp_path / "layout.json"
         topology.save_topology(topology.random_topology(DESK_M, area=DESK_AREA, seed=0), layout)
         with open(layout) as fh:

@@ -62,6 +62,12 @@ class TestStrategyProfile:
         assert prof.mw.tobytes() == channel.strategy_to_mw(prof.s).tobytes()
         bumped = prof.with_power(1, 20.0)
         assert bumped.s[1] == 20.0 and prof.s[1] == 10.0
+        assert bumped is not prof and bumped.mw is not prof.mw
+        # a value that leaves s_i as it is, also after the clip, gives the
+        # profile itself, so that a sweep can tell a move by identity
+        assert prof.with_power(1, 10.0) is prof
+        assert prof.with_power(2, 25.0 + 5e-13) is prof
+        assert prof.with_power(0, np.float64(0.5)) is prof
         with pytest.raises(ValueError):
             prof.with_power(0, 0.1)
 
@@ -668,7 +674,10 @@ class TestBestResponse:
         # One kernel call scores every node's candidates, and each refinement
         # round one more, of P + 2 points per open bracket, for any group
         # size.  The first bracket spans at most two pre-scan intervals, and a
-        # round cuts it to 2 / (P + 3) of its width.
+        # round cuts it to 2 / (P + 3) of its width.  The array search's calls
+        # are those of ``_Environment.utilities``, the scalar search's those of
+        # the utility formula it shares with it, on its own tables.  A node
+        # with fewer candidate columns than k makes none.
         gains, profile, params = _random_game(
             data.draw, 12, interference=data.draw(st.sampled_from(["none", "full"])),
             ncr_denominator=data.draw(st.sampled_from(["members", "union"])))
@@ -687,8 +696,13 @@ class TestBestResponse:
                                   / math.log((points + 3) / 2)))
         calls = []
         for search in searches:
-            with mock.patch.object(env, "utilities", wraps=env.utilities) as utilities:
-                search(env, nodes)
+            kernel = ((env, "utilities") if search is game._best_responses
+                      else (game, "_utility_formula"))
+            with mock.patch.object(*kernel, wraps=getattr(*kernel)) as utilities:
+                s_star = search(env, nodes)[0]
+            if len(nodes) == 1 and env.columns.size < params.required_degree(profile.n):
+                assert utilities.call_count == 0
+                assert np.ravel(s_star).tolist() == [profile.s_min]
             assert utilities.call_count <= 1 + rounds
             for call in utilities.call_args_list[1:]:
                 assert len(call.args[1]) % (points + 2) == 0
@@ -715,6 +729,42 @@ class TestDynamics:
             manual = manual.with_power(i, game.best_response(i, manual, gains, N0, params))
         assert swept.s.tobytes() == manual.s.tobytes()
         assert np.count_nonzero(swept.s > prof.s_min) >= 2
+
+    @settings(deadline=None, max_examples=40)
+    @given(st.data())
+    def test_coupled_solve_equals_fresh_environment_sweeps(self, data):
+        # Under interference solve keeps the received powers and their totals
+        # per profile, answers a node with fewer than k candidate columns at
+        # once and searches on flat arrays.  The reference answers every node
+        # with the array search on a one-node environment built afresh for
+        # it: bitwise the same profile after every sweep, and the same flags.
+        # Layouts up to 300 m wide leave some nodes with no candidate column.
+        draw = data.draw
+        m = draw(st.integers(2, 9))
+        side = draw(st.floats(5.0, 300.0))
+        rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+        topo = topology.random_topology(m, area=(side, side), seed=int(rng.integers(2**31)))
+        model = channel.PathLossModel(shadowing_sigma_db=draw(st.sampled_from([0.0, 4.0])),
+                                      seed=int(rng.integers(2**31)))
+        gains = channel.build_gain_matrix(topo.positions, model)
+        params = game.GameParams(interference="full",
+                                 ncr_denominator=draw(st.sampled_from(["members", "union"])),
+                                 degree_target=draw(st.integers(0, 3)),
+                                 n_iter_max=draw(st.integers(1, 4)))
+        start = (game.StrategyProfile.full_power(m) if draw(st.booleans())
+                 else random_profile(rng, m))
+        result = game.solve(start, gains, N0, params)
+        profile, trace, flags = start, [start.s], 0
+        for _ in range(params.n_iter_max):
+            swept, swept_flags = _one_node_sweep(profile, gains, params, game._best_responses)
+            flags += swept_flags
+            trace.append(swept.s)
+            moved = float(np.max(np.abs(swept.s - profile.s)))
+            profile = swept
+            if moved < game._CONVERGENCE_TOL:
+                break
+        assert [s.tobytes() for s in result.profile_trace] == [s.tobytes() for s in trace]
+        assert result.nonunimodal_events == flags
 
     def test_solve_converges_on_desk(self, desk0_solution):
         result, gains, params = desk0_solution

@@ -415,5 +415,8 @@ def test_group_floors_equal_per_node_floor(data):
     for i in nodes:
         alone = game._Environment(profile, gains, N0, params, i)
         assert alone.floors([i])[1].tolist() == [want[i]]
+        # the node's breakpoints as one 1-D row, as the scalar search takes them
+        assert topology._degree_floors(profile, k, alone.floors([i])[0][0], lambda rows: (
+            alone.degrees([i], [profile.s_max]))).tolist() == want[i]
     if forced and offset == SLACK / 2:
         assert want[f] == profile.s_max
