@@ -40,7 +40,7 @@ def _load_config(args) -> experiment.ScenarioConfig:
     data = topology._read_json(args.config, parse_constant=_reject_constant)
     if not isinstance(data, dict):
         raise ValueError(f"config must be a JSON object, got {type(data).__name__}")
-    if args.modes:
+    if args.modes is not None:
         data["modes"] = list(_parse_modes(args.modes))
     if args.seed_override is not None:
         # One switch re-seeds the whole scenario: layout, shadowing, traffic.

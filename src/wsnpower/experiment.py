@@ -192,7 +192,7 @@ class SimulationReport:
         }
 
 
-def _run_mode(mode, config, gains, digest, continuous_result, full_mat):
+def _run_mode(mode, config, gains, digest, continuous_result, full_mat, post):
     params = config.game_params
     n0 = config.noise.n0_mw
     full = game.StrategyProfile.full_power(gains.shape[0])
@@ -204,10 +204,9 @@ def _run_mode(mode, config, gains, digest, continuous_result, full_mat):
         result = dataclasses.replace(
             continuous_result,
             profile=profile,
-            potential_trace=continuous_result.potential_trace
-            + [game.potential(profile, gains, n0, params)],
+            potential_trace=continuous_result.potential_trace + [post.at(profile).potential()],
             profile_trace=continuous_result.profile_trace + [np.array(profile.s)],
-            per_node_feasible=game._per_node_feasible(profile, gains, n0, params),
+            per_node_feasible=post.strategy_sets[2].tolist(),
         )
     elif mode == "discretized-game":
         result = solve_discrete(full, gains, n0, params, config.levels)
@@ -215,9 +214,9 @@ def _run_mode(mode, config, gains, digest, continuous_result, full_mat):
         result = game.EquilibriumResult(
             profile=full,
             sweeps_used=0,
-            potential_trace=[game.potential(full, gains, n0, params)],
+            potential_trace=[post.at(full).potential()],
             converged=True,
-            per_node_feasible=game._per_node_feasible(full, gains, n0, params),
+            per_node_feasible=post.strategy_sets[2].tolist(),
             profile_trace=[np.array(full.s)],
         )
 
@@ -267,7 +266,8 @@ def run_scenario(config: ScenarioConfig) -> SimulationReport:
     if needs_continuous:
         continuous_result = game.solve(full, gains, n0, params)
 
-    sections = {mode: _run_mode(mode, config, gains, digest, continuous_result, full_mat)
+    post = game._Environment(full, gains, n0, params)  # for the rounded and full-power modes
+    sections = {mode: _run_mode(mode, config, gains, digest, continuous_result, full_mat, post)
                 for mode in config.modes}
 
     deltas = {}

@@ -27,9 +27,10 @@ identical to sequential Gauss-Seidel, and a second pass could only confirm
 the first: ``solve`` and ``solve_discrete`` answer a decoupled game in one
 pass.  The union denominator and concurrent interference keep one node at a
 time and sweep until no node moves, keeping the interference totals of the
-profile until a node moves (``_sweep``).  The potential, the feasibility
-flags and the equilibrium check evaluate every node against its fixed
-profile as one chunked table in either mode.
+profile until a node moves (``_sweep``).  A solve re-points one environment
+at each sweep's profile, so on the clear channel it computes each node's
+strategy set once.  The potential, the feasibility flags and the equilibrium
+check evaluate every node against its fixed profile as one chunked table.
 
 A best response evaluates its pre-scan, membership-breakpoint and incumbent
 candidates in one kernel table, then refines the bracket around the best of
@@ -285,11 +286,17 @@ class _Environment:
     The kernel sees only each node's candidate receivers: the columns j != i
     whose SINR at s_max + ``_CANDIDATE_MARGIN`` reaches the epsilon-PRR
     threshold (every column when that is 0).  PRR rises with own power, so
-    no other column holds a member in range, nor a breakpoint (``floors``)
-    at or below s_max.  One node keeps a 1-D index, a group an (M x K) index
-    padded with each node's own column, whose PRRs are forced to 0; its zero
-    gain puts its breakpoint at +inf.  The inputs are checked once here, over
-    the full gain rows and the denominators.
+    no other column holds a member in range, nor a breakpoint
+    (``strategy_sets``) at or below s_max.  One node keeps a 1-D index, a
+    group an (M x K) index padded with each node's own column, whose PRRs
+    are forced to 0; its zero gain puts its breakpoint at +inf.  Every gain
+    and the noise floor are checked once here: any row built from them, at
+    any profile, is at least the noise floor (or NaN).
+
+    ``at`` re-points a group environment at a solve's next profile.  On the
+    clear channel only the reach changes: no profile moves the candidate
+    columns or the strategy sets (breakpoints, floors, feasibility).  Under
+    interference it takes a new focus, as each node of a coupled sweep does.
 
     Per chunk of rows, each a pair (node, strategy value), one unchecked
     ``channel._prr_table`` call builds a (rows x K) table, reduced and scored
@@ -305,21 +312,22 @@ class _Environment:
     """
 
     def __init__(self, profile, gains, n0_mw, params, senders=slice(None)):
+        _check_link_inputs(gains, np.array([n0_mw]), params.f_bytes)
         self.gains, self.n0_mw, self.params = gains, n0_mw, params
-        d = _denominators(senders, profile.mw, gains, n0_mw, params.interference)
-        _check_link_inputs(gains[senders], d, params.f_bytes)
         self.required_k = params.required_degree(profile.n)
         self.s_eps = sinr_for_prr(params.epsilon_link, params.f_bytes)
         # SINR at s_max + margin reaches s_eps where gain >= threshold * d
         top_mw = 10.0 ** ((profile.s_max + _CANDIDATE_MARGIN - DBM_OFFSET) / 10.0)
         self.threshold = self.s_eps / top_mw
-        self._focus(profile, senders, d)
+        self._focus(profile, senders, _denominators(senders, profile.mw, gains, n0_mw,
+                                                    params.interference))
 
     def _focus(self, profile, senders, d):
-        """Point the environment at ``senders`` of ``profile``, with checked
-        rows ``d``: what changes from one node of a coupled sweep to the next."""
+        """Point the environment at ``senders`` of ``profile``, with rows ``d``:
+        what changes from one node of a coupled sweep to the next."""
         self.profile, self.denominators = profile, d
-        self.__dict__.pop("_clear_reach", None)  # the last profile's reach
+        for name in ("_clear_reach", "strategy_sets"):  # cached for the last focus
+            self.__dict__.pop(name, None)
         rows = self.gains[senders]
         candidate = rows >= self.threshold * d
         if not isinstance(senders, slice):
@@ -336,21 +344,24 @@ class _Environment:
         # rows per kernel table
         self.chunk = max(1, min(_CHUNK_ROWS, _CHUNK_CELLS // max(1, self.columns.shape[-1])))
 
-    def _column_rows(self, nodes):
-        """(Gains, denominators) of the rows' candidate columns, as
-        ``channel._prr_table`` and ``_membership_breakpoints`` broadcast them."""
-        gains, denominators = self.column_gains, self.column_denominators
-        if gains.ndim == 2:
-            gains = gains[nodes]
-            if denominators.ndim == 2:
-                denominators = denominators[nodes]
-        return gains, denominators
+    def at(self, profile):
+        """This group environment, re-pointed at ``profile`` (of the same bounds)."""
+        if self.params.interference != "none":
+            self._focus(profile, slice(None), _denominators(
+                slice(None), profile.mw, self.gains, self.n0_mw, self.params.interference))
+        self.profile = profile
+        self.__dict__.pop("_clear_reach", None)
+        return self
 
     def prr_table(self, nodes, xs):
         """(own mW per row, rows x K PRR table over the rows' candidate columns)."""
         # StrategyProfile.mw's operations
         mw = 10.0 ** ((np.asarray(xs, dtype=float) - DBM_OFFSET) / 10.0)
-        gains, denominators = self._column_rows(nodes)
+        gains, denominators = self.column_gains, self.column_denominators
+        if gains.ndim == 2:
+            gains = gains[nodes]
+            if denominators.ndim == 2:
+                denominators = denominators[nodes]
         table = _prr_table(gains, mw, denominators, self.params.f_bytes)
         if self.pads is not None:
             table[self.pads[nodes]] = 0.0
@@ -377,11 +388,8 @@ class _Environment:
         """Per row, how many nodes its members reach between them: the
         printed formula's NCR denominator, which couples the nodes and is off
         by default.  Under interference a row builds its members' rows of the
-        PRR matrix at its own power, bitwise the M x M matrix's, after that
-        matrix's checks (every gain, and the noise floor under every row)."""
+        PRR matrix at its own power, bitwise the M x M matrix's."""
         params = self.params
-        if params.interference != "none" and member.any():
-            _check_link_inputs(self.gains, np.array([self.n0_mw]), params.f_bytes)
         sizes = np.zeros(member.shape[0], dtype=np.intp)
         for r, (i, own_mw) in enumerate(zip(nodes, mw.tolist())):
             if member[r].any():
@@ -414,24 +422,24 @@ class _Environment:
         return self._by_chunk(lambda part_nodes, part_xs: np.add.reduce(
             self.prr_table(part_nodes, part_xs)[1] >= eps, axis=1), nodes, xs)
 
-    def floors(self, nodes):
-        """(Each node's membership breakpoints over its candidate columns,
-        sorted, one row per node padded with +inf; each node's degree floor,
-        as ``topology.min_power_for_degree`` gives it)."""
-        nodes = np.asarray(nodes, dtype=np.intp)
-        gains, denominators = self._column_rows(nodes)
+    def potential(self) -> float:
+        """``potential`` of a whole-group environment's profile."""
+        return float(sum(self.utilities(np.arange(self.profile.n), self.profile.s).tolist()))
+
+    @cached_property
+    def strategy_sets(self):
+        """Each focus node's strategy set [lower, s_max], the one rule the
+        searches and checks play on: (its membership breakpoints over its
+        candidate columns, sorted, one row per node padded with +inf; lower, its
+        degree floor as ``topology.min_power_for_degree`` gives it, max(s_min,
+        floor_i) already, or s_min for an infeasible node, which plays the whole
+        range; whether it is feasible, i.e. its floor is finite).  Row r is node
+        r of a group; a lone node's table reads no node index."""
+        gains, denominators = self.column_gains, self.column_denominators
         points = np.atleast_2d(_membership_breakpoints(self.s_eps, denominators, gains))
         points.sort(axis=1)
-        return points, _degree_floors(self.profile, self.required_k, points, lambda rows: (
-            self.degrees(nodes[rows], np.full(rows.size, self.profile.s_max))))
-
-    def strategy_sets(self, nodes):
-        """Each node's strategy set [lower, s_max], the one rule the searches
-        and checks play on: (``floors``' breakpoints; lower, the node's floor,
-        which is max(s_min, floor_i) already, or s_min for an infeasible node,
-        which plays the whole range; whether the node is feasible, i.e. its
-        floor is finite)."""
-        points, floors = self.floors(nodes)
+        floors = _degree_floors(self.profile, self.required_k, points, lambda rows: (
+            self.degrees(rows, np.full(rows.size, self.profile.s_max))))
         feasible = floors != INFEASIBLE
         return points, np.where(feasible, floors, self.profile.s_min), feasible
 
@@ -472,8 +480,7 @@ def potential(profile: StrategyProfile, gains: np.ndarray, n0_mw: float,
     ``utility`` does.  It is an exact potential on the strategy sets
     [max(s_min, floor_i), s_max] (the whole range for an infeasible node)
     when the game decouples."""
-    env = _Environment(profile, gains, n0_mw, params)
-    return float(sum(env.utilities(np.arange(profile.n), profile.s).tolist()))
+    return _Environment(profile, gains, n0_mw, params).potential()
 
 
 def _scan_nonunimodal(values, atol: float = 1e-12):
@@ -501,8 +508,8 @@ def _best_responses(env, nodes):
 
     One kernel call scores every node's candidates: the pre-scan, the
     membership breakpoints (and points 1e-9 below them) and the incumbent,
-    since none depends on another's value.  One ``_Environment.strategy_sets``
-    call gives the whole group's breakpoints and strategy sets.  The unsorted
+    since none depends on another's value.  ``nodes`` is the environment's
+    focus, whose breakpoints and sets ``strategy_sets`` holds.  The unsorted
     table holds the pre-scan in its first ``_PRESCAN_SAMPLES`` columns and
     pads the other candidates' rows with +inf.  Every finite candidate goes
     to the kernel, copies too, since copies score bitwise alike.  The answer
@@ -523,7 +530,7 @@ def _best_responses(env, nodes):
     profile = env.profile
     hi = profile.s_max
     nodes = np.asarray(nodes, dtype=np.intp)
-    points, lo, feasible = env.strategy_sets(nodes)
+    points, lo, feasible = env.strategy_sets
     # Infeasible: the cost-only branch everywhere, so spend as little as
     # allowed.  A range within _BR_TOL answers its top.
     s_star = np.where(feasible, hi, profile.s_min)
@@ -640,14 +647,7 @@ def best_response(i: int, profile: StrategyProfile, gains: np.ndarray, n0_mw: fl
     return float(_lone_response(env, i)[0])
 
 
-def _per_node_feasible(profile, gains, n0_mw, params):
-    """Whether each node can reach its degree floor at some power in range,
-    as ``_Environment.strategy_sets`` decides it."""
-    env = _Environment(profile, gains, n0_mw, params)
-    return env.strategy_sets(np.arange(profile.n))[2].tolist()
-
-
-def _sweep(profile, gains, n0_mw, params, respond):
+def _sweep(profile, env, respond):
     """One pass of best responses in index order; ``respond(env, nodes)``
     answers a group of nodes with (s* per node, how many flagged).
     Returns the new profile and the flag count.
@@ -655,63 +655,62 @@ def _sweep(profile, gains, n0_mw, params, respond):
     When the game decouples, a node's response depends on the rest of the
     profile only through its own incumbent, which no earlier node of the
     sweep changes.  All nodes then answer the sweep's starting profile in
-    one group, as they would in turn, and one sweep is the whole solve;
-    otherwise each node answers the profile its predecessors left, in one
-    environment re-pointed at each node.  Under interference R and T
-    (``channel._received``) are rebuilt only after a node moves; a node's row
-    is ``channel._less_own`` of them, ``_denominators``' very operations.
+    one group, ``env`` at ``profile``, as they would in turn, and one sweep
+    is the whole solve; otherwise each node answers the profile its
+    predecessors left, in one environment re-pointed at each node.  Under interference R and T
+    (``channel._received``) are rebuilt only after a node moves; a node's
+    row is ``channel._less_own`` of them, ``_denominators``' very operations.
     """
     order = list(range(profile.n))
-    if _decouples(params):
-        s_star, flags = respond(_Environment(profile, gains, n0_mw, params), order)
+    if _decouples(env.params):
+        s_star, flags = respond(env, order)
         for i, s in zip(order, np.asarray(s_star).tolist()):
             profile = profile.with_power(i, s)
         return profile, flags
-    # every row the sweep builds is at least the noise floor (or NaN): checked here
-    _check_link_inputs(gains, np.array([n0_mw]), params.f_bytes)
-    env = _Environment(profile, gains, n0_mw, params, 0)
-    d, received, flags = env.denominators, None, 0
+    lone = _Environment(profile, env.gains, env.n0_mw, env.params, 0)
+    d, received, flags = lone.denominators, None, 0
     for i in order:
-        if params.interference != "none":
+        if env.params.interference != "none":
             if received is None:
-                received, totals = _received(profile.mw, gains)
-            d = _less_own(totals, received[i], n0_mw)
-        env._focus(profile, i, d)
-        [s_star], flagged = respond(env, [i])
+                received, totals = _received(profile.mw, env.gains)
+            d = _less_own(totals, received[i], env.n0_mw)
+        lone._focus(profile, i, d)
+        [s_star], flagged = respond(lone, [i])
         flags += flagged
         if (moved := profile.with_power(i, float(s_star))) is not profile:
             profile, received = moved, None
     return profile, flags
 
 
-def _iterate(profile0, gains, n0_mw, params, respond) -> EquilibriumResult:
+def _iterate(profile0, env, respond) -> EquilibriumResult:
     """Sweep until no node moves by ``_CONVERGENCE_TOL`` or n_iter_max sweeps ran.
 
-    Both the continuous and the discrete game sweep here.  A decoupled game
-    stops after its first sweep, converged: a second sweep could only
-    confirm the first (see ``_sweep``).  Only there does the exact potential
+    Both the continuous and the discrete game sweep here, from ``env`` at
+    ``profile0``, re-pointed at each sweep's result.  A decoupled game stops
+    after its first sweep, converged: a second sweep could only confirm the
+    first (see ``_sweep``).  Only there does the exact potential
     guarantee the ascent; a coupled game can cycle until n_iter_max.
     """
     current = profile0
-    trace = [potential(current, gains, n0_mw, params)]
+    trace = [env.potential()]
     profiles = [np.array(current.s)]
     flags = sweeps = 0
     converged = False
-    while sweeps < params.n_iter_max and not converged:
-        new_profile, sweep_flags = _sweep(current, gains, n0_mw, params, respond)
+    while sweeps < env.params.n_iter_max and not converged:
+        new_profile, sweep_flags = _sweep(current, env, respond)
         sweeps += 1
         flags += sweep_flags
-        trace.append(potential(new_profile, gains, n0_mw, params))
+        trace.append(env.at(new_profile).potential())
         profiles.append(np.array(new_profile.s))
         moved = float(np.max(np.abs(new_profile.s - current.s)))
-        converged = _decouples(params) or moved < _CONVERGENCE_TOL
+        converged = _decouples(env.params) or moved < _CONVERGENCE_TOL
         current = new_profile
     return EquilibriumResult(
         profile=current,
         sweeps_used=sweeps,
         potential_trace=trace,
         converged=converged,
-        per_node_feasible=_per_node_feasible(current, gains, n0_mw, params),
+        per_node_feasible=env.strategy_sets[2].tolist(),
         nonunimodal_events=flags,
         profile_trace=profiles,
     )
@@ -724,7 +723,7 @@ def solve(profile0: StrategyProfile, gains: np.ndarray, n0_mw: float,
     A decoupled game takes one lockstep pass (see ``_iterate``); a coupled
     game's non-convergence within n_iter_max sweeps is reported, not raised.
     """
-    return _iterate(profile0, gains, n0_mw, params, _respond)
+    return _iterate(profile0, _Environment(profile0, gains, n0_mw, params), _respond)
 
 
 def verify_equilibrium(profile: StrategyProfile, gains: np.ndarray, n0_mw: float,
@@ -734,21 +733,21 @@ def verify_equilibrium(profile: StrategyProfile, gains: np.ndarray, n0_mw: float
 
     Node i's deviations are the grid points in [max(s_min, floor_i), s_max]
     plus that lower end, where floor_i is the floor the best response
-    searches above (one ``_Environment.strategy_sets`` call gives every
+    searches above (one ``_Environment.strategy_sets`` gives every
     node's); an infeasible node scans the whole grid.  Every node's current
     value and deviations go through one chunked kernel table.
 
     Returns (passed, worst_improvement): passed is True when no deviation
     improves any node's utility by more than epsilon.
     """
-    if grid_step <= 0:
+    if not grid_step > 0:
         raise ValueError("grid step must be positive")
     grid = np.arange(profile.s_min, profile.s_max, grid_step)
     if grid.size == 0 or grid[-1] < profile.s_max:
         grid = np.append(grid, profile.s_max)
     n = profile.n
     env = _Environment(profile, gains, n0_mw, params)
-    lo = env.strategy_sets(np.arange(n))[1]
+    lo = env.strategy_sets[1]
     xs = np.column_stack([profile.s, lo, np.broadcast_to(grid, (n, grid.size))])
     scan = xs >= lo[:, None]
     scan[:, 0] = True

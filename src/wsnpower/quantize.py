@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import DBM_OFFSET, _check_keys, _number
-from .game import EquilibriumResult, GameParams, StrategyProfile, _iterate
+from .game import EquilibriumResult, GameParams, StrategyProfile, _Environment, _iterate
 
 DBM_FLOOR = -25.0
 DBM_CEIL = 0.0
@@ -76,7 +76,7 @@ def _level_responses(usable):
     xs = np.array(usable) + DBM_OFFSET
 
     def respond(env, nodes):
-        scored = xs >= env.strategy_sets(nodes)[1][:, None]
+        scored = xs >= env.strategy_sets[1][:, None]
         scored[~scored.any(axis=1)] = True
         values = np.full(scored.shape, -np.inf)
         values[scored] = env.utilities(np.repeat(nodes, scored.sum(axis=1)),
@@ -97,7 +97,7 @@ def solve_discrete(profile0: StrategyProfile, gains: np.ndarray, n0_mw: float,
     """
     start = discretize_profile(profile0, levels)
     usable = _usable_levels(levels, start.s_min, start.s_max)
-    return _iterate(start, gains, n0_mw, params, _level_responses(usable))
+    return _iterate(start, _Environment(start, gains, n0_mw, params), _level_responses(usable))
 
 
 @dataclass(frozen=True)

@@ -152,6 +152,43 @@ class TestRunScenario:
         experiment.run_scenario(desk_config(modes=modes, receiver_policy=policy))
         assert len(calls) <= len(modes) + 1
 
+    def test_one_environment_per_solve(self, monkeypatch):
+        # A default run builds one game environment for each of its two
+        # solves and one for its post-steps (the rounded and the full-power
+        # profile); on the clear channel each computes its strategy sets once.
+        builds, sets = [], []
+        init = game._Environment.__init__
+        monkeypatch.setattr(game._Environment, "__init__",
+                            lambda env, *args: builds.append(None) or init(env, *args))
+        cached = game._Environment.__dict__["strategy_sets"]
+        strategy_sets = cached.func
+        monkeypatch.setattr(cached, "func", lambda env: sets.append(None) or strategy_sets(env))
+        experiment.run_scenario(experiment.simulation_default())
+        assert len(builds) <= 3
+        assert len(sets) <= 3
+
+    @pytest.mark.parametrize("interference", ["none", "full"])
+    def test_each_modes_feasibility_flags(self, interference):
+        # Each mode's flags are those of its own profile's strategy sets.  On
+        # the clear channel the sets do not depend on the profile, so every
+        # mode has the same flags; under interference (CI's coupled config)
+        # the floors move with the profile, and the modes' flags differ.
+        data = experiment.simulation_default().to_json_dict()
+        if interference == "full":
+            data["game"].update(interference="full", degree_target=1, n_iter_max=20)
+            data["topology"].update(m=40, area=[200.0, 200.0])
+        config = experiment.ScenarioConfig.from_json_dict(data)
+        report = experiment.run_scenario(config)
+        gains = channel.build_gain_matrix(config.build_topology().positions, config.path_loss)
+        flags = set()
+        for sec in report.sections.values():
+            fresh = game._Environment(sec.result.profile, gains, config.noise.n0_mw,
+                                      config.game_params)
+            assert sec.result.per_node_feasible == fresh.strategy_sets[2].tolist()
+            flags.add(tuple(sec.result.per_node_feasible))
+        assert (len(flags) == 1) == (interference == "none")
+        assert not all(flags.pop())
+
     def test_connectivity_checks_agree(self, desk_report):
         # The run decides connectivity by BFS; the spectral check on each
         # mode's adjacency agrees with it.
@@ -353,11 +390,15 @@ class TestCli:
         assert list(data["modes"]) == ["full-power"]
 
     def test_run_rejects_unknown_mode(self, tmp_path, capsys):
+        # an empty list, written any way, selects no mode rather than all
         config = write_config(tmp_path)
-        code = cli.main(["run", "--config", config, "--out", str(tmp_path / "x"),
-                         "--modes", "sideways"])
-        assert code == 2
-        assert "error" in capsys.readouterr().err
+        for modes, message in (("sideways", "error"), ("", "at least one mode"),
+                               (",", "at least one mode"), (" ", "at least one mode")):
+            code = cli.main(["run", "--config", config, "--out", str(tmp_path / "x"),
+                             "--modes", modes])
+            assert code == 2
+            assert message in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
     def test_seed_override_changes_topology(self, tmp_path, capsys):
         config = write_config(tmp_path, modes=("full-power",))

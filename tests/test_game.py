@@ -449,7 +449,7 @@ class TestKernel:
         denom = channel._denominators(i, profile.mw, gains, N0, params.interference)
         breakpoints = {j: 25.0 + 10.0 * math.log10(s_eps * denom[j] / gains[i, j])
                        for j in range(m) if j != i and gains[i, j] > 0.0}
-        points = env.floors([i])[0][0]
+        points = env.strategy_sets[0][i]
         want = sorted(breakpoints[j] for j in columns.tolist())
         assert points[:columns.size] == pytest.approx(want, rel=0.0, abs=1e-12)
         assert np.all(points[columns.size:] == np.inf)
@@ -488,6 +488,11 @@ def _random_game(draw, max_m, **params):
     return gains, profile, params
 
 
+def _sweep(profile, gains, params, respond):
+    """``game._sweep`` from a group environment built at ``profile``."""
+    return game._sweep(profile, game._Environment(profile, gains, N0, params), respond)
+
+
 def _one_node_sweep(profile, gains, params, respond):
     """A sweep in which every node answers on its own, in index order."""
     flags = 0
@@ -514,7 +519,7 @@ class TestLockstep:
         if usable:
             games.append(_level_responses(usable))
         for respond in games:
-            lockstep, lockstep_flags = game._sweep(profile, gains, N0, params, respond)
+            lockstep, lockstep_flags = _sweep(profile, gains, params, respond)
             alone, alone_flags = _one_node_sweep(profile, gains, params, respond)
             assert lockstep.s.tobytes() == alone.s.tobytes()
             assert lockstep_flags == alone_flags
@@ -530,8 +535,7 @@ class TestLockstep:
         profile = game.StrategyProfile(np.full(30, s_max), s_min=s_min, s_max=s_max)
         params = game.GameParams(degree_target=0)
         with mock.patch.object(game, "_BR_TOL", 1e-13):
-            lockstep, lockstep_flags = game._sweep(profile, gains, N0, params,
-                                                   game._best_responses)
+            lockstep, lockstep_flags = _sweep(profile, gains, params, game._best_responses)
             alone, alone_flags = _one_node_sweep(profile, gains, params, game._best_responses)
         assert lockstep.s.tobytes() == alone.s.tobytes()
         assert lockstep_flags == alone_flags
@@ -546,7 +550,7 @@ class TestLockstep:
         utils = [_reference_row_and_utility(i, profile, gains, params, profile.s[i])[1]
                  for i in range(m)]
         assert game.potential(profile, gains, N0, params) == float(sum(utils))
-        assert game._per_node_feasible(profile, gains, N0, params) == [
+        assert game._Environment(profile, gains, N0, params).strategy_sets[2].tolist() == [
             k == 0 or topology.degree_at_power(i, profile.s_max, profile, gains, N0,
                                                params.f_bytes, params.epsilon_link,
                                                params.interference) >= k
@@ -713,6 +717,40 @@ class TestBestResponse:
         assert calls[1:] in ([], calls[:1])
 
 
+def _layout_12():
+    """12 shadowed nodes on 40 x 40 m, for the union and bounded solves."""
+    topo = topology.random_topology(12, area=(40.0, 40.0), seed=7)
+    return channel.build_gain_matrix(topo.positions,
+                                     channel.PathLossModel(shadowing_sigma_db=4.0, seed=7))
+
+
+# "<interference>-<denominator>": (sweeps, converged, continuous s, discrete
+# sweeps, discrete s, infeasible nodes) of solve and solve_discrete from
+# np.linspace(5, 20, 12) in [5, 20] on ``_layout_12``.
+BOUNDED_SOLVES = {
+    "none-members": (
+        1, True, [11.957256501720986, 14.995342837010204, 14.307648347833915, 11.9831154214709,
+                  16.754440303169314, 13.009759361944049, 12.757766380875884, 11.957256401720986,
+                  19.55815859863415, 7.215905197712622, 11.132080934995292, 14.370622832278002],
+        1, [12.0, 14.0, 14.0, 11.0, 16.0, 13.0, 12.0, 14.0, 19.0, 8.0, 11.0, 14.0], []),
+    "none-union": (
+        3, True, [11.957256501720986, 15.990162770832887, 13.958470114382466, 11.9831154214709,
+                  16.754440303169314, 12.254795028703413, 12.757766380875884, 14.908890353514524,
+                  14.655142632251515, 7.215905197712622, 10.675973481101744, 14.370622832278002],
+        3, [12.0, 16.0, 14.0, 11.0, 16.0, 12.0, 12.0, 14.0, 15.0, 8.0, 11.0, 14.0], []),
+    "full-members": (
+        7, True, [17.818063198339523, 5.0, 20.0, 19.742262305890428, 5.0, 20.0, 5.0, 5.0, 5.0,
+                  12.22041410370987, 20.0, 5.0],
+        4, [18.0, 5.0, 20.0, 20.0, 5.0, 20.0, 5.0, 5.0, 5.0, 12.0, 20.0, 5.0],
+        [1, 4, 6, 7, 8, 11]),
+    "full-union": (
+        10, False, [17.808923052105975, 5.0, 17.253227118228846, 19.699413337836823, 5.0, 20.0,
+                    5.0, 5.0, 5.0, 11.944314743176706, 20.0, 5.0],
+        7, [18.0, 5.0, 20.0, 20.0, 5.0, 20.0, 5.0, 5.0, 5.0, 12.0, 20.0, 5.0],
+        [1, 4, 6, 7, 8, 11]),
+}
+
+
 class TestDynamics:
     @pytest.mark.parametrize("interference", ["none", "full"], ids=["decoupled", "coupled"])
     def test_sweep_is_sequential_best_response(self, interference):
@@ -723,7 +761,7 @@ class TestDynamics:
         _, gains = build_desk(3)
         params = game.GameParams(interference=interference, degree_target=1)
         prof = random_profile(rng, 10)
-        swept, _ = game._sweep(prof, gains, N0, params, game._best_responses)
+        swept, _ = _sweep(prof, gains, params, game._best_responses)
         manual = prof
         for i in range(10):
             manual = manual.with_power(i, game.best_response(i, manual, gains, N0, params))
@@ -818,14 +856,51 @@ class TestDynamics:
                  else random_profile(rng, m))
         result = game.solve(start, gains, N0, params)
         assert result.sweeps_used == 1 and result.converged
-        again, _ = game._sweep(result.profile, gains, N0, params, game._best_responses)
+        again, _ = _sweep(result.profile, gains, params, game._best_responses)
         assert np.max(np.abs(again.s - result.profile.s)) < game._CONVERGENCE_TOL
         levels = DiscreteLevelSet()
         discrete = solve_discrete(start, gains, N0, params, levels)
         assert discrete.sweeps_used == 1 and discrete.converged
         usable = [v for v in levels.levels_dbm if start.s_min <= v + 25.0 <= start.s_max]
-        swept, _ = game._sweep(discrete.profile, gains, N0, params, _level_responses(usable))
+        swept, _ = _sweep(discrete.profile, gains, params, _level_responses(usable))
         assert swept.s.tobytes() == discrete.profile.s.tobytes()
+
+    @pytest.mark.parametrize("interference", ["none", "full"])
+    def test_potential_trace_is_each_profiles_potential(self, interference):
+        # A solve re-points one environment at each sweep's profile.  The
+        # union denominator reads that profile's reach, on the clear channel
+        # too, so each trace entry is bitwise the potential of a fresh build.
+        gains = _layout_12()
+        params = game.GameParams(interference=interference, ncr_denominator="union",
+                                 degree_target=1, n_iter_max=10)
+        start = game.StrategyProfile.full_power(12)
+        for result in (game.solve(start, gains, N0, params),
+                       solve_discrete(start, gains, N0, params, DiscreteLevelSet())):
+            assert result.sweeps_used >= 2
+            want = [game.potential(game.StrategyProfile(s), gains, N0, params)
+                    for s in result.profile_trace]
+            assert np.array(result.potential_trace).tobytes() == np.array(want).tobytes()
+
+    @pytest.mark.parametrize("case", sorted(BOUNDED_SOLVES))
+    def test_solve_within_custom_bounds(self, case):
+        # Every environment of these solves plays on [5, 20], not on the
+        # default bounds; frozen reference values.  The continuous answers
+        # are compared within _BR_TOL, the width at which a search stops.
+        interference, denominator = case.split("-")
+        params = game.GameParams(interference=interference, ncr_denominator=denominator,
+                                 degree_target=1 if interference == "full" else 2,
+                                 n_iter_max=10)
+        start = game.StrategyProfile(np.linspace(5.0, 20.0, 12), s_min=5.0, s_max=20.0)
+        gains = _layout_12()
+        result = game.solve(start, gains, N0, params)
+        discrete = solve_discrete(start, gains, N0, params, DiscreteLevelSet())
+        sweeps, converged, s, discrete_sweeps, discrete_s, infeasible = BOUNDED_SOLVES[case]
+        assert (result.sweeps_used, result.converged) == (sweeps, converged)
+        assert result.profile.s == pytest.approx(s, rel=0.0, abs=game._BR_TOL)
+        assert (discrete.sweeps_used, discrete.converged) == (discrete_sweeps, True)
+        assert discrete.profile.s.tolist() == discrete_s
+        for flags in (result.per_node_feasible, discrete.per_node_feasible):
+            assert [i for i, ok in enumerate(flags) if not ok] == infeasible
 
     def test_fixed_point_property(self, desk0_solution):
         result, gains, params = desk0_solution
@@ -837,6 +912,12 @@ class TestDynamics:
 
 
 class TestVerification:
+    @pytest.mark.parametrize("step", [0.0, -0.05, math.nan])
+    def test_grid_step_must_be_positive(self, step, desk0_solution):
+        result, gains, params = desk0_solution
+        with pytest.raises(ValueError, match="grid step must be positive"):
+            game.verify_equilibrium(result.profile, gains, N0, params, grid_step=step)
+
     def test_converged_profile_verifies(self, desk0_solution):
         result, gains, params = desk0_solution
         passed, worst = game.verify_equilibrium(result.profile, gains, N0, params)

@@ -269,8 +269,8 @@ def _check_floors(profile, gains, eps, interference):
     At the floor the degree is at least k, both by ``degree_at_power`` and by
     the game's PRR table; 2 * slack below a floor above s_min it is short of
     k; an INFEASIBLE floor leaves it short of k at s_max - 2 * slack.  And
-    ``_per_node_feasible``, the finiteness of the group's
-    ``_Environment.floors``, agrees with each per-node floor being finite.
+    the group's ``_Environment.strategy_sets`` feasibility, the finiteness
+    of its floors, agrees with each per-node floor being finite.
     """
     m = gains.shape[0]
     for k in range(m + 1):
@@ -278,7 +278,7 @@ def _check_floors(profile, gains, eps, interference):
         env = game._Environment(profile, gains, N0, params)
         floors = [topology.min_power_for_degree(i, profile, gains, N0, 25, eps, k,
                                                 interference) for i in range(m)]
-        assert game._per_node_feasible(profile, gains, N0, params) == [
+        assert env.strategy_sets[2].tolist() == [
             f != topology.INFEASIBLE for f in floors]
         for i, floor in enumerate(floors):
 
@@ -353,7 +353,7 @@ def test_floor_and_feasibility_agree_across_s_max():
         gains[0, 1] = gains[1, 0] = g
         gains[0, 2:] = gains[2:, 0] = g * 1e-3
         floor = topology.min_power_for_degree(0, full, gains, N0, 25, 0.01, 1)
-        feasible = game._per_node_feasible(full, gains, N0, params)[0]
+        feasible = bool(game._Environment(full, gains, N0, params).strategy_sets[2][0])
         assert floor == (full.s_max if feasible else topology.INFEASIBLE)
         assert game.best_response(0, full, gains, N0, params) == (
             full.s_max if feasible else full.s_min)
@@ -378,11 +378,19 @@ def test_floor_is_the_kth_breakpoint_on_random_layouts(data):
     _check_floors(profile, gains, eps, interference)
 
 
+def _floors(env):
+    """The degree floors of the environment's strategy sets, INFEASIBLE for an
+    infeasible node, as ``topology.min_power_for_degree`` gives them."""
+    _, lower, feasible = env.strategy_sets
+    return np.where(feasible, lower, topology.INFEASIBLE)
+
+
 @settings(deadline=None, max_examples=150)
 @given(st.data())
 def test_group_floors_equal_per_node_floor(data):
-    # ``_Environment.floors`` over every node in any order, and over one
-    # node in its own environment, bitwise the one-row min_power_for_degree.
+    # The floors of ``_Environment.strategy_sets`` over every node, read in
+    # any order, and over one node in its own environment, bitwise the
+    # one-row min_power_for_degree.
     # In most draws node f's first k links enter just under s_max, where its
     # degree at s_max decides the floor.
     draw = data.draw
@@ -410,13 +418,13 @@ def test_group_floors_equal_per_node_floor(data):
     want = [topology.min_power_for_degree(i, profile, gains, N0, 25, eps, k, interference)
             for i in range(m)]
     nodes = draw(st.permutations(range(m)))
-    floors = game._Environment(profile, gains, N0, params).floors(nodes)[1]
+    floors = _floors(game._Environment(profile, gains, N0, params))[nodes]
     assert floors.tolist() == [want[i] for i in nodes]
     for i in nodes:
         alone = game._Environment(profile, gains, N0, params, i)
-        assert alone.floors([i])[1].tolist() == [want[i]]
+        assert _floors(alone).tolist() == [want[i]]
         # the node's breakpoints as one 1-D row, as the scalar search takes them
-        assert topology._degree_floors(profile, k, alone.floors([i])[0][0], lambda rows: (
+        assert topology._degree_floors(profile, k, alone.strategy_sets[0][0], lambda rows: (
             alone.degrees([i], [profile.s_max]))).tolist() == want[i]
     if forced and offset == SLACK / 2:
         assert want[f] == profile.s_max
