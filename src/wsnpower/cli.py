@@ -85,12 +85,17 @@ def _json_object(value, where):
 
 
 def _section_from_report(path, mode):
-    """The (digest, analytic avg PRR, avg PRR, relative energy) of one mode.
+    """The (digest, analytic avg PRR, avg PRR, relative energy) of one mode
+    of a report whose ``schema_version`` is ``experiment.SCHEMA_VERSION``.
     Each number passes the number rule, ``channel._number``, so a string, a
     bool, or a NaN or Infinity literal is rejected naming its field."""
     report = f"report {path}"
-    sections = _json_object(_json_object(topology._read_json(path), report).get("modes", {}),
-                            f"{report} modes")
+    data = _json_object(topology._read_json(path), report)
+    version = _number(data.get("schema_version"), f"{report} schema_version", integral=True)
+    if version != experiment.SCHEMA_VERSION:
+        raise ValueError(f"{report} schema_version is {version}; this wsnpower reads "
+                         f"{experiment.SCHEMA_VERSION}")
+    sections = _json_object(data.get("modes", {}), f"{report} modes")
     if mode not in sections:
         raise ValueError(f"{report} has no mode {mode!r}; available: {sorted(sections)}")
     where = f"{report} mode {mode!r}"

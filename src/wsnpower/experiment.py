@@ -8,6 +8,7 @@ baseline.  One scenario in, plot-ready JSON/CSV out, byte deterministic.
 import csv
 import dataclasses
 import hashlib
+import itertools
 import json
 import os
 from dataclasses import dataclass, field
@@ -20,6 +21,8 @@ from .quantize import (DiscreteLevelSet, RegisterMap, _usable_levels, discretize
 
 MODES = ("continuous", "discretized-posthoc", "discretized-game", "full-power")
 RECEIVER_POLICIES = ("best-prr", "round-robin")
+# report.json's layout; a later change to its fields bumps it.
+SCHEMA_VERSION = 2
 
 
 @dataclass
@@ -168,7 +171,6 @@ class ModeSection:
             "topology_digest": self.topology_digest,
             "powers": powers,
             "analytic_avg_prr": self.analytic_avg_prr,
-            "analytic_link_prr": {f"{i}->{j}": v for (i, j), v in sorted(self.analytic_link_prr.items())},
             "metrics": self.metrics.to_json_dict(),
             "connected_bfs": self.connected_bfs,
         }
@@ -184,6 +186,7 @@ class SimulationReport:
 
     def to_json_dict(self) -> dict:
         return {
+            "schema_version": SCHEMA_VERSION,
             "config": self.config.to_json_dict(),
             "topology_digest": self.topology_digest,
             "full_power_connected": self.full_power_connected,
@@ -266,7 +269,9 @@ def run_scenario(config: ScenarioConfig) -> SimulationReport:
     if needs_continuous:
         continuous_result = game.solve(full, gains, n0, params)
 
-    post = game._Environment(full, gains, n0, params)  # for the rounded and full-power modes
+    post = None  # the environment of the rounded and full-power modes' post-steps
+    if {"discretized-posthoc", "full-power"} & set(config.modes):
+        post = game._Environment(full, gains, n0, params)
     sections = {mode: _run_mode(mode, config, gains, digest, continuous_result, full_mat, post)
                 for mode in config.modes}
 
@@ -312,77 +317,56 @@ def compare(section_a: ModeSection, section_b: ModeSection) -> dict:
     return _mode_deltas(side(section_a), side(section_b))
 
 
-def _write_csv(path, header, rows):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
 def emit(report: SimulationReport, out_dir) -> list:
-    """Write report.json plus the CSV tables; returns the created paths."""
-    os.makedirs(out_dir, exist_ok=True)
-    created = []
+    """Write report.json plus the CSV tables; returns the created paths.
 
+    report.json is compact and versioned (``SCHEMA_VERSION``): one
+    ``json.dumps`` call, which CPython's C encoder serves.  Per-link values
+    live only in each mode's links.csv and cdf.csv.  The CSV rows are built
+    from Python values (``tolist``), whose cells ``csv`` writes as ``repr``."""
+    os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "report.json")
     with open(path, "w") as fh:
-        json.dump(report.to_json_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    created.append(path)
+        fh.write(json.dumps(report.to_json_dict(), sort_keys=True, separators=(",", ":")) + "\n")
+    created = [path]
 
+    def write_csv(name, header, rows):
+        path = os.path.join(out_dir, name)
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows(rows)
+        created.append(path)
+
+    sections = [report.sections[mode] for mode in report.config.modes]
     rows = []
-    for mode in report.config.modes:
-        sec = report.sections[mode]
-        profile = sec.result.profile
-        for i in range(profile.n):
-            rows.append([i, mode, _fmt(profile.s[i]), _fmt(profile.dbm[i]),
-                         _fmt(profile.mw[i]), sec.register_ids[i]])
-    path = os.path.join(out_dir, "powers.csv")
-    _write_csv(path, ["node", "mode", "s", "dbm", "mw", "register_id"], rows)
-    created.append(path)
+    for sec in sections:
+        p = sec.result.profile
+        rows += zip(range(p.n), itertools.repeat(sec.mode), p.s.tolist(), p.dbm.tolist(),
+                    p.mw.tolist(), sec.register_ids)
+    write_csv("powers.csv", ["node", "mode", "s", "dbm", "mw", "register_id"], rows)
+    write_csv("summary.csv", ["mode", "avg_prr", "relative_energy", "connected"],
+              [[sec.mode, sec.metrics.avg_prr, sec.metrics.relative_energy,
+                int(sec.connected_bfs)] for sec in sections])
 
-    rows = []
-    for mode in report.config.modes:
-        sec = report.sections[mode]
-        rows.append([mode, _fmt(sec.metrics.avg_prr), _fmt(sec.metrics.relative_energy),
-                     int(sec.connected_bfs)])
-    path = os.path.join(out_dir, "summary.csv")
-    _write_csv(path, ["mode", "avg_prr", "relative_energy", "connected"], rows)
-    created.append(path)
-
-    for mode in report.config.modes:
-        sec = report.sections[mode]
-        mode_dir = os.path.join(out_dir, mode)
-        os.makedirs(mode_dir, exist_ok=True)
-
+    for sec in sections:
+        os.makedirs(os.path.join(out_dir, sec.mode), exist_ok=True)
         rows = []
         for (i, j), emp in sorted(sec.metrics.per_link_prr.items()):
-            analytic = sec.analytic_link_prr[(i, j)]
             if emp >= packetsim.GOOD_PRR:
                 klass = "good"
             elif emp < packetsim.BAD_PRR:
                 klass = "bad"
             else:
                 klass = "intermediate"
-            rows.append([i, j, _fmt(analytic), _fmt(emp), klass])
-        path = os.path.join(mode_dir, "links.csv")
-        _write_csv(path, ["i", "j", "analytic_prr", "empirical_prr", "class"], rows)
-        created.append(path)
+            rows.append([i, j, sec.analytic_link_prr[(i, j)], emp, klass])
+        write_csv(os.path.join(sec.mode, "links.csv"),
+                  ["i", "j", "analytic_prr", "empirical_prr", "class"], rows)
 
         rows = []
         for sweep, snapshot in enumerate(sec.result.profile_trace):
-            for i, s in enumerate(snapshot):
-                rows.append([sweep, i, _fmt(s)])
-        path = os.path.join(mode_dir, "trace.csv")
-        _write_csv(path, ["sweep", "node", "s"], rows)
-        created.append(path)
-
-        rows = [[_fmt(p), _fmt(c)] for p, c in sec.metrics.cdf_points]
-        path = os.path.join(mode_dir, "cdf.csv")
-        _write_csv(path, ["prr", "cumulative_fraction"], rows)
-        created.append(path)
+            rows += zip(itertools.repeat(sweep), range(len(snapshot)), snapshot.tolist())
+        write_csv(os.path.join(sec.mode, "trace.csv"), ["sweep", "node", "s"], rows)
+        write_csv(os.path.join(sec.mode, "cdf.csv"), ["prr", "cumulative_fraction"],
+                  sec.metrics.cdf_points)
     return created

@@ -202,17 +202,10 @@ class EquilibriumResult:
 
     def to_json_dict(self) -> dict:
         prof = self.profile
+        columns = zip(prof.s.tolist(), prof.dbm.tolist(), prof.mw.tolist(), self.per_node_feasible)
         return {
-            "nodes": [
-                {
-                    "id": i,
-                    "s": float(prof.s[i]),
-                    "dbm": float(prof.dbm[i]),
-                    "mw": float(prof.mw[i]),
-                    "feasible": bool(self.per_node_feasible[i]),
-                }
-                for i in range(prof.n)
-            ],
+            "nodes": [{"id": i, "s": s, "dbm": dbm, "mw": mw, "feasible": bool(feasible)}
+                      for i, (s, dbm, mw, feasible) in enumerate(columns)],
             "sweeps_used": self.sweeps_used,
             "converged": self.converged,
             "potential_trace": [float(v) for v in self.potential_trace],

@@ -199,14 +199,12 @@ class Metrics:
     def to_json_dict(self) -> dict:
         return {
             "avg_prr": self.avg_prr,
-            "per_link_prr": {f"{i}->{j}": v for (i, j), v in sorted(self.per_link_prr.items())},
             "relative_energy": self.relative_energy,
             "link_class_fractions": {
                 "good": self.link_class_fractions[0],
                 "intermediate": self.link_class_fractions[1],
                 "bad": self.link_class_fractions[2],
             },
-            "cdf_points": [[p, c] for p, c in self.cdf_points],
             "delivery_ratio": self.delivery_ratio,
             "empty_neighborhood_senders": list(self.empty_neighborhood_senders),
         }

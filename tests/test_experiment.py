@@ -167,6 +167,22 @@ class TestRunScenario:
         assert len(builds) <= 3
         assert len(sets) <= 3
 
+    @pytest.mark.parametrize("modes, expected", [
+        (("continuous",), 1),
+        (("discretized-game",), 1),
+        (("full-power",), 1),
+        (("continuous", "discretized-posthoc"), 2),
+    ])
+    def test_post_environment_only_when_read(self, monkeypatch, modes, expected):
+        # The post-step environment serves only the rounded and the
+        # full-power modes; a run of the other modes builds just its solve's.
+        builds = []
+        init = game._Environment.__init__
+        monkeypatch.setattr(game._Environment, "__init__",
+                            lambda env, *args: builds.append(None) or init(env, *args))
+        experiment.run_scenario(desk_config(modes=modes))
+        assert len(builds) == expected
+
     @pytest.mark.parametrize("interference", ["none", "full"])
     def test_each_modes_feasibility_flags(self, interference):
         # Each mode's flags are those of its own profile's strategy sets.  On
@@ -304,14 +320,61 @@ class TestEmit:
         experiment.emit(desk_report, tmp_path)
         with open(tmp_path / "report.json") as fh:
             data = json.load(fh)
-        assert set(data) == {"config", "topology_digest", "full_power_connected",
-                             "modes", "deltas"}
+        assert set(data) == {"schema_version", "config", "topology_digest",
+                             "full_power_connected", "modes", "deltas"}
         assert set(data["modes"]) == set(experiment.MODES)
         section = data["modes"]["continuous"]
-        assert {"powers", "converged", "sweeps_used", "potential_trace",
-                "analytic_avg_prr", "metrics", "connected_bfs"} <= set(section)
-        assert "connected_spectral" not in section
+        assert set(section) == {"mode", "topology_digest", "powers", "converged",
+                                "sweeps_used", "potential_trace", "nonunimodal_events",
+                                "analytic_avg_prr", "metrics", "connected_bfs"}
         assert len(section["powers"]) == DESK_M
+        assert set(section["powers"][0]) == {"id", "s", "dbm", "mw", "feasible",
+                                             "register_id"}
+
+    def test_report_json_is_compact_and_versioned(self, desk_report, tmp_path):
+        # one line without separator spaces, written by the C encoder
+        experiment.emit(desk_report, tmp_path)
+        text = (tmp_path / "report.json").read_text()
+        assert text.endswith("}\n") and text.count("\n") == 1
+        assert '": ' not in text and '", ' not in text
+        data = json.loads(text)
+        assert data["schema_version"] == experiment.SCHEMA_VERSION == 2
+        assert data == desk_report.to_json_dict()
+
+    @pytest.mark.parametrize("interference", ["none", "full"])
+    def test_csv_cells_are_value_reprs(self, desk_report, tmp_path, interference):
+        # every float cell is repr(float(v)) of its in-memory value, and
+        # every row is where the layout puts it
+        report = desk_report if interference == "none" else experiment.run_scenario(
+            desk_config(game_params=game.GameParams(interference="full")))
+        experiment.emit(report, tmp_path)
+
+        def fmt(row):
+            return [repr(float(v)) if isinstance(v, (float, np.floating)) else str(v)
+                    for v in row]
+
+        def read(*parts):
+            with open(tmp_path.joinpath(*parts), newline="") as fh:
+                return list(csv.reader(fh))[1:]
+
+        sections = [report.sections[mode] for mode in report.config.modes]
+        assert read("powers.csv") == [
+            fmt([i, sec.mode, sec.result.profile.s[i], sec.result.profile.dbm[i],
+                 sec.result.profile.mw[i], sec.register_ids[i]])
+            for sec in sections for i in range(DESK_M)]
+        assert read("summary.csv") == [
+            fmt([sec.mode, sec.metrics.avg_prr, sec.metrics.relative_energy,
+                 int(sec.connected_bfs)]) for sec in sections]
+        for sec in sections:
+            links = read(sec.mode, "links.csv")
+            assert [row[:4] for row in links] == [
+                fmt([i, j, sec.analytic_link_prr[(i, j)], emp])
+                for (i, j), emp in sorted(sec.metrics.per_link_prr.items())]
+            assert read(sec.mode, "trace.csv") == [
+                fmt([sweep, i, float(snapshot[i])])
+                for sweep, snapshot in enumerate(sec.result.profile_trace)
+                for i in range(DESK_M)]
+            assert read(sec.mode, "cdf.csv") == [fmt(point) for point in sec.metrics.cdf_points]
 
     def test_two_runs_are_byte_identical(self, tmp_path):
         cfg = desk_config()
@@ -492,6 +555,30 @@ class TestCli:
                              "--modes", "full-power,full-power"]) == 2
             captured = capsys.readouterr()
             assert captured.err == f"error: report {path} {message}\n"
+            assert captured.out == ""
+
+    def test_compare_checks_schema_version(self, tmp_path, capsys):
+        # a report without the version, or of another one, exits 2 naming it
+        config = write_config(tmp_path, modes=("full-power",))
+        out = str(tmp_path / "out")
+        assert cli.main(["run", "--config", config, "--out", out]) == 0
+        capsys.readouterr()
+        with open(os.path.join(out, "report.json")) as fh:
+            report = json.load(fh)
+        for k, (value, message) in enumerate([
+                (None, "must be a whole number, got None"),
+                (1, "is 1; this wsnpower reads 2")]):
+            data = copy.deepcopy(report)
+            if value is None:
+                del data["schema_version"]
+            else:
+                data["schema_version"] = value
+            path = tmp_path / f"report-{k}.json"
+            path.write_text(json.dumps(data))
+            assert cli.main(["compare", "--report", str(path),
+                             "--modes", "full-power,full-power"]) == 2
+            captured = capsys.readouterr()
+            assert captured.err == f"error: report {path} schema_version {message}\n"
             assert captured.out == ""
 
     @pytest.mark.parametrize("argv, message", [
