@@ -41,17 +41,19 @@ table and narrows it to the best point's two neighbours, until it is within
 an array search (``_best_responses``) for a lockstep group, all its nodes in
 each table, and a scalar search (``_lone_response``) for a node that answers
 alone (every group of the coupled game, and the public ``best_response``),
-on flat arrays of the node's candidate columns; a node with fewer of them
-than k is infeasible and answers s_min without a table in either search.
-They score the same candidates and grids in the same kernel calls, so their
-answers and flags are bitwise equal.  P depends on the game's parameters
+which keeps the bracket bookkeeping on floats.  Both take each node's
+strategy set from ``_Environment.strategy_sets`` and score every table by
+``_Environment.utilities``; a node with fewer candidate columns than k is
+infeasible and answers s_min without a table in either search.  They score
+the same candidates and grids in the same kernel calls, so their answers
+and flags are bitwise equal.  P depends on the game's parameters
 alone, never on the group, so a node answers the same in a group as alone.
 The discrete game scores every node's usable levels at or above its floor
 in one (nodes x levels) table for any group.
 """
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, wraps
 
 import numpy as np
 
@@ -267,6 +269,20 @@ def _padded_columns(candidate):
     return index, (pads if pads.any() else None)
 
 
+def _by_chunk(score):
+    """``score(env, nodes, xs)`` over chunks of at most ``env.chunk`` rows,
+    joined: one call, and no join, when the rows fit in one chunk.  ``nodes``
+    and ``xs`` are 1-D index and float arrays."""
+    @wraps(score)
+    def chunked(env, nodes, xs):
+        step = env.chunk
+        if xs.size <= step:
+            return score(env, nodes, xs)
+        return np.concatenate([score(env, nodes[a:a + step], xs[a:a + step])
+                               for a in range(0, xs.size, step)])
+    return chunked
+
+
 class _Environment:
     """What stays fixed while nodes answer one profile, and the utility kernel.
 
@@ -349,7 +365,7 @@ class _Environment:
     def prr_table(self, nodes, xs):
         """(own mW per row, rows x K PRR table over the rows' candidate columns)."""
         # StrategyProfile.mw's operations
-        mw = 10.0 ** ((np.asarray(xs, dtype=float) - DBM_OFFSET) / 10.0)
+        mw = 10.0 ** ((xs - DBM_OFFSET) / 10.0)
         gains, denominators = self.column_gains, self.column_denominators
         if gains.ndim == 2:
             gains = gains[nodes]
@@ -359,17 +375,6 @@ class _Environment:
         if self.pads is not None:
             table[self.pads[nodes]] = 0.0
         return mw, table
-
-    def _by_chunk(self, score, nodes, xs):
-        """``score(nodes, xs)`` over chunks of at most ``chunk`` rows, joined:
-        one call, and no join, when the rows fit in one chunk."""
-        nodes = np.asarray(nodes, dtype=np.intp)
-        xs = np.asarray(xs, dtype=float)
-        step = self.chunk
-        if xs.size <= step:
-            return score(nodes, xs)
-        return np.concatenate([score(nodes[a:a + step], xs[a:a + step])
-                               for a in range(0, xs.size, step)])
 
     @cached_property
     def _clear_reach(self):
@@ -400,20 +405,17 @@ class _Environment:
                 sizes[r] = np.count_nonzero((table >= params.epsilon_link).any(axis=0))
         return sizes
 
+    @_by_chunk
     def utilities(self, nodes, xs) -> np.ndarray:
         """Utility of node nodes[r] at strategy value xs[r], for every row r."""
-        return self._by_chunk(self._utility_rows, nodes, xs)
-
-    def _utility_rows(self, nodes, xs):
         mw, table = self.prr_table(nodes, xs)
         return _utility_formula(table, xs, self.params, self.required_k,
                                 lambda member: self._union_sizes(nodes.tolist(), mw, member))
 
+    @_by_chunk
     def degrees(self, nodes, xs) -> np.ndarray:
         """Degree of node nodes[r] at strategy value xs[r], for every row r."""
-        eps = self.params.epsilon_link
-        return self._by_chunk(lambda part_nodes, part_xs: np.add.reduce(
-            self.prr_table(part_nodes, part_xs)[1] >= eps, axis=1), nodes, xs)
+        return np.add.reduce(self.prr_table(nodes, xs)[1] >= self.params.epsilon_link, axis=1)
 
     def potential(self) -> float:
         """``potential`` of a whole-group environment's profile."""
@@ -429,7 +431,9 @@ class _Environment:
         range; whether it is feasible, i.e. its floor is finite).  Row r is node
         r of a group; a lone node's table reads no node index."""
         gains, denominators = self.column_gains, self.column_denominators
-        points = np.atleast_2d(_membership_breakpoints(self.s_eps, denominators, gains))
+        points = _membership_breakpoints(self.s_eps, denominators, gains)
+        if points.ndim == 1:  # a one-node focus: its one row
+            points = points[None]
         points.sort(axis=1)
         floors = _degree_floors(self.profile, self.required_k, points, lambda rows: (
             self.degrees(rows, np.full(rows.size, self.profile.s_max))))
@@ -464,7 +468,7 @@ def utility(i: int, profile: StrategyProfile, gains: np.ndarray, n0_mw: float,
     infeasible node's score; for a feasible node it lies below the degree
     floor, outside node i's strategy set [max(s_min, floor_i), s_max]."""
     env = _Environment(profile, gains, n0_mw, params, i)
-    return float(env.utilities([i], [profile.s[i]])[0])
+    return float(env.utilities(np.array([i]), np.array([profile.s[i]]))[0])
 
 
 def potential(profile: StrategyProfile, gains: np.ndarray, n0_mw: float,
@@ -516,8 +520,7 @@ def _best_responses(env, nodes):
     operation acts row by row, so each node returns what it returns alone.
 
     This is the search of a lockstep group.  A group of one node takes
-    ``_lone_response``, the same search on scalars, without the per-row
-    bookkeeping that takes about a third of a lone node's time here (see
+    ``_lone_response``, the same search with scalar bookkeeping (see
     ``_respond``); this one, called on a one-node group, is its reference.
     """
     profile = env.profile
@@ -571,29 +574,17 @@ def _best_responses(env, nodes):
 
 def _lone_response(env, i):
     """``_best_responses`` for the one-node group [i], step for step on floats
-    and node i's candidate columns as 1-D arrays: (s*, 1 if flagged else 0),
-    bitwise its answer and flag.  It scores the same rows in the same kernel
-    calls, by ``_utility_formula`` and ``_degree_floors``, with no node index
-    arrays or 2-D views.  With fewer candidate columns than k: s_min at once."""
-    profile, params, k = env.profile, env.params, env.required_k
-    if env.columns.size < k:
+    and 1-D arrays: (s*, 1 if flagged else 0), bitwise its answer and flag.
+    It plays on row 0 of ``env.strategy_sets`` and scores the same rows in
+    the same ``env.utilities`` calls; only the bracket bookkeeping is its
+    own.  With fewer candidate columns than k: s_min at once."""
+    profile = env.profile
+    if env.columns.size < env.required_k:
         return profile.s_min, 0
-    hi, chunk = profile.s_max, env.chunk
-    gains, denominators = env.column_gains, env.column_denominators
-    def table(xs):
-        mw = 10.0 ** ((xs - DBM_OFFSET) / 10.0)  # StrategyProfile.mw's operations
-        return mw, _prr_table(gains, mw, denominators, params.f_bytes)
-    def utilities(xs):
-        if xs.size > chunk:  # the environment's bound on a table's memory
-            return np.concatenate([utilities(xs[a:a + chunk]) for a in range(0, xs.size, chunk)])
-        mw, rows = table(xs)
-        return _utility_formula(rows, xs, params, k,
-                                lambda member: env._union_sizes([i] * xs.size, mw, member))
-    points = np.sort(_membership_breakpoints(env.s_eps, denominators, gains))
-    lo = float(_degree_floors(profile, k, points, lambda rows: (
-        np.add.reduce(table(np.array([hi]))[1] >= params.epsilon_link, axis=1))))
-    if lo == INFEASIBLE:
+    (points,), (lo,), (feasible,) = env.strategy_sets
+    if not feasible:
         return profile.s_min, 0
+    hi, lo = profile.s_max, float(lo)
     if not hi - lo > _BR_TOL:
         return hi, 0
     scan = lo + _SCAN_INDEX * ((hi - lo) / (_PRESCAN_SAMPLES - 1))
@@ -603,7 +594,10 @@ def _lone_response(env, i):
     incumbent = float(profile.s[i])
     cand = np.concatenate([scan, points, below[below > lo],
                            [incumbent] if lo <= incumbent <= hi else []])
-    values = utilities(cand)
+    steps = _refine_steps(env.params)
+    nodes = np.full(max(cand.size, steps.size - 2), i)
+    values = env.utilities(nodes[:cand.size], cand)
+    nodes = nodes[:steps.size - 2]
     flagged = int(_scan_nonunimodal(values[:_PRESCAN_SAMPLES]))
 
     v = values.max()
@@ -611,10 +605,9 @@ def _lone_response(env, i):
     # every candidate lies in [lo, hi], and lo and hi are candidates
     a = float(cand.max(initial=lo, where=cand < x))
     b = float(cand.min(initial=hi, where=cand > x))
-    steps = _refine_steps(params)
     while b - a > _BR_TOL:
         grid = a + (b - a) * steps
-        scores = utilities(grid[1:-1])
+        scores = env.utilities(nodes, grid[1:-1])
         top = int(scores.argmax())
         if scores[top] > v:
             x, v = float(grid[top + 1]), scores[top]
@@ -626,7 +619,8 @@ def _respond(env, nodes):
     """The continuous game's answers of a sweep group, for ``_sweep``: the
     scalar search for a group of one node (every group of a coupled game),
     the array search for a lockstep group.  Both give bitwise the same
-    answers and flags; each is the faster at its own group size."""
+    answers and flags; each is the faster at its own group size (the array
+    search on one-node groups made a coupled job about 1.6 times as slow)."""
     if len(nodes) == 1:
         s_star, flagged = _lone_response(env, nodes[0])
         return [s_star], flagged
@@ -657,9 +651,7 @@ def _sweep(profile, env, respond):
     order = list(range(profile.n))
     if _decouples(env.params):
         s_star, flags = respond(env, order)
-        for i, s in zip(order, np.asarray(s_star).tolist()):
-            profile = profile.with_power(i, s)
-        return profile, flags
+        return StrategyProfile(s_star, s_min=profile.s_min, s_max=profile.s_max), flags
     lone = _Environment(profile, env.gains, env.n0_mw, env.params, 0)
     d, received, flags = lone.denominators, None, 0
     for i in order:
@@ -735,6 +727,8 @@ def verify_equilibrium(profile: StrategyProfile, gains: np.ndarray, n0_mw: float
     """
     if not grid_step > 0:
         raise ValueError("grid step must be positive")
+    if not epsilon >= 0:
+        raise ValueError("epsilon must be >= 0")
     grid = np.arange(profile.s_min, profile.s_max, grid_step)
     if grid.size == 0 or grid[-1] < profile.s_max:
         grid = np.append(grid, profile.s_max)

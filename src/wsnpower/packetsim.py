@@ -108,14 +108,25 @@ def simulate(profile, mat: np.ndarray, traffic: TrafficConfig,
     matrix at the profile's powers (``channel.prr_matrix``).  links is
     either a per-sender receiver array (m,) or a per-message matrix
     (m, messages_per_node); receiver -1 marks a sender with no usable link,
-    whose messages exhaust the full attempt budget undelivered.
+    whose messages exhaust the full attempt budget undelivered.  Any other
+    receiver is a whole node index other than its sender's.
     """
     m, n = mat.shape[0], traffic.messages_per_node
-    links = np.array(links, dtype=int)  # a copy: the log keeps it as its receivers
+    if profile.n != m:
+        raise ValueError(f"profile has {profile.n} nodes, the PRR matrix {m}")
+    raw = np.asarray(links)
+    with np.errstate(invalid="ignore"):  # a NaN casts to some int, which differs from it
+        links = raw.astype(int)  # a copy: the log keeps it as its receivers
+    if (fractional := links != raw).any():
+        raise ValueError(f"receiver {raw[fractional].tolist()[0]!r} is not a whole node index")
     if links.shape == (m,):
         links = np.repeat(links[:, None], n, axis=1)
     if links.shape != (m, n):
         raise ValueError("links must be (m,) or (m, messages_per_node)")
+    if (outside := (links < -1) | (links >= m)).any():
+        raise ValueError(f"receiver {links[outside][0]} outside [-1, {m})")
+    if (own := links == np.arange(m)[:, None]).any():
+        raise ValueError(f"sender {np.flatnonzero(own.any(axis=1))[0]} is its own receiver")
     p_link = np.where(links >= 0, np.take_along_axis(mat, np.clip(links, 0, m - 1), axis=1), 0.0)
     rng = np.random.default_rng(traffic.seed)
     cap = traffic.max_retries + 1

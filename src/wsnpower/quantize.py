@@ -37,10 +37,13 @@ class DiscreteLevelSet:
 def quantize(dbm, levels: DiscreteLevelSet):
     """Nearest level to a dB value, ties toward the lower (cheaper) level.
 
-    Inputs outside the transmit range are clamped before rounding.  Accepts
-    scalars or arrays.
+    Inputs outside the transmit range are clamped before rounding; a NaN is
+    an error.  Accepts scalars or arrays.
     """
-    arr = np.clip(np.asarray(dbm, dtype=float), DBM_FLOOR, DBM_CEIL)
+    arr = np.asarray(dbm, dtype=float)
+    if np.isnan(arr).any():
+        raise ValueError("a dB value to quantize is NaN")
+    arr = np.clip(arr, DBM_FLOOR, DBM_CEIL)
     grid = np.asarray(levels.levels_dbm)
     # searchsorted against the midpoints (none for one level); side="left"
     # sends exact midpoints to the lower cell.  A midpoint that rounds onto the

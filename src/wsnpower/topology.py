@@ -226,23 +226,23 @@ def min_power_for_degree(i: int, profile, gains: np.ndarray, n0_mw: float, f_byt
 
 def _degree_floors(profile, k, points, degrees_at_s_max):
     """``min_power_for_degree`` for every row of ``points``, a (rows x K)
-    array of sorted membership breakpoints padded with +inf, or for the one
-    row of a 1-D ``points`` (a 0-d result).  ``degrees_at_s_max(rows)``
-    gives the degree at s_max of the rows whose b_(k) lies within the slack
-    below s_max, where the k-th link's PRR at s_max can fall a few ulps
-    short of epsilon_link: the degree count that decides feasibility
-    decides.  It is called only when such rows exist."""
+    array of sorted membership breakpoints padded with +inf.
+    ``degrees_at_s_max(rows)`` gives the degree at s_max of the rows whose
+    b_(k) lies within the slack below s_max, where the k-th link's PRR at
+    s_max can fall a few ulps short of epsilon_link: the degree count that
+    decides feasibility decides.  It is called only when such rows exist."""
     if k < 0:
         raise ValueError("required degree must be >= 0")
     if k == 0 or k > points.shape[-1]:
-        return np.full(points.shape[:-1], profile.s_min if k == 0 else INFEASIBLE)
-    b = points[..., k - 1]
-    floor = b + _BREAKPOINT_SLACK
-    floors = np.where(b > profile.s_max, INFEASIBLE, np.maximum(profile.s_min, floor))
-    edge = (b <= profile.s_max) & (floor > profile.s_max)
-    if edge.any():
-        floors[edge] = np.where(degrees_at_s_max(np.flatnonzero(edge)) >= k, profile.s_max,
-                                INFEASIBLE)
+        return np.full(points.shape[0], profile.s_min if k == 0 else INFEASIBLE)
+    floors = np.maximum(profile.s_min, points[:, k - 1] + _BREAKPOINT_SLACK)
+    # above s_max: infeasible, but the degree at s_max decides b_(k) <= s_max
+    beyond = np.flatnonzero(floors > profile.s_max)
+    if beyond.size:
+        edge = beyond[points[beyond, k - 1] <= profile.s_max]
+        floors[beyond] = INFEASIBLE
+        if edge.size:
+            floors[edge] = np.where(degrees_at_s_max(edge) >= k, profile.s_max, INFEASIBLE)
     return floors
 
 

@@ -361,11 +361,11 @@ class TestKernel:
                                  ncr_denominator=draw(st.sampled_from(["members", "union"])),
                                  epsilon_link=draw(st.sampled_from([0.01, 0.5, 0.9, 1e-62])),
                                  degree_target=draw(st.integers(0, 3)))
-        xs = [s_min, s_max, *rng.uniform(s_min, s_max, size=draw(st.integers(1, 16)))]
+        xs = np.array([s_min, s_max, *rng.uniform(s_min, s_max, size=draw(st.integers(1, 16)))])
         i = draw(st.integers(0, m - 1))
         group = game._Environment(profile, gains, N0, params)
         alone = game._Environment(profile, gains, N0, params, i)
-        for env, nodes in ((group, rng.integers(0, m, size=len(xs))), (alone, [i] * len(xs))):
+        for env, nodes in ((group, rng.integers(0, m, size=len(xs))), (alone, np.full(len(xs), i))):
             utilities, degrees = _dense_reference(env, nodes, xs)
             assert env.utilities(nodes, xs).tobytes() == utilities.tobytes()
             assert env.degrees(nodes, xs).tobytes() == degrees.tobytes()
@@ -428,9 +428,9 @@ class TestKernel:
         xs = draw(st.lists(st.floats(0.5, 25.0), max_size=8))
         xs += rng.uniform(0.5, 25.0, size=draw(st.integers(1, 24))).tolist()
         env = game._Environment(profile, gains, N0, params)
-        nodes = [i] * len(xs)
         rows, want = zip(*(_reference_row_and_utility(i, profile, gains, params, x)
                            for x in xs))
+        nodes, xs = np.full(len(xs), i), np.array(xs)
         # the table holds node i's candidate columns, bitwise the dense rows'
         # entries there, then pads of 0; every column it drops is below
         # epsilon at s_max
@@ -463,11 +463,11 @@ class TestKernel:
         profile = random_profile(np.random.default_rng(12), m=150)
         params = game.GameParams()
         env = game._Environment(profile, gains, N0, params)
-        nodes = [0, 0, 0, 1, 77, 77, 149, 149]
-        xs = [25.0, 24.0, 20.0, 25.0, 25.0, 23.5, 25.0, 12.0]
+        nodes = np.array([0, 0, 0, 1, 77, 77, 149, 149])
+        xs = np.array([25.0, 24.0, 20.0, 25.0, 25.0, 23.5, 25.0, 12.0])
         assert max(env.degrees(nodes, xs)) > 128
         want = [_reference_row_and_utility(i, profile, gains, params, x)[1]
-                for i, x in zip(nodes, xs)]
+                for i, x in zip(nodes.tolist(), xs.tolist())]
         assert env.utilities(nodes, xs).tobytes() == np.array(want).tobytes()
 
 
@@ -592,7 +592,8 @@ class TestBestResponse:
         grid = np.arange(0.5, 25.0 + 1e-9, 1e-4)
         # Under the clear channel node 0's environment does not depend on its
         # own entry in the profile, so one batched pass covers the whole grid.
-        utils = game._Environment(prof, gains, N0, params).utilities([0] * grid.size, grid)
+        env = game._Environment(prof, gains, N0, params)
+        utils = env.utilities(np.zeros(grid.size, dtype=int), grid)
         best_grid = grid[int(np.argmax(utils))]
         assert abs(br - best_grid) <= 1e-3
         u_br = game.utility(0, prof.with_power(0, br), gains, N0, params)
@@ -654,6 +655,28 @@ class TestBestResponse:
         assert np.float64(s_star).tobytes() == want.tobytes()
         assert flagged == want_flagged
 
+    def test_lone_search_plays_on_the_environments_strategy_set(self, desk0):
+        # The scalar search reads its lower end and feasibility from the
+        # environment's ``strategy_sets``, as the array search does: raise
+        # the lower end above each node's free answer, and both answer within
+        # the raised set, bitwise alike; mark the node infeasible, and both
+        # answer s_min.
+        _, gains = desk0
+        profile = game.StrategyProfile.full_power(DESK_M)
+        params = game.GameParams(degree_target=1)
+        raised = 10.0
+        for i in range(DESK_M):
+            env = game._Environment(profile, gains, N0, params, i)
+            points, lower, feasible = env.strategy_sets
+            assert game._lone_response(env, i)[0] < raised
+            env.__dict__["strategy_sets"] = (points, np.full(1, raised), feasible)
+            s_star = game._lone_response(env, i)[0]
+            [want], _ = game._best_responses(env, [i])
+            assert raised <= s_star <= profile.s_max
+            assert np.float64(s_star).tobytes() == want.tobytes()
+            env.__dict__["strategy_sets"] = (points, lower, np.zeros(1, dtype=bool))
+            assert game._lone_response(env, i) == (profile.s_min, 0)
+
     @pytest.mark.parametrize("interference", ["none", "full"], ids=["decoupled", "coupled"])
     def test_solve_picks_the_search_by_group_size(self, interference):
         # The decoupled game is one lockstep group, which the array search
@@ -678,9 +701,8 @@ class TestBestResponse:
         # One kernel call scores every node's candidates, and each refinement
         # round one more, of P + 2 points per open bracket, for any group
         # size.  The first bracket spans at most two pre-scan intervals, and a
-        # round cuts it to 2 / (P + 3) of its width.  The array search's calls
-        # are those of ``_Environment.utilities``, the scalar search's those of
-        # the utility formula it shares with it, on its own tables.  A node
+        # round cuts it to 2 / (P + 3) of its width.  Both searches score
+        # through ``_Environment.utilities``, whose calls are counted.  A node
         # with fewer candidate columns than k makes none.
         gains, profile, params = _random_game(
             data.draw, 12, interference=data.draw(st.sampled_from(["none", "full"])),
@@ -700,9 +722,7 @@ class TestBestResponse:
                                   / math.log((points + 3) / 2)))
         calls = []
         for search in searches:
-            kernel = ((env, "utilities") if search is game._best_responses
-                      else (game, "_utility_formula"))
-            with mock.patch.object(*kernel, wraps=getattr(*kernel)) as utilities:
+            with mock.patch.object(env, "utilities", wraps=env.utilities) as utilities:
                 s_star = search(env, nodes)[0]
             if len(nodes) == 1 and env.columns.size < params.required_degree(profile.n):
                 assert utilities.call_count == 0
@@ -917,6 +937,13 @@ class TestVerification:
         result, gains, params = desk0_solution
         with pytest.raises(ValueError, match="grid step must be positive"):
             game.verify_equilibrium(result.profile, gains, N0, params, grid_step=step)
+
+    @pytest.mark.parametrize("epsilon", [-1e-4, math.nan])
+    def test_epsilon_must_be_non_negative(self, epsilon, desk0_solution):
+        # a NaN or negative tolerance used to fail every profile silently
+        result, gains, params = desk0_solution
+        with pytest.raises(ValueError, match="epsilon must be >= 0"):
+            game.verify_equilibrium(result.profile, gains, N0, params, epsilon=epsilon)
 
     def test_converged_profile_verifies(self, desk0_solution):
         result, gains, params = desk0_solution

@@ -160,6 +160,47 @@ class TestSimulate:
         with pytest.raises(ValueError):
             packetsim.simulate(prof, prr_of(prof, gains), traffic, np.array([1, 0, 0]))
 
+    @pytest.mark.parametrize("links, message", [
+        (np.array([1, 5, 0]), r"receiver 5 outside \[-1, 3\)"),
+        (np.array([1, -3, 0]), r"receiver -3 outside \[-1, 3\)"),
+        (np.array([[1, 2], [0, 2], [0, 3]]), r"receiver 3 outside \[-1, 3\)"),
+    ], ids=["above", "below", "per-message"])
+    def test_receiver_outside_the_nodes_rejected(self, links, message):
+        gains = np.ones((3, 3)) - np.eye(3)
+        prof = game.StrategyProfile.full_power(3)
+        traffic = packetsim.TrafficConfig(messages_per_node=2, seed=0)
+        with pytest.raises(ValueError, match=message):
+            packetsim.simulate(prof, prr_of(prof, gains), traffic, links)
+
+    @pytest.mark.parametrize("links", [np.array([1, 1, 0]), np.array([[1, 2], [0, 2], [2, 0]])],
+                             ids=["per-sender", "per-message"])
+    def test_sender_as_its_own_receiver_rejected(self, links):
+        gains = np.ones((3, 3)) - np.eye(3)
+        prof = game.StrategyProfile.full_power(3)
+        traffic = packetsim.TrafficConfig(messages_per_node=2, seed=0)
+        with pytest.raises(ValueError, match="sender 1 is its own receiver"
+                           if links.ndim == 1 else "sender 2 is its own receiver"):
+            packetsim.simulate(prof, prr_of(prof, gains), traffic, links)
+
+    @pytest.mark.parametrize("value", [1.7, math.nan, math.inf])
+    def test_fractional_receiver_rejected(self, value):
+        gains = np.ones((3, 3)) - np.eye(3)
+        prof = game.StrategyProfile.full_power(3)
+        traffic = packetsim.TrafficConfig(messages_per_node=2, seed=0)
+        with pytest.raises(ValueError, match=f"receiver {value!r} is not a whole node index"):
+            packetsim.simulate(prof, prr_of(prof, gains), traffic, np.array([value, 0.0, 1.0]))
+        # a whole float is the node index it names
+        log = packetsim.simulate(prof, prr_of(prof, gains), traffic, np.array([2.0, 0.0, 1.0]))
+        assert log.receiver.tolist() == [2, 2, 0, 0, 1, 1]
+
+    def test_profile_of_another_size_rejected(self):
+        gains = np.ones((3, 3)) - np.eye(3)
+        traffic = packetsim.TrafficConfig(messages_per_node=4, seed=0)
+        mat = prr_of(game.StrategyProfile.full_power(3), gains)
+        with pytest.raises(ValueError, match="profile has 2 nodes, the PRR matrix 3"):
+            packetsim.simulate(game.StrategyProfile.full_power(2), mat, traffic,
+                               np.array([1, 0, 0]))
+
     def test_seed_determinism(self):
         prof = game.StrategyProfile.constant(2, 12.0)
         gains = two_node_gains(0.5, 12.0)

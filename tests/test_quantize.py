@@ -1,4 +1,5 @@
 import itertools
+import math
 import types
 
 import numpy as np
@@ -68,6 +69,14 @@ class TestQuantize:
     def test_clamps_out_of_range_inputs(self):
         assert quantize(-40.0, WIDE) == -25.0
         assert quantize(3.0, WIDE) == 0.0
+
+    def test_nan_rejected(self):
+        # a NaN has no nearest level: it used to come back as the top one
+        levels = DiscreteLevelSet()
+        with pytest.raises(ValueError, match="NaN"):
+            quantize(math.nan, levels)
+        with pytest.raises(ValueError, match="NaN"):
+            quantize(np.array([-12.4, math.nan]), levels)
 
     def test_scalar_and_array_forms(self):
         levels = DiscreteLevelSet()

@@ -250,7 +250,7 @@ def test_prr_rows_share_one_kernel(interference):
         # a one-node environment (a coupled best response) builds the same row
         one = game._Environment(profile, gains, N0, params, i)
         assert one.columns.tobytes() == columns.tobytes()
-        assert one.prr_table([i], [profile.s[i]])[1][0].tobytes() == (
+        assert one.prr_table(np.array([i]), profile.s[i:i + 1])[1][0].tobytes() == (
             table[i, :columns.size].tobytes())
         thresholds = np.concatenate([mat[i], np.nextafter(mat[i], np.inf)])
         for eps in thresholds[(thresholds > 0.0) & (thresholds <= 1.0)]:
@@ -292,7 +292,7 @@ def _check_floors(profile, gains, eps, interference):
             else:
                 assert profile.s_min <= floor <= profile.s_max
                 assert degree(floor) >= k
-                assert env.degrees([i], [floor])[0] >= k
+                assert env.degrees(np.array([i]), np.array([floor]))[0] >= k
                 if floor > profile.s_min:
                     assert degree(floor - 2 * SLACK) < k
 
@@ -423,8 +423,5 @@ def test_group_floors_equal_per_node_floor(data):
     for i in nodes:
         alone = game._Environment(profile, gains, N0, params, i)
         assert _floors(alone).tolist() == [want[i]]
-        # the node's breakpoints as one 1-D row, as the scalar search takes them
-        assert topology._degree_floors(profile, k, alone.strategy_sets[0][0], lambda rows: (
-            alone.degrees([i], [profile.s_max]))).tolist() == want[i]
     if forced and offset == SLACK / 2:
         assert want[f] == profile.s_max
