@@ -595,6 +595,7 @@ def _lone_response(env, i):
     cand = np.concatenate([scan, points, below[below > lo],
                            [incumbent] if lo <= incumbent <= hi else []])
     steps = _refine_steps(env.params)
+    # one index array, cut to the candidate table and then to a round's grid
     nodes = np.full(max(cand.size, steps.size - 2), i)
     values = env.utilities(nodes[:cand.size], cand)
     nodes = nodes[:steps.size - 2]
